@@ -19,6 +19,10 @@ phase. quantization_residual computes g with the phase carried through the
 physical energy chain; the full spinor mismatch at z = L is available
 separately (boundary_residual) and is reported by the verify command rather
 than asserted.
+
+Energies and norms are closed-form: at v0 != 0 the energy is a root of a
+quadratic in E^2, and the norm integrates cos^2/sin^2(Qz -+ phase/2) terms
+exactly (Alberto, Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19).
 """
 
 from __future__ import annotations
@@ -27,12 +31,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .dirac import QSpinor, apply_matrix, build_matrices
 from .quaternion import Quaternion
-from .step import Branch, PotentialStep, as_branch, kinematics, mode_coefficients
+from .step import Branch, PotentialStep, as_branch, mode_coefficients
 
 __all__ = [
     "NoSolutionError",
@@ -97,8 +99,10 @@ class StationaryWavefunction:
     w_factor is the complex representative of the quaternionic potential as it
     appears in this branch's spinor (conjugated on the plus branch); j_chi is
     the quaternionic admixture coefficient. amplitude multiplies the whole
-    spinor; quad_neval records the node count of the last normalization
-    quadrature (0 before normalization).
+    spinor. With a, b = Qz -+ phase/2, wm = w_factor*j_chi and r = amp_ratio
+    the density on [0, length] is, for either branch and spin, amplitude^2 *
+    [cos^2 a + |wm|^2 cos^2 b + r^2 (sin^2 a + |wm|^2 sin^2 b)], which
+    normalize integrates in closed form.
     """
 
     branch: Branch
@@ -113,7 +117,6 @@ class StationaryWavefunction:
     mass: float
     pot: PotentialStep
     amplitude: float = 1.0
-    quad_neval: int = 0
 
     def evaluate(self, z: float) -> QSpinor:
         zero = Quaternion()
@@ -125,8 +128,8 @@ class StationaryWavefunction:
         idx = 0 if self.spin == "up" else 1
         sigma_sign = 1.0 if idx == 0 else -1.0
         comp = [zero, zero, zero, zero]
+        chi_block = Quaternion(math.cos(a), -wm * math.cos(b))
         if self.branch is Branch.MINUS:
-            chi_block = Quaternion(math.cos(a), -wm * math.cos(b))
             sigma_block = Quaternion(math.sin(a), wm * math.sin(b)) * (
                 1j * self.amp_ratio
             )
@@ -136,7 +139,6 @@ class StationaryWavefunction:
             sigma_block = (1j * self.amp_ratio) * Quaternion(
                 math.sin(a), -wm * math.sin(b)
             )
-            chi_block = Quaternion(math.cos(a), -wm * math.cos(b))
             comp[idx] = (sigma_sign * self.amplitude) * sigma_block
             comp[2 + idx] = self.amplitude * chi_block
         return QSpinor(comp)
@@ -195,8 +197,8 @@ def boundary_phase(amp_ratio: float, branch) -> BoundaryPhase:
 
 def quantized_momenta(length: float, n_max: int) -> list:
     """The quantized wavenumbers n*pi/(2*length), n = 1..n_max."""
-    if length <= 0:
-        raise ValueError("length must be > 0")
+    if not 0.0 < length < math.inf:
+        raise ValueError("length must be finite and > 0, got %r" % length)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [n * math.pi / (2.0 * length) for n in range(1, n_max + 1)]
@@ -208,9 +210,12 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
 
     With v0 = 0 the chain is algebraic: p = momentum +- w_abs per branch, and
     plus-branch momenta at or below w_abs have no admissible energy (returns
-    nan so residual scans can skip the region). With v0 != 0 the squared
-    branch momentum is inverted numerically on (mass, E_hi], taking the lowest
-    energy crossing.
+    nan so residual scans can skip the region). With v0 != 0, X = E^2,
+    r = Q^2 - v0^2 + m^2 - w^2 and a = v0^2 + w^2, mom2 = Q^2 reads
+    -+2*sqrt(X v0^2 + (X - m^2) w^2) = r - X and squares to
+    X^2 - (2r + 4a) X + r^2 + 4 m^2 w^2 = 0. E^2 is its smallest root with
+    X > m^2 that keeps the unsquared sign (X >= r minus, X <= r plus); the
+    small root is c/big so it does not cancel. NoSolutionError if none does.
     """
     if pot.v0 == 0.0:
         p = momentum + pot.w_abs if branch is Branch.MINUS else momentum - pot.w_abs
@@ -218,31 +223,20 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
             return math.nan
         return math.hypot(p, mass)
 
-    def defect(e):
-        kin = kinematics(e, mass, pot)
-        mom2 = kin.mom2_minus if branch is Branch.MINUS else kin.mom2_plus
-        return mom2 - momentum * momentum
-
-    lo = mass + 1e-9
-    hi = math.hypot(momentum + pot.w_abs, mass) + abs(pot.v0) + 1.0
-    for _ in range(60):
-        if defect(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoSolutionError(
-            "branch momentum never reaches %g on the %s branch" % (momentum, branch.value)
-        )
-    grid = np.linspace(lo, hi, 512)
-    vals = [defect(e) for e in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return float(brentq(defect, grid[i], grid[i + 1], xtol=1e-13, rtol=1e-15))
+    m2 = mass * mass
+    w2 = pot.w_abs * pot.w_abs
+    r = momentum * momentum - pot.v0 * pot.v0 + m2 - w2
+    half_b = r + 2.0 * (pot.v0 * pot.v0 + w2)
+    c = r * r + 4.0 * m2 * w2
+    disc = half_b * half_b - c
+    if disc >= 0.0:
+        big = half_b + math.copysign(math.sqrt(disc), half_b)
+        for x in sorted((big, c / big)):
+            if x > m2 and (x >= r if branch is Branch.MINUS else x <= r):
+                return math.sqrt(x)
     raise NoSolutionError(
-        "no energy in (%g, %g] carries momentum %g on the %s branch"
-        % (lo, hi, momentum, branch.value)
+        "no energy above the mass %g carries momentum %g on the %s branch"
+        % (mass, momentum, branch.value)
     )
 
 
@@ -275,12 +269,13 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
 
     With v0 = 0 the energy is closed-form: E_n^2 = eff_momentum^2 + mass^2
     with eff_momentum = Q_n + w_abs (minus) or Q_n - w_abs (plus). With
-    v0 != 0 the energy is found by inverting the branch momentum numerically;
+    v0 != 0 it is a root of the quadratic in E^2 of _energy_for_momentum;
     eff_momentum is still reported as the shifted wavenumber and the closed
     form is checked by the verify command as a diagnostic, not assumed here.
-    Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
-    the level exactly on the mass shell where the coefficients are singular,
-    which raises.
+    norm_const comes from normalize's closed-form integral. Plus-branch
+    levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts the level
+    exactly on the mass shell where the coefficients are singular, which
+    raises.
     """
     if mass < 0:
         raise ValueError("mass must be >= 0")
@@ -296,17 +291,9 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         regime = br is Branch.PLUS and q_n < pot.w_abs
         mc = mode_coefficients(energy, mass, pot, br)
         ph = boundary_phase(mc.amp_ratio.real, br).phase
-        level = BagLevel(
-            branch=br,
-            index=n,
-            momentum=q_n,
-            eff_momentum=eff,
-            energy=energy,
-            phase=ph,
-            norm_const=1.0,
-            length=length,
-            regime_flag=regime,
-        )
+        level = BagLevel(branch=br, index=n, momentum=q_n, eff_momentum=eff,
+                         energy=energy, phase=ph, norm_const=1.0, length=length,
+                         regime_flag=regime)
         norm_const, _ = normalize(stationary_wavefunction(level, mass, pot))
         levels.append(replace(level, norm_const=norm_const))
     return levels
@@ -346,16 +333,21 @@ def normalize(psi: StationaryWavefunction):
     """Rescale so the density integrates to 1 over the well.
 
     Returns (norm_const, normalized wavefunction); norm_const is the total
-    amplitude of the normalized state. Adaptive quadrature at 1e-12 tolerance;
-    the node count is recorded on the returned wavefunction.
+    amplitude of the normalized state. Closed form of the density integral:
+    int_0^L cos^2(Qz + s) dz = L/2 + [sin(2QL + 2s) - sin(2s)]/(4Q), and sin^2
+    gives L/2 minus the same term. ValueError unless it is finite and > 0.
     """
-    total, _, info = quad(
-        psi.density, 0.0, psi.length, epsabs=1e-12, epsrel=1e-12, full_output=1
-    )
-    if total <= 0.0:
-        raise ValueError("cannot normalize an identically zero wavefunction")
+    q, length, phase = psi.momentum, psi.length, psi.phase
+    wm2 = abs(psi.w_factor * psi.j_chi) ** 2
+    r2 = psi.amp_ratio * psi.amp_ratio
+    osc_a = (math.sin(2.0 * q * length - phase) + math.sin(phase)) / (4.0 * q)
+    osc_b = (math.sin(2.0 * q * length + phase) - math.sin(phase)) / (4.0 * q)
+    total = psi.amplitude * psi.amplitude * (
+        0.5 * length * (1.0 + r2) * (1.0 + wm2) + (1.0 - r2) * (osc_a + wm2 * osc_b))
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError("cannot normalize: the density integrates to %r" % total)
     norm_const = psi.amplitude / math.sqrt(total)
-    return norm_const, replace(psi, amplitude=norm_const, quad_neval=int(info["neval"]))
+    return norm_const, replace(psi, amplitude=norm_const)
 
 
 def density_profile(psi: StationaryWavefunction, grid_points: int):

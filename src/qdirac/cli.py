@@ -107,8 +107,6 @@ def _cmd_zones(args):
 
 
 def _cmd_bag_spectrum(args):
-    if args.levels < 1:
-        raise UsageError("levels must be >= 1")
     pot = _pot_from_args(args)
     levels = solve_spectrum(args.mass, pot, args.length, args.levels, args.branch)
     rows = [
@@ -131,8 +129,6 @@ def _cmd_bag_spectrum(args):
 
 
 def _cmd_density(args):
-    if args.levels < 1:
-        raise UsageError("levels must be >= 1")
     if args.level < 1 or args.level > args.levels:
         raise UsageError(
             "level %d outside the computed range 1..%d" % (args.level, args.levels)
@@ -140,8 +136,8 @@ def _cmd_density(args):
     if args.grid < 2:
         raise UsageError("grid must be >= 2 points")
     pot = _pot_from_args(args)
-    levels = solve_spectrum(args.mass, pot, args.length, args.levels, args.branch)
-    wf = stationary_wavefunction(levels[args.level - 1], args.mass, pot, args.spin)
+    level = solve_spectrum(args.mass, pot, args.length, args.level, args.branch)[-1]
+    wf = stationary_wavefunction(level, args.mass, pot, args.spin)
     rows = []
     for z in np.linspace(0.0, wf.length, args.grid):
         rho_c, rho_q = wf.density_split(float(z))
@@ -157,8 +153,6 @@ def _cmd_density(args):
 
 
 def _cmd_nr_spectrum(args):
-    if args.levels < 1:
-        raise UsageError("levels must be >= 1")
     if args.w0_abs <= 0:
         raise UsageError("nr-spectrum needs w0-abs > 0 (the limit divides by it)")
     levels = nr_quantize(args.length, args.levels, args.mass, args.w0_abs)
@@ -267,6 +261,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # flags that several subcommands share are checked once, here
+        for name in ("mass", "length", "e_min", "e_max", "e_step"):
+            value = getattr(args, name, None)
+            if value is not None and not math.isfinite(value):
+                flag = "--" + name.replace("_", "-")
+                raise UsageError("%s must be finite, got %r" % (flag, value))
+        if getattr(args, "levels", 1) < 1:
+            raise UsageError("levels must be >= 1")
         text, code = args.func(args)
     except NoSolutionError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -78,6 +78,9 @@ class PotentialStep:
     w_phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("v0", "w_abs", "w_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.w_abs < 0:
             raise ValueError("w_abs is a magnitude and must be >= 0")
 

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
 import oracles
+from qdirac import bag
 from qdirac import (
     Branch,
     NoSolutionError,
@@ -107,6 +108,9 @@ class TestQuantization:
             quantized_momenta(0.0, 3)
         with pytest.raises(ValueError):
             quantized_momenta(1.0, 0)
+        for length in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="length must be finite"):
+                quantized_momenta(length, 3)
 
     def test_residual_zero_at_roots_large_off_roots(self):
         length = 1.0
@@ -233,6 +237,56 @@ class TestSpectrum:
         with pytest.raises(NoSolutionError):
             solve_spectrum(1.0, PotentialStep(v0=3.0), 1.0, 1, Branch.PLUS)
 
+    @pytest.mark.parametrize("v0", [0.0, 0.7])
+    @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
+    def test_two_hundred_levels(self, v0, branch):
+        levels = solve_spectrum(1.0, PotentialStep(v0=v0, w_abs=0.5), 1.0, 200, branch)
+        assert [l.index for l in levels] == list(range(1, 201))
+        energies = [l.energy for l in levels]
+        assert all(b > a for a, b in zip(energies, energies[1:]))
+        assert all(math.isfinite(l.norm_const) and l.norm_const > 0 for l in levels)
+
+    def test_v0_inversion_matches_bisection_oracle(self):
+        # oracle: first sign change of mom2(E) - Q^2 on a fine scan above the
+        # mass shell, refined by plain bisection; no sign change means no level
+        def mom2(e, m, v0, w_abs, branch):
+            root = math.sqrt(e * e * v0 * v0 + (e * e - m * m) * w_abs * w_abs)
+            sign = -1.0 if branch is Branch.MINUS else 1.0
+            return e * e + v0 * v0 - m * m + w_abs * w_abs + sign * 2.0 * root
+
+        rng = np.random.default_rng(59)
+        solved = 0
+        for i in range(120):
+            m = float(rng.uniform(0.0, 2.0))
+            v0 = float(rng.uniform(-2.0, 2.0))
+            w_abs = float(rng.uniform(0.0, 2.0))
+            q = float(rng.uniform(0.05, 6.0))
+            branch = (Branch.MINUS, Branch.PLUS)[i % 2]
+
+            def defect(e):
+                return mom2(e, m, v0, w_abs, branch) - q * q
+
+            lo = m + 1e-9
+            hi = math.hypot(q + w_abs, m) + abs(v0) + 1.0
+            while defect(hi) <= 0.0:
+                hi *= 2.0
+            grid = np.linspace(lo, hi, 4096)
+            vals = [defect(float(e)) for e in grid]
+            brackets = [
+                (float(grid[k]), float(grid[k + 1]))
+                for k in range(len(grid) - 1) if (vals[k] > 0) != (vals[k + 1] > 0)
+            ]
+            pot = PotentialStep(v0=v0, w_abs=w_abs)
+            if not brackets:
+                with pytest.raises(NoSolutionError):
+                    bag._energy_for_momentum(q, m, pot, branch)
+                continue
+            want = oracles.bisect(defect, *brackets[0], tol=1e-15)
+            got = bag._energy_for_momentum(q, m, pot, branch)
+            assert got == pytest.approx(want, rel=1e-12), (m, v0, w_abs, q, branch)
+            solved += 1
+        assert 40 < solved < 120
+
 
 class TestNormalization:
     def test_frozen_norm_const(self):
@@ -279,7 +333,43 @@ class TestNormalization:
         n2, wf2 = normalize(doubled)
         assert n1 == pytest.approx(n2, rel=1e-12)
         assert wf1.amplitude == pytest.approx(wf2.amplitude, rel=1e-12)
-        assert wf1.quad_neval > 0
+
+    def test_closed_form_matches_quad_oracle(self):
+        rng = np.random.default_rng(61)
+        checked = 0
+        for i in range(24):
+            mass = float(rng.uniform(0.0, 2.0))
+            length = float(rng.uniform(0.5, 3.0))
+            q1 = math.pi / (2.0 * length)
+            pot = PotentialStep(
+                v0=float(rng.uniform(-0.8, 0.8)) if i % 3 else 0.0,
+                w_abs=float(rng.uniform(0.05, 0.6 * q1)),
+                w_phase=float(rng.uniform(-math.pi, math.pi)),
+            )
+            branch = (Branch.MINUS, Branch.PLUS)[i % 2]
+            try:
+                levels = solve_spectrum(mass, pot, length, 6, branch)
+            except NoSolutionError:
+                continue
+            for level in levels:
+                for spin in ("up", "down"):
+                    wf = replace(stationary_wavefunction(level, mass, pot, spin),
+                                 amplitude=1.0)
+                    total, _ = quad(wf.density, 0.0, wf.length, epsabs=1e-13,
+                                    epsrel=1e-13, limit=200)
+                    assert normalize(wf)[0] == pytest.approx(
+                        1.0 / math.sqrt(total), rel=1e-12
+                    )
+                    checked += 1
+        assert checked >= 200
+
+    def test_non_finite_integral_raises(self):
+        levels = solve_spectrum(1.0, POT, 1.0, 1, Branch.MINUS)
+        wf = stationary_wavefunction(levels[0], 1.0, POT)
+        for bad in (replace(wf, phase=math.nan), replace(wf, amplitude=math.inf),
+                    replace(wf, amplitude=0.0)):
+            with pytest.raises(ValueError, match="cannot normalize"):
+                normalize(bad)
 
     def test_normalize_is_idempotent(self):
         levels = solve_spectrum(1.0, POT, 1.0, 1, Branch.MINUS)

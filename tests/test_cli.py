@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +142,13 @@ class TestBagSpectrum:
         assert rows[0][7] == "true"
         assert rows[1][7] == "false"
 
+    def test_one_hundred_sixty_levels(self, capsys):
+        code, out, err = run_cli(
+            ["bag-spectrum", "--w0-abs", "0.5", "--levels", "160"], capsys
+        )
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 161
+
 
 class TestDensity:
     def test_rows_sum_and_sample_grid(self, capsys):
@@ -160,6 +169,15 @@ class TestDensity:
             _, rho, rho_c, rho_q = (float(c) for c in line.split(","))
             assert rho >= 0.0 and rho_c >= 0.0 and rho_q >= 0.0
             assert rho == pytest.approx(rho_c + rho_q, rel=1e-15)
+
+    def test_solves_only_up_to_the_sampled_level(self, capsys):
+        # level 2 of this plus branch sits on the mass shell and cannot be
+        # solved; sampling level 1 must not depend on it
+        base = ["density", "--w0-abs", "3.141592653589793", "--branch", "plus",
+                "--level", "1"]
+        code, out, err = run_cli(base + ["--levels", "2"], capsys)
+        assert code == 0 and err == ""
+        assert run_cli(base + ["--levels", "1"], capsys) == (0, out, "")
 
 
 class TestNrSpectrum:
@@ -203,6 +221,27 @@ class TestExitCodes:
             code, out, err = run_cli(argv, capsys)
             assert code == 2, argv
             assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("bag-spectrum", "--mass"), ("density", "--length"),
+         ("nr-spectrum", "--length"), ("zones", "--e-min"), ("zones", "--e-max"),
+         ("zones", "--e-step")],
+    )
+    def test_non_finite_flags_name_the_flag(self, capsys, command, flag, value):
+        code, out, err = run_cli([command, "--w0-abs", "0.5", flag + "=" + value], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: %s must be finite, got %s\n" % (flag, value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag,field", [("--v0", "v0"), ("--w0-abs", "w_abs"), ("--w0-phase", "w_phase")]
+    )
+    def test_non_finite_potential_flags(self, capsys, flag, field, value):
+        code, out, err = run_cli(["bag-spectrum", flag + "=" + value], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: %s must be finite, got %s\n" % (field, value)
 
     def test_argparse_errors_exit_two(self, capsys):
         for argv in (
@@ -249,6 +288,36 @@ class TestVerify:
         for name, section in report["sections"].items():
             if section["kind"] == "assert":
                 assert section["passed"] is True, name
+
+
+class TestRuntimeDependencies:
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: importing the CLI must not load it,
+        # and the commands that used to need it run with it blocked
+        script = tmp_path / "no_scipy.py"
+        script.write_text(
+            "import contextlib, io, json, sys\n"
+            "import qdirac.cli\n"
+            "codes = {'scipy_loaded': 'scipy' in sys.modules}\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy' or name.startswith('scipy.'):\n"
+            "            raise ImportError('scipy blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "for argv in (['verify'], ['bag-spectrum', '--v0', '0.7', '--w0-abs', '0.5'],\n"
+            "             ['density', '--w0-abs', '0.5']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes[argv[0]] = qdirac.cli.main(argv)\n"
+            "print(json.dumps(codes))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == {
+            "scipy_loaded": False, "verify": 0, "bag-spectrum": 0, "density": 0,
+        }
 
 
 class TestOutputStability:

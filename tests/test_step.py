@@ -65,6 +65,12 @@ class TestKinematics:
         with pytest.raises(ValueError):
             PotentialStep(w_abs=-0.1)
 
+    @pytest.mark.parametrize("field", ["v0", "w_abs", "w_phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_potential_raises(self, field, value):
+        with pytest.raises(ValueError, match="%s must be finite" % field):
+            PotentialStep(**{field: value})
+
     def test_branch_gap_identity(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
