@@ -1,113 +1,22 @@
-"""Array kernels for the hot paths: branch-momentum grids and batched
-quaternion products.
+"""Array forms of the step kinematics, for the table paths.
 
-Two interchangeable backends: numba @njit loops (default when numba imports)
-and pure numpy. Set QDIRAC_NO_NUMBA=1 to force the numpy path; it is also
-taken automatically when numba is unavailable. Both backends evaluate the
-same arithmetic expressions in the same order using only +, -, *, / and
-sqrt, all IEEE correctly rounded, so the outputs are bit-identical.
-
-The loop kernels (_mom2_grid_loop, _quat_mul_loop) are plain Python
-functions defined whether or not numba is present; the numba backend is
-njit applied to exactly that source. The test suite compares the loop form
-with the numpy form bitwise on every machine, and, where numba imports,
-also compares the compiled backend with the numpy one across processes.
-benchmarks/bench_kernels.py compares speed.
+branch_mom2_grid evaluates step.branch_mom2, the one written form of the
+dispersion relation, over a float64 energy grid with np.sqrt. zone_minus_grid
+labels the minus branch over the same grid with step._zone_minus's window
+rule, as nested np.where in that function's order. Only +, -, *, sqrt and
+comparisons occur, so every grid value and label equals what the scalar
+kinematics gives at that energy, bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+from .step import Zone, branch_mom2, evanescent_width
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    _HAVE_NUMBA = False
+__all__ = ["branch_mom2_grid", "zone_minus_grid"]
 
-USING_NUMBA = _HAVE_NUMBA and os.environ.get("QDIRAC_NO_NUMBA", "") != "1"
-
-__all__ = ["USING_NUMBA", "backend_name", "branch_mom2_grid", "quat_mul_batch"]
-
-
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def _mom2_grid_numpy(e, mass, v0, w_abs):
-    p2 = e * e - mass * mass
-    t_plus = e + v0
-    t_minus = e - v0
-    q2_plus = t_plus * t_plus - mass * mass
-    q2_minus = t_minus * t_minus - mass * mass
-    ev0 = e * v0
-    w2 = w_abs * w_abs
-    delta = np.sqrt(ev0 * ev0 + p2 * w2) - ev0
-    mom2_plus = q2_plus + w2 + 2.0 * delta
-    mom2_minus = q2_minus + w2 - 2.0 * delta
-    return p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus
-
-
-def _quat_mul_numpy(u1re, u1im, w1re, w1im, u2re, u2im, w2re, w2im):
-    ure = u1re * u2re - u1im * u2im - (w1re * w2re + w1im * w2im)
-    uim = u1re * u2im + u1im * u2re - (w1re * w2im - w1im * w2re)
-    wre = u1re * w2re + u1im * w2im + (u2re * w1re - u2im * w1im)
-    wim = u1re * w2im - u1im * w2re + (u2re * w1im + u2im * w1re)
-    return ure, uim, wre, wim
-
-
-def _mom2_grid_loop(e, mass, v0, w_abs):
-    n = e.shape[0]
-    p2 = np.empty(n)
-    q2_plus = np.empty(n)
-    q2_minus = np.empty(n)
-    delta = np.empty(n)
-    mom2_plus = np.empty(n)
-    mom2_minus = np.empty(n)
-    w2 = w_abs * w_abs
-    for i in range(n):
-        ei = e[i]
-        p2[i] = ei * ei - mass * mass
-        t_plus = ei + v0
-        t_minus = ei - v0
-        q2_plus[i] = t_plus * t_plus - mass * mass
-        q2_minus[i] = t_minus * t_minus - mass * mass
-        ev0 = ei * v0
-        delta[i] = np.sqrt(ev0 * ev0 + p2[i] * w2) - ev0
-        mom2_plus[i] = q2_plus[i] + w2 + 2.0 * delta[i]
-        mom2_minus[i] = q2_minus[i] + w2 - 2.0 * delta[i]
-    return p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus
-
-
-def _quat_mul_loop(u1re, u1im, w1re, w1im, u2re, u2im, w2re, w2im):
-    n = u1re.shape[0]
-    ure = np.empty(n)
-    uim = np.empty(n)
-    wre = np.empty(n)
-    wim = np.empty(n)
-    for i in range(n):
-        ure[i] = u1re[i] * u2re[i] - u1im[i] * u2im[i] - (
-            w1re[i] * w2re[i] + w1im[i] * w2im[i]
-        )
-        uim[i] = u1re[i] * u2im[i] + u1im[i] * u2re[i] - (
-            w1re[i] * w2im[i] - w1im[i] * w2re[i]
-        )
-        wre[i] = u1re[i] * w2re[i] + u1im[i] * w2im[i] + (
-            u2re[i] * w1re[i] - u2im[i] * w1im[i]
-        )
-        wim[i] = u1re[i] * w2im[i] - u1im[i] * w2re[i] + (
-            u2re[i] * w1im[i] + u2im[i] * w1re[i]
-        )
-    return ure, uim, wre, wim
-
-
-if USING_NUMBA:
-    _mom2_grid_jit = njit(cache=True)(_mom2_grid_loop)
-    _quat_mul_jit = njit(cache=True)(_quat_mul_loop)
+_CODE = {zone: i for i, zone in enumerate(Zone)}
 
 
 def branch_mom2_grid(energies, mass: float, v0: float, w_abs: float):
@@ -118,25 +27,23 @@ def branch_mom2_grid(energies, mass: float, v0: float, w_abs: float):
     below the mass give negative p2 under the root, producing nan, which the
     scalar API rejects up front instead.
     """
-    e = np.ascontiguousarray(energies, dtype=np.float64)
-    m, v, w = float(mass), float(v0), float(w_abs)
-    if USING_NUMBA:
-        return _mom2_grid_jit(e, m, v, w)
-    return _mom2_grid_numpy(e, m, v, w)
+    e = np.asarray(energies, dtype=np.float64)
+    return branch_mom2(e, float(mass), float(v0), float(w_abs), np.sqrt)
 
 
-def quat_mul_batch(u1, w1, u2, w2):
-    """Elementwise symplectic-pair product of two quaternion batches.
+def zone_minus_grid(energies, mass: float, v0: float, w_abs: float, mom2_minus):
+    """Minus-branch zone of every grid energy, as indices into list(Zone).
 
-    Inputs and outputs are complex128 arrays (u, w) per operand; the product
-    is (u1*u2 - conj(w1)*w2, conj(u1)*w2 + u2*w1) expanded into real
-    arithmetic identically on both backends.
+    mom2_minus is branch_mom2_grid's last output on the same grid; only the
+    leftover point E = E_low = m reads it, taking its sign as
+    step._zone_minus does.
     """
-    arrs = [np.ascontiguousarray(a, dtype=np.complex128) for a in (u1, w1, u2, w2)]
-    parts = []
-    for a in arrs:
-        parts.append(np.ascontiguousarray(a.real))
-        parts.append(np.ascontiguousarray(a.imag))
-    fn = _quat_mul_jit if USING_NUMBA else _quat_mul_numpy
-    ure, uim, wre, wim = fn(*parts)
-    return ure + 1j * uim, wre + 1j * wim
+    e = np.asarray(energies, dtype=np.float64)
+    e_low, e_up, _ = evanescent_width(mass, v0, w_abs)
+    if e_low > mass:
+        below = _CODE[Zone.KLEIN]
+    else:
+        below = np.where(np.asarray(mom2_minus) < 0,
+                         _CODE[Zone.EVANESCENT], _CODE[Zone.KLEIN])
+    return np.where((e_low < e) & (e < e_up), _CODE[Zone.EVANESCENT],
+                    np.where(e >= e_up, _CODE[Zone.DIFFUSION], below))

@@ -277,8 +277,8 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     exactly on the mass shell where the coefficients are singular, which
     raises.
     """
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
+    if not (math.isfinite(mass) and mass >= 0):
+        raise ValueError("mass must be finite and >= 0, got %r" % (mass,))
     br = as_branch(branch)
     shift = pot.w_abs if br is Branch.MINUS else -pot.w_abs
     levels = []

@@ -27,9 +27,12 @@ from . import __version__, _kernels
 from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
-from .step import PotentialStep, classify_zone, evanescent_width
+from .step import PotentialStep, Zone, evanescent_width
 
 __all__ = ["main", "build_parser"]
+
+# largest zones or density table; checked before anything is allocated
+MAX_ROWS = 10**6
 
 
 class UsageError(ValueError):
@@ -78,22 +81,27 @@ def _cmd_zones(args):
         raise UsageError("e-max must be >= e-min")
     if args.e_step <= 0:
         raise UsageError("e-step must be > 0")
-    n = int(math.floor((e_max - e_min) / args.e_step + 1e-9)) + 1
-    energies = np.array([e_min + i * args.e_step for i in range(n)])
+    span = (e_max - e_min) / args.e_step + 1e-9
+    if not span < MAX_ROWS:
+        raise UsageError(
+            "--e-step %r over [%r, %r] gives more than %d rows"
+            % (args.e_step, e_min, e_max, MAX_ROWS)
+        )
+    energies = e_min + np.arange(int(math.floor(span)) + 1) * args.e_step
     p2, q2p, q2m, delta, mom2p, mom2m = _kernels.branch_mom2_grid(
         energies, args.mass, pot.v0, pot.w_abs
     )
+    codes = _kernels.zone_minus_grid(energies, args.mass, pot.v0, pot.w_abs, mom2m)
+    labels = [zone.value for zone in Zone]
+    zone_plus = Zone.DIFFUSION.value
     e_low, e_up, width = evanescent_width(args.mass, pot.v0, pot.w_abs)
-    rows = []
-    for i, e in enumerate(energies):
-        zm, zp = classify_zone(float(e), args.mass, pot)
-        rows.append(
-            [
-                float(e), float(p2[i]), float(q2p[i]), float(q2m[i]),
-                float(delta[i]), float(mom2p[i]), float(mom2m[i]),
-                zm.value, zp.value, e_low, e_up, width,
-            ]
+    rows = [
+        [e, a, b, c, d, f, g, labels[z], zone_plus, e_low, e_up, width]
+        for e, a, b, c, d, f, g, z in zip(
+            energies.tolist(), p2.tolist(), q2p.tolist(), q2m.tolist(),
+            delta.tolist(), mom2p.tolist(), mom2m.tolist(), codes.tolist(),
         )
+    ]
     params = {
         "mass": args.mass, "v0": pot.v0, "w0_abs": pot.w_abs,
         "w0_phase": pot.w_phase, "e_min": e_min, "e_max": e_max,
@@ -135,6 +143,8 @@ def _cmd_density(args):
         )
     if args.grid < 2:
         raise UsageError("grid must be >= 2 points")
+    if args.grid > MAX_ROWS:
+        raise UsageError("--grid %d is over the %d-row limit" % (args.grid, MAX_ROWS))
     pot = _pot_from_args(args)
     level = solve_spectrum(args.mass, pot, args.length, args.level, args.branch)[-1]
     wf = stationary_wavefunction(level, args.mass, pot, args.spin)

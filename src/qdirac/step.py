@@ -132,6 +132,27 @@ class ModeCoefficients:
     j_sigma: complex
 
 
+def branch_mom2(e, mass, v0, w_abs, sqrt):
+    """(p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus) at energy e.
+
+    The one written form of the dispersion relation. kinematics passes a
+    float and math.sqrt; _kernels.branch_mom2_grid passes a float64 array
+    and np.sqrt. Only +, -, * and sqrt occur, each correctly rounded, so the
+    scalar and the array results agree bit for bit.
+    """
+    p2 = e * e - mass * mass
+    t_plus = e + v0
+    t_minus = e - v0
+    q2_plus = t_plus * t_plus - mass * mass
+    q2_minus = t_minus * t_minus - mass * mass
+    ev0 = e * v0
+    w2 = w_abs * w_abs
+    delta = sqrt(ev0 * ev0 + p2 * w2) - ev0
+    mom2_plus = q2_plus + w2 + 2.0 * delta
+    mom2_minus = q2_minus + w2 - 2.0 * delta
+    return p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus
+
+
 def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinematics:
     """Both squared branch momenta and zone labels at one energy.
 
@@ -145,19 +166,9 @@ def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinemati
             "energy %g below mass %g: sub-mass-shell kinematics unsupported"
             % (energy, mass)
         )
-    # expression order mirrors _kernels.branch_mom2_grid exactly, so the
-    # vectorized grids and this scalar path agree bit for bit
-    p2 = energy * energy - mass * mass
-    v0, w_abs = pot.v0, pot.w_abs
-    t_plus = energy + v0
-    t_minus = energy - v0
-    q2_plus = t_plus * t_plus - mass * mass
-    q2_minus = t_minus * t_minus - mass * mass
-    ev0 = energy * v0
-    w2 = w_abs * w_abs
-    delta = math.sqrt(ev0 * ev0 + p2 * w2) - ev0
-    mom2_plus = q2_plus + w2 + 2.0 * delta
-    mom2_minus = q2_minus + w2 - 2.0 * delta
+    p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
+        energy, mass, pot.v0, pot.w_abs, math.sqrt
+    )
     zone_minus = _zone_minus(energy, mass, pot, mom2_minus)
     return BranchKinematics(
         energy=energy,

@@ -237,6 +237,12 @@ class TestSpectrum:
         with pytest.raises(NoSolutionError):
             solve_spectrum(1.0, PotentialStep(v0=3.0), 1.0, 1, Branch.PLUS)
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("v0", [0.0, 0.7])
+    def test_mass_is_checked_up_front(self, mass, v0):
+        with pytest.raises(ValueError, match=r"^mass must be finite and >= 0, got "):
+            solve_spectrum(mass, PotentialStep(v0=v0, w_abs=0.5), 1.0, 1, "minus")
+
     @pytest.mark.parametrize("v0", [0.0, 0.7])
     @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
     def test_two_hundred_levels(self, v0, branch):
