@@ -20,9 +20,11 @@ physical energy chain; the full spinor mismatch at z = L is available
 separately (boundary_residual) and is reported by the verify command rather
 than asserted.
 
-Energies and norms are closed-form: at v0 != 0 the energy is a root of a
-quadratic in E^2, and the norm integrates cos^2/sin^2(Qz -+ phase/2) terms
-exactly (Alberto, Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19).
+Energies, norms and densities are closed-form: at v0 != 0 the energy is a
+root of a quadratic in E^2, the norm integrates the cos^2/sin^2(Qz -+ phase/2)
+density exactly (Alberto, Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19), and
+density_split evaluates that form on whole arrays. The spinor (evaluate)
+serves the wall checks and is the tests' oracle for the density.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ class StationaryWavefunction:
 
     w_factor is the complex representative of the quaternionic potential as it
     appears in this branch's spinor (conjugated on the plus branch); j_chi is
-    the quaternionic admixture coefficient. amplitude multiplies the whole
+    the quaternionic admixture coefficient. amplitude A multiplies the whole
     spinor. With a, b = Qz -+ phase/2, wm = w_factor*j_chi and r = amp_ratio
-    the density on [0, length] is, for either branch and spin, amplitude^2 *
-    [cos^2 a + |wm|^2 cos^2 b + r^2 (sin^2 a + |wm|^2 sin^2 b)], which
-    normalize integrates in closed form.
+    the density on [0, length] is, for either branch and spin, the complex part
+    A^2 [cos^2 a + r^2 sin^2 a] plus the quaternionic part A^2 |wm|^2 [cos^2 b +
+    r^2 sin^2 b], which normalize integrates in closed form.
     """
 
     branch: Branch
@@ -143,15 +145,25 @@ class StationaryWavefunction:
             comp[2 + idx] = self.amplitude * chi_block
         return QSpinor(comp)
 
-    def density(self, z: float) -> float:
-        return self.evaluate(z).norm_sq()
+    def _weights(self):
+        """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density."""
+        return (self.amplitude * self.amplitude, self.amp_ratio * self.amp_ratio,
+                abs(self.w_factor * self.j_chi) ** 2)
 
-    def density_split(self, z: float):
-        """(complex part, quaternionic part) of the density at z."""
-        psi = self.evaluate(z)
-        rho_c = sum(abs(q.u) ** 2 for q in psi.comp)
-        rho_q = sum(abs(q.w) ** 2 for q in psi.comp)
-        return rho_c, rho_q
+    def density(self, z):
+        rho_c, rho_q = self.density_split(z)
+        return rho_c + rho_q
+
+    def density_split(self, z):
+        """(rho_c, rho_q) of the closed form above at z, a float or an array."""
+        amp2, r2, wm2 = self._weights()
+        z = np.asarray(z, dtype=float)
+        outside = (z < 0.0) | (z > self.length)
+        qz = self.momentum * np.clip(z, 0.0, self.length)  # masked below; no cos(inf)
+        a, b = qz - 0.5 * self.phase, qz + 0.5 * self.phase
+        rho_c = amp2 * (np.square(np.cos(a)) + r2 * np.square(np.sin(a)))
+        rho_q = amp2 * wm2 * (np.square(np.cos(b)) + r2 * np.square(np.sin(b)))
+        return np.where(outside, 0.0, rho_c)[()], np.where(outside, 0.0, rho_q)[()]
 
 
 _ENDS = ("left", "right")
@@ -338,11 +350,10 @@ def normalize(psi: StationaryWavefunction):
     gives L/2 minus the same term. ValueError unless it is finite and > 0.
     """
     q, length, phase = psi.momentum, psi.length, psi.phase
-    wm2 = abs(psi.w_factor * psi.j_chi) ** 2
-    r2 = psi.amp_ratio * psi.amp_ratio
+    amp2, r2, wm2 = psi._weights()
     osc_a = (math.sin(2.0 * q * length - phase) + math.sin(phase)) / (4.0 * q)
     osc_b = (math.sin(2.0 * q * length + phase) - math.sin(phase)) / (4.0 * q)
-    total = psi.amplitude * psi.amplitude * (
+    total = amp2 * (
         0.5 * length * (1.0 + r2) * (1.0 + wm2) + (1.0 - r2) * (osc_a + wm2 * osc_b))
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError("cannot normalize: the density integrates to %r" % total)
@@ -355,5 +366,4 @@ def density_profile(psi: StationaryWavefunction, grid_points: int):
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     z = np.linspace(0.0, psi.length, grid_points)
-    rho = np.array([psi.density(float(zz)) for zz in z])
-    return z, rho
+    return z, psi.density(z)

@@ -148,10 +148,9 @@ def _cmd_density(args):
     pot = _pot_from_args(args)
     level = solve_spectrum(args.mass, pot, args.length, args.level, args.branch)[-1]
     wf = stationary_wavefunction(level, args.mass, pot, args.spin)
-    rows = []
-    for z in np.linspace(0.0, wf.length, args.grid):
-        rho_c, rho_q = wf.density_split(float(z))
-        rows.append([float(z), rho_c + rho_q, rho_c, rho_q])
+    z = np.linspace(0.0, wf.length, args.grid)
+    rho_c, rho_q = wf.density_split(z)
+    rows = np.column_stack([z, rho_c + rho_q, rho_c, rho_q]).tolist()
     params = {
         "mass": args.mass, "v0": pot.v0, "w0_abs": pot.w_abs,
         "w0_phase": pot.w_phase, "length": args.length,

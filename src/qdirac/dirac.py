@@ -52,24 +52,26 @@ class DiracMatrices:
     pauli: tuple
 
 
-def build_matrices() -> DiracMatrices:
+def _make_matrices() -> DiracMatrices:
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
     zero = np.zeros((2, 2), dtype=complex)
     eye2 = np.eye(2, dtype=complex)
-
-    def off_diag(s):
-        return np.block([[zero, s], [s, zero]])
-
-    alpha = (off_diag(s1), off_diag(s2), off_diag(s3))
+    alpha = tuple(np.block([[zero, s], [s, zero]]) for s in (s1, s2, s3))
     beta = np.block([[eye2, zero], [zero, -eye2]])
-    return DiracMatrices(
-        alpha=alpha,
-        beta=beta,
-        identity=np.eye(4, dtype=complex),
-        pauli=(s1, s2, s3),
-    )
+    identity = np.eye(4, dtype=complex)
+    for arr in (*alpha, beta, identity, s1, s2, s3):
+        arr.flags.writeable = False
+    return DiracMatrices(alpha=alpha, beta=beta, identity=identity, pauli=(s1, s2, s3))
+
+
+_MATRICES = _make_matrices()
+
+
+def build_matrices() -> DiracMatrices:
+    """The one read-only DiracMatrices instance, built at import."""
+    return _MATRICES
 
 
 class QSpinor:
@@ -183,10 +185,9 @@ def _operator_defect(psi: QSpinor, t_factor: complex, z_factor: complex,
     t_factor and z_factor are the complex scalars the analytic derivatives
     bring down on the right (i*sgn*E and i*dir*Q respectively).
     """
-    mats = build_matrices()
     t_term = psi.scale_right(t_factor)
-    z_term = apply_matrix(mats.alpha[2], psi).scale_right(z_factor)
-    mass_term = apply_matrix(1j * mass * mats.beta, psi)
+    z_term = apply_matrix(_MATRICES.alpha[2], psi).scale_right(z_factor)
+    mass_term = apply_matrix(1j * mass * _MATRICES.beta, psi)
     pq = potential_quaternion(pot)
     pot_term = QSpinor([pq * q for q in psi.comp])
     return t_term + z_term + mass_term + pot_term
@@ -256,14 +257,11 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
     antilinear over left-acting complex scalars, so the map is assembled over
     the reals.
     """
-    mats = build_matrices()
-    alpha3 = mats.alpha[2].real
-    beta = mats.beta.real
     w0 = complex(pot.w0)
     v1, v2, v3 = pot.v0, w0.imag, w0.real
     op = np.kron(_EYE4, _right_mult_block(-1j * energy))
-    op += np.kron(alpha3, _right_mult_block(1j * momentum))
-    op += np.kron(beta, mass * _L_I)
+    op += np.kron(_MATRICES.alpha[2].real, _right_mult_block(1j * momentum))
+    op += np.kron(_MATRICES.beta.real, mass * _L_I)
     op += np.kron(_EYE4, v1 * _L_I + v2 * _L_J + v3 * _L_K)
     return op
 

@@ -149,6 +149,9 @@ def nr_quantize(length: float, n_max: int, mass: float,
     The energies follow from the shifted momenta: E^2 = (Q_n -+ w_abs)^2 +
     mass^2 with the minus branch shifted up and the plus branch shifted down.
     """
+    for name, value in (("length", length), ("mass", mass), ("w_abs", w_abs)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     if length <= 0:
         raise ValueError("length must be > 0")
     if n_max < 1:

@@ -323,7 +323,7 @@ class TestNormalization:
         for z in (0.0, 0.3, 0.7, 1.0):
             rho_c, rho_q = wf.density_split(z)
             assert rho_c >= 0.0 and rho_q >= 0.0
-            assert rho_c + rho_q == pytest.approx(wf.density(z), rel=1e-13)
+            assert rho_c + rho_q == wf.density(z)
         # quaternionic weight vanishes when the potential is complex
         pot0 = PotentialStep(v0=0.7)
         wf0 = stationary_wavefunction(
@@ -391,3 +391,61 @@ class TestNormalization:
             density_profile(wf, 1)
         with pytest.raises(ValueError):
             stationary_wavefunction(levels[0], 1.0, POT, spin="none")
+
+
+def density_draws(seed, n_wells=24, n_levels=4):
+    """Seeded standing waves over both branches and spins, v0 zero, positive
+    and negative, and a nonzero w0 phase."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_wells):
+        mass = float(rng.uniform(0.2, 2.0))
+        length = float(rng.uniform(0.5, 3.0))
+        q1 = math.pi / (2.0 * length)
+        v0 = (0.0, float(rng.uniform(0.1, 0.8)), -float(rng.uniform(0.1, 0.8)))[i // 2 % 3]
+        pot = PotentialStep(v0=v0, w_abs=float(rng.uniform(0.05, 0.6 * q1)),
+                            w_phase=float(rng.uniform(-math.pi, math.pi)))
+        branch = (Branch.MINUS, Branch.PLUS)[i % 2]
+        try:
+            levels = solve_spectrum(mass, pot, length, n_levels, branch)
+        except NoSolutionError:
+            continue
+        for level in levels:
+            for spin in ("up", "down"):
+                yield stationary_wavefunction(level, mass, pot, spin)
+
+
+def sample_points(rng, length):
+    """Both walls, points inside the well and points outside it, where the
+    oracle is exactly zero and so must the closed form be."""
+    outside = [-math.inf, -length, -5e-324, math.nextafter(length, math.inf),
+               1.5 * length, 1e6, math.inf]
+    return np.concatenate(([0.0, length], rng.uniform(0.0, length, 40), outside))
+
+
+class TestDensity:
+    def test_closed_form_matches_spinor_oracle(self):
+        rng = np.random.default_rng(83)
+        seen = set()
+        for wf in density_draws(79):
+            seen.add((wf.branch, wf.spin, np.sign(wf.pot.v0)))
+            z = sample_points(rng, wf.length)
+            rho_c, rho_q = wf.density_split(z)
+            for zz, got_c, got_q in zip(z.tolist(), rho_c.tolist(), rho_q.tolist()):
+                comp = wf.evaluate(zz).comp
+                want_c = sum(abs(q.u) ** 2 for q in comp)
+                want_q = sum(abs(q.w) ** 2 for q in comp)
+                for got, want in ((got_c, want_c), (got_q, want_q)):
+                    assert abs(got - want) <= 2e-15 * want, (wf, zz, got, want)
+        assert len(seen) == 12  # 2 branches x 2 spins x 3 signs of v0
+
+    def test_scalar_call_is_the_array_element(self):
+        rng = np.random.default_rng(89)
+        for wf in density_draws(97, n_wells=12, n_levels=2):
+            z = sample_points(rng, wf.length)
+            rho_c, rho_q = wf.density_split(z)
+            rho = wf.density(z)
+            for k, zz in enumerate(z.tolist()):
+                c, q = wf.density_split(zz)
+                assert isinstance(c, float) and isinstance(wf.density(zz), float)
+                got = np.array([c, q, wf.density(zz)])
+                assert got.tobytes() == np.array([rho_c[k], rho_q[k], rho[k]]).tobytes()

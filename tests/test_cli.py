@@ -277,6 +277,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: %s must be finite, got %s\n" % (field, value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_w0_abs_in_nr_spectrum(self, capsys, value):
+        code, out, err = run_cli(["nr-spectrum", "--w0-abs", value], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: w_abs must be finite, got %s\n" % value
+
     def test_argparse_errors_exit_two(self, capsys):
         for argv in (
             ["zones", "--no-such-flag"],

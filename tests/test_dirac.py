@@ -54,6 +54,15 @@ def test_algebra_identities_are_exact():
     assert np.array_equal(mats.beta, mats.beta.conj().T)
 
 
+def test_matrices_are_shared_and_read_only():
+    mats = build_matrices()
+    assert build_matrices() is mats
+    for arr in (*mats.alpha, mats.beta, mats.identity, *mats.pauli):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 7.0
+    assert mats.beta[0, 0] == 1.0
+
+
 def test_apply_matrix_beta_and_alpha3():
     mats = build_matrices()
     q = [Quaternion.from_coeffs(1, 2, 3, 4) for _ in range(4)]

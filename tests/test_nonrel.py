@@ -172,3 +172,11 @@ class TestQuantize:
             nr_quantize(1.0, 3, -1.0, 0.5)
         with pytest.raises(ValueError):
             nr_quantize(1.0, 3, 1.0, -0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["length", "mass", "w_abs"])
+    def test_non_finite_input_is_rejected(self, field, value):
+        args = {"length": 1.0, "n_max": 3, "mass": 1.0, "w_abs": 0.5}
+        args[field] = value
+        with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (field, value)):
+            nr_quantize(**args)
