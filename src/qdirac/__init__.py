@@ -26,6 +26,7 @@ from .step import (
     BranchKinematics,
     ModeCoefficients,
     PotentialStep,
+    SingularCoefficientsError,
     Zone,
     classify_zone,
     consistency_residual,
@@ -46,6 +47,7 @@ from .bag import (
     density_profile,
     normalize,
     quantization_residual,
+    quantization_residual_grid,
     quantized_momenta,
     solve_spectrum,
     stationary_wavefunction,
@@ -76,6 +78,7 @@ __all__ = [
     "PotentialStep",
     "BranchKinematics",
     "ModeCoefficients",
+    "SingularCoefficientsError",
     "kinematics",
     "evanescent_width",
     "classify_zone",
@@ -92,6 +95,7 @@ __all__ = [
     "boundary_phase",
     "quantized_momenta",
     "quantization_residual",
+    "quantization_residual_grid",
     "solve_spectrum",
     "stationary_wavefunction",
     "normalize",

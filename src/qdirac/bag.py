@@ -16,9 +16,13 @@ combination
 
 vanishes along the family, and its zeros are exactly Q_n = n*pi/(2L) for every
 phase. quantization_residual computes g with the phase carried through the
-physical energy chain; the full spinor mismatch at z = L is available
-separately (boundary_residual) and is reported by the verify command rather
-than asserted.
+physical energy chain; quantization_residual_grid is the same chain over a
+whole array of momenta, with numpy's functions and masks in place of the
+scalar guards. Verify scans g with the array form, which only brackets the
+roots; every root it prints is the scalar quantization_residual bisected.
+The full spinor mismatch at z = L is available separately
+(boundary_residual) and is reported by the verify command rather than
+asserted.
 
 Energies, norms and densities are closed-form: at v0 != 0 the energy is a
 root of a quadratic in E^2, the norm integrates the cos^2/sin^2(Qz -+ phase/2)
@@ -36,7 +40,14 @@ import numpy as np
 
 from .dirac import QSpinor, apply_matrix, build_matrices
 from .quaternion import Quaternion
-from .step import Branch, PotentialStep, as_branch, mode_coefficients
+from .step import (
+    Branch,
+    PotentialStep,
+    amp_denominator,
+    as_branch,
+    branch_mom2,
+    mode_coefficients,
+)
 
 __all__ = [
     "NoSolutionError",
@@ -48,6 +59,7 @@ __all__ = [
     "boundary_phase",
     "quantized_momenta",
     "quantization_residual",
+    "quantization_residual_grid",
     "solve_spectrum",
     "stationary_wavefunction",
     "normalize",
@@ -216,6 +228,16 @@ def quantized_momenta(length: float, n_max: int) -> list:
     return [n * math.pi / (2.0 * length) for n in range(1, n_max + 1)]
 
 
+def _e2_quadratic(momentum, mass, pot):
+    """(m^2, r, half_b, c) of X^2 - 2*half_b*X + c = 0 in X = E^2, for a
+    float or an array of momenta; see _energy_for_momentum."""
+    m2 = mass * mass
+    w2 = pot.w_abs * pot.w_abs
+    r = momentum * momentum - pot.v0 * pot.v0 + m2 - w2
+    half_b = r + 2.0 * (pot.v0 * pot.v0 + w2)
+    return m2, r, half_b, r * r + 4.0 * m2 * w2
+
+
 def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
                          branch: Branch) -> float:
     """Energy at which the branch's travelling momentum equals `momentum`.
@@ -235,11 +257,7 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
             return math.nan
         return math.hypot(p, mass)
 
-    m2 = mass * mass
-    w2 = pot.w_abs * pot.w_abs
-    r = momentum * momentum - pot.v0 * pot.v0 + m2 - w2
-    half_b = r + 2.0 * (pot.v0 * pot.v0 + w2)
-    c = r * r + 4.0 * m2 * w2
+    m2, r, half_b, c = _e2_quadratic(momentum, mass, pot)
     disc = half_b * half_b - c
     if disc >= 0.0:
         big = half_b + math.copysign(math.sqrt(disc), half_b)
@@ -266,13 +284,68 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
         return math.nan
     mc = mode_coefficients(energy, mass, pot, br)
     ph = boundary_phase(mc.amp_ratio.real, br).phase
-    a = momentum * length - 0.5 * ph
-    b = momentum * length + 0.5 * ph
-    num = math.sin(a + b)
-    den = math.sin(a) * math.sin(b)
+    num, den = _antisymmetry(momentum, length, ph, math.sin)
     if den == 0.0:
         return math.copysign(math.inf, num) if num != 0.0 else math.nan
     return num / den
+
+
+def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
+                               length: float, branch):
+    """quantization_residual at every momentum of a float64 array, in one pass.
+
+    The same chain with numpy's functions, and masks where the scalar form
+    tests: every point where it returns nan or raises (no admissible energy,
+    singular coefficients, a non-finite amp_ratio) is nan here, and den == 0
+    gives +-inf or nan as there. np.hypot and np.arctan2 may differ from
+    math's in the last bit, so these values choose root brackets; refine a
+    root with the scalar form.
+    """
+    br = as_branch(branch)
+    sgn = 1.0 if br is Branch.PLUS else -1.0
+    q = np.asarray(momenta, dtype=np.float64)
+    if pot.v0 == 0.0:
+        p = q + pot.w_abs if br is Branch.MINUS else q - pot.w_abs
+        energy = np.hypot(np.where(p > 0.0, p, np.nan), mass)
+    else:
+        m2, r, half_b, c = _e2_quadratic(q, mass, pot)
+        disc = half_b * half_b - c
+        big = half_b + np.copysign(np.sqrt(np.where(disc >= 0.0, disc, np.nan)),
+                                   half_b)
+        lo, hi = np.minimum(big, c / big), np.maximum(big, c / big)
+
+        def admissible(x):
+            return (x > m2) & ((x >= r) if br is Branch.MINUS else (x <= r))
+
+        energy = np.sqrt(np.where(admissible(lo), lo,
+                                  np.where(admissible(hi), hi, np.nan)))
+    energy = np.where(np.isfinite(energy) & (energy > mass) & (mass >= 0.0),
+                      energy, np.nan)
+    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
+        energy, mass, pot.v0, pot.w_abs, np.sqrt)
+    mom2 = mom2_plus if br is Branch.PLUS else mom2_minus
+    q2_other = q2_minus if br is Branch.PLUS else q2_plus
+    denom_a = amp_denominator(energy, mass, pot.v0, delta, sgn)
+    regular = (denom_a != 0.0) & (q2_other - mom2 != 0.0)
+    # principal_momentum is imaginary for mom2 < 0: amp_ratio.real is then 0
+    amp = (np.sqrt(np.where(mom2 >= 0.0, mom2, 0.0))
+           / np.where(regular, denom_a, np.nan))
+    amp = np.where(np.isfinite(amp), amp, np.nan)
+    phase = 2.0 * np.arctan2(1.0, amp if br is Branch.MINUS else -amp)
+    num, den = _antisymmetry(q, length, phase, np.sin)
+    pole = np.where(num != 0.0, np.copysign(np.inf, num), np.nan)
+    return np.where(den == 0.0, pole, num / np.where(den == 0.0, np.nan, den))
+
+
+def _antisymmetry(momentum, length, phase, sin):
+    """(num, den) of g = cot(QL - phase/2) + cot(QL + phase/2) = num/den.
+
+    The one written form: quantization_residual passes floats and math.sin,
+    quantization_residual_grid float64 arrays and np.sin.
+    """
+    a = momentum * length - 0.5 * phase
+    b = momentum * length + 0.5 * phase
+    return sin(a + b), sin(a) * sin(b)
 
 
 def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,

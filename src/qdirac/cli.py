@@ -11,7 +11,8 @@ Repeated runs with identical flags produce byte-identical output; nothing
 here reads the clock, the locale, or the environment.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 no
-solution in the requested range.
+solution at these parameters (no level in the requested range, or mode
+coefficients singular at a level's energy).
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from . import __version__, _kernels
 from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
-from .step import PotentialStep, Zone, evanescent_width
+from .step import PotentialStep, SingularCoefficientsError, Zone, evanescent_width
 
 __all__ = ["main", "build_parser"]
 
-# largest zones or density table; checked before anything is allocated
+# largest table (zones or density rows, --levels); checked before anything
+# is allocated
 MAX_ROWS = 10**6
 
 
@@ -276,10 +278,14 @@ def main(argv=None) -> int:
             if value is not None and not math.isfinite(value):
                 flag = "--" + name.replace("_", "-")
                 raise UsageError("%s must be finite, got %r" % (flag, value))
-        if getattr(args, "levels", 1) < 1:
+        levels = getattr(args, "levels", 1)
+        if levels < 1:
             raise UsageError("levels must be >= 1")
+        if levels > MAX_ROWS:
+            raise UsageError(
+                "--levels %d is over the %d-row limit" % (levels, MAX_ROWS))
         text, code = args.func(args)
-    except NoSolutionError as exc:
+    except (NoSolutionError, SingularCoefficientsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -79,9 +79,16 @@ class NonRelLevel:
     regime_flag: bool
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 def nr_parameters(energy: float, mass: float, w_abs: float,
                   w_phase: float = 0.0) -> NonRelParams:
     """The limiting coefficient set; w_abs = 0 is singular by design."""
+    _require_finite(energy=energy, mass=mass, w_abs=w_abs)
     if w_abs <= 0:
         raise ValueError(
             "the limiting coefficients divide by w_abs; the w_abs = 0 "
@@ -149,9 +156,7 @@ def nr_quantize(length: float, n_max: int, mass: float,
     The energies follow from the shifted momenta: E^2 = (Q_n -+ w_abs)^2 +
     mass^2 with the minus branch shifted up and the plus branch shifted down.
     """
-    for name, value in (("length", length), ("mass", mass), ("w_abs", w_abs)):
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+    _require_finite(length=length, mass=mass, w_abs=w_abs)
     if length <= 0:
         raise ValueError("length must be > 0")
     if n_max < 1:

@@ -6,11 +6,18 @@ random seed, so repeated runs are byte-identical. Sections carry a kind tag:
 numbers that the source material leaves ambiguous (sign conventions of the
 plus-branch travelling spinor, the coefficient consistency relation, the full
 spinor mismatch at the far wall) and never fail the run.
+
+The quantization section scans g(Q) on each 4096-point grid in one call to
+its array form, bag.quantization_residual_grid. Those values only bracket
+the roots; every root in the report is the scalar quantization_residual
+bisected, so the array form's last-bit differences from math never reach
+the output.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from .bag import (
     boundary_residual,
     normalize,
     quantization_residual,
+    quantization_residual_grid,
     quantized_momenta,
     solve_spectrum,
     stationary_wavefunction,
@@ -72,23 +80,27 @@ def _bisect(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(f, q_max, n_grid=4096):
-    """Bisection roots of f on (0, q_max], skipping poles and gaps."""
+def _scan_roots(f, f_grid, q_max, n_grid=4096):
+    """Bisection roots of f on (0, q_max], skipping poles and gaps.
+
+    f_grid gives f on the whole grid in one call. Its values only choose the
+    brackets: a grid point where f is exactly 0, or a sign change between
+    two finite neighbours. Every other root is the scalar f bisected.
+    """
     grid = np.linspace(q_max / n_grid, q_max, n_grid)
-    vals = [f(q) for q in grid]
+    vals = f_grid(grid)
+    a, b = vals[:-1], vals[1:]
+    brackets = (np.isfinite(a) & np.isfinite(b)
+                & ((a == 0.0) | (np.sign(a) * np.sign(b) < 0.0)))
     roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (math.isfinite(a) and math.isfinite(b)):
-            continue
-        if a == 0.0:
+    for i in np.flatnonzero(brackets).tolist():
+        if a[i] == 0.0:
             roots.append(float(grid[i]))
             continue
-        if a * b < 0.0:
-            r = _bisect(f, float(grid[i]), float(grid[i + 1]))
-            if abs(f(r)) < 1e-6:  # sign changes at poles bisect too; drop them
-                roots.append(r)
-    if vals and vals[-1] == 0.0:
+        r = _bisect(f, float(grid[i]), float(grid[i + 1]))
+        if abs(f(r)) < 1e-6:  # sign changes at poles bisect too; drop them
+            roots.append(r)
+    if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
 
@@ -336,11 +348,9 @@ def _section_quantization(n_levels=10):
         q_max = (n_levels + 0.5) * math.pi / (2.0 * length)
         per_branch = {}
         for branch in (Branch.MINUS, Branch.PLUS):
-
-            def g(q, _b=branch):
-                return quantization_residual(q, mass, pot, length, _b)
-
-            roots = _scan_roots(g, q_max)
+            args = dict(mass=mass, pot=pot, length=length, branch=branch)
+            roots = _scan_roots(partial(quantization_residual, **args),
+                                partial(quantization_residual_grid, **args), q_max)
             matched = []
             for q_n in expected:
                 best = min(roots, key=lambda r: abs(r - q_n)) if roots else math.inf

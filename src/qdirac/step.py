@@ -32,6 +32,7 @@ __all__ = [
     "PotentialStep",
     "BranchKinematics",
     "ModeCoefficients",
+    "SingularCoefficientsError",
     "kinematics",
     "evanescent_width",
     "classify_zone",
@@ -62,6 +63,11 @@ def as_branch(value) -> Branch:
         return Branch(str(value).lower())
     except ValueError:
         raise ValueError("branch must be 'minus' or 'plus', got %r" % (value,)) from None
+
+
+class SingularCoefficientsError(ValueError):
+    """The mode coefficients divide by zero at this energy: on the mass shell,
+    or where a denominator of mode_coefficients vanishes exactly."""
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,16 @@ def principal_momentum(mom2: float) -> complex:
     return complex(0.0, math.sqrt(-mom2))
 
 
+def amp_denominator(energy, mass, v0, delta, sgn):
+    """Denominator of amp_ratio = momentum / denom_a, with sgn = +1 on the
+    plus branch and -1 on the minus branch.
+
+    The one written form: mode_coefficients passes floats,
+    bag.quantization_residual_grid float64 arrays.
+    """
+    return energy + sgn * v0 + mass + sgn * delta / (energy - mass)
+
+
 def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
                       branch) -> ModeCoefficients:
     """Coefficients (amp_ratio, j_chi, j_sigma) of one travelling mode.
@@ -238,23 +254,25 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     Strictly above the mass shell only: the amp_ratio denominator carries a
     delta/(E - m) term that is singular at E = m. Exact zeros of either
     denominator (the resonant case where one branch momentum collides with
-    the other complex-limit momentum) raise rather than divide.
+    the other complex-limit momentum) raise SingularCoefficientsError rather
+    than divide.
     """
     br = as_branch(branch)
     if energy == mass:
-        raise ValueError("coefficients singular at E = m (delta/(E - m) pole)")
+        raise SingularCoefficientsError(
+            "coefficients singular at E = m (delta/(E - m) pole)")
     kin = kinematics(energy, mass, pot)
     sgn = 1.0 if br is Branch.PLUS else -1.0
     mom2 = kin.mom2_plus if br is Branch.PLUS else kin.mom2_minus
     q2_other = kin.q2_minus if br is Branch.PLUS else kin.q2_plus
     momentum = principal_momentum(mom2)
-    denom_a = (energy + sgn * pot.v0 + mass
-               + sgn * kin.delta / (energy - mass))
+    denom_a = amp_denominator(energy, mass, pot.v0, kin.delta, sgn)
     if denom_a == 0:
-        raise ValueError("amp_ratio denominator vanishes at these parameters")
+        raise SingularCoefficientsError(
+            "amp_ratio denominator vanishes at these parameters")
     denom_mn = q2_other - mom2
     if denom_mn == 0:
-        raise ValueError(
+        raise SingularCoefficientsError(
             "resonant denominator: branch momentum squared equals the "
             "opposite complex-limit momentum squared"
         )

@@ -2,19 +2,21 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
 import oracles
-from qdirac import bag
+from qdirac import bag, report
 from qdirac import (
     Branch,
     NoSolutionError,
     PotentialStep,
     QSpinor,
     Quaternion,
+    SingularCoefficientsError,
     boundary_operator,
     boundary_phase,
     boundary_residual,
@@ -25,6 +27,7 @@ from qdirac import (
     normalize,
     principal_momentum,
     quantization_residual,
+    quantization_residual_grid,
     quantized_momenta,
     solve_spectrum,
     stationary_wavefunction,
@@ -158,6 +161,89 @@ class TestQuantization:
                 assert len(roots) == 10, branch
                 for q_n, root in zip(expected, sorted(roots)):
                     assert abs(root - q_n) < 1e-9
+
+
+def residual_draws(seed, n_wells=24, n_grid=512):
+    """Seeded (mass, pot, length, branch, momenta) over both branches, v0
+    zero, positive and negative, a nonzero w0 phase, and momenta from near 0,
+    below the plus-branch shift, past the tenth quantized level."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_wells):
+        mass = float(rng.uniform(0.0, 2.0))
+        length = float(rng.uniform(0.5, 2.0))
+        v0 = (0.0, float(rng.uniform(0.1, 1.5)), -float(rng.uniform(0.1, 1.5)))[i // 2 % 3]
+        pot = PotentialStep(v0=v0, w_abs=float(rng.uniform(0.05, 1.5)),
+                            w_phase=float(rng.uniform(-math.pi, math.pi)))
+        q_max = 10.5 * math.pi / (2.0 * length)
+        momenta = np.linspace(q_max / n_grid, q_max, n_grid)
+        yield mass, pot, length, (Branch.MINUS, Branch.PLUS)[i % 2], momenta
+    # v0 = w_abs = 0 is resonant at every momentum
+    yield 1.0, PotentialStep(), 1.0, Branch.MINUS, np.linspace(0.1, 10.0, 64)
+
+
+def nan_where_raises(g):
+    def safe(q):
+        try:
+            return g(q)
+        except ValueError:
+            return math.nan
+    return safe
+
+
+def scalar_grid(g):
+    """The scan's grid values from one scalar call per point."""
+    safe = nan_where_raises(g)
+    return lambda qs: np.array([safe(q) for q in qs.tolist()])
+
+
+class TestResidualGrid:
+    def test_array_form_matches_scalar(self):
+        seen = set()
+        for mass, pot, length, branch, momenta in residual_draws(61):
+            got = quantization_residual_grid(momenta, mass, pot, length, branch)
+            for q, g_arr in zip(momenta.tolist(), got.tolist()):
+                try:
+                    g = quantization_residual(q, mass, pot, length, branch)
+                except (NoSolutionError, SingularCoefficientsError) as exc:
+                    seen.add(type(exc))
+                    assert math.isnan(g_arr), (q, exc)
+                    continue
+                assert math.isfinite(g_arr) == math.isfinite(g), (q, g, g_arr)
+                if math.isfinite(g):
+                    seen.add("finite")
+                    assert (g_arr < 0.0) == (g < 0.0), (q, g, g_arr)
+                    assert abs(g_arr - g) <= 1e-10 * max(1.0, abs(g)), (q, g, g_arr)
+                else:
+                    seen.add("nan" if math.isnan(g) else "inf")
+                    assert math.isnan(g_arr) if math.isnan(g) else g_arr == g
+        assert {"finite", "nan", NoSolutionError, SingularCoefficientsError} <= seen
+
+    def test_scan_roots_equal_a_scalar_scan(self, monkeypatch):
+        # verify's own three configurations, through its section
+        scans = []
+        scan = report._scan_roots
+
+        def both_scans(f, f_grid, q_max):
+            roots = scan(f, f_grid, q_max)
+            scans.append((roots, scan(f, scalar_grid(f), q_max)))
+            return roots
+
+        monkeypatch.setattr(report, "_scan_roots", both_scans)
+        assert report._section_quantization()["passed"]
+        assert len(scans) == 6
+        # and three seeded v0 != 0 wells, where the scalar form also raises
+        rng = np.random.default_rng(67)
+        for v0 in (0.6, -0.9, 1.3):
+            length = float(rng.uniform(0.5, 2.0))
+            args = dict(mass=float(rng.uniform(0.2, 2.0)), length=length,
+                        pot=PotentialStep(v0=v0, w_abs=float(rng.uniform(0.05, 1.0))))
+            q_max = 10.5 * math.pi / (2.0 * length)
+            for branch in (Branch.MINUS, Branch.PLUS):
+                g = nan_where_raises(partial(quantization_residual, branch=branch, **args))
+                grid = partial(quantization_residual_grid, branch=branch, **args)
+                scans.append((scan(g, grid, q_max), scan(g, scalar_grid(g), q_max)))
+        for roots, want in scans:
+            assert roots and [r.hex() for r in roots] == [r.hex() for r in want]
 
 
 class TestSpectrum:

@@ -232,11 +232,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.np, "arange", no_grid)
         monkeypatch.setattr(cli, "solve_spectrum", no_grid)
+        monkeypatch.setattr(cli, "nr_quantize", no_grid)
         over = str(cli.MAX_ROWS + 1)
         for argv, flag in (
             (["zones", "--e-step", "5e-324"], "--e-step"),
             (["zones", "--e-min", "1", "--e-max", over, "--e-step", "1"], "--e-step"),
             (["density", "--w0-abs", "0.5", "--grid", over], "--grid"),
+            (["bag-spectrum", "--w0-abs", "0.5", "--levels", over], "--levels"),
+            (["density", "--w0-abs", "0.5", "--levels", over], "--levels"),
+            (["nr-spectrum", "--w0-abs", "0.5", "--levels", over], "--levels"),
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 2 and out == "", argv
@@ -255,6 +259,13 @@ class TestExitCodes:
             ["zones", "--e-min", "1", "--e-max", "4", "--e-step", "1"], capsys
         )
         assert code == 2
+        for argv, rows in ((["bag-spectrum"], 3), (["nr-spectrum"], 3),
+                           (["density", "--grid", "3"], 3)):
+            argv = argv + ["--w0-abs", "0.5"]
+            code, out, _ = run_cli(argv + ["--levels", "3"], capsys)
+            assert code == 0 and len(out.splitlines()) == 1 + rows, argv
+            code, _, err = run_cli(argv + ["--levels", "4"], capsys)
+            assert code == 2 and err.startswith("error: --levels"), argv
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
@@ -302,6 +313,17 @@ class TestExitCodes:
         )
         assert code == 3
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bag-spectrum"], "resonant denominator: "),
+        (["density"], "resonant denominator: "),
+        (["bag-spectrum", "--w0-abs", "3.141592653589793", "--branch", "plus",
+          "--levels", "2"], "coefficients singular at E = m "),
+    ])
+    def test_singular_coefficients_return_three(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

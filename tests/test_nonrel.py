@@ -39,6 +39,14 @@ class TestParameters:
         with pytest.raises(ValueError):
             nr_parameters(0.9, 1.0, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["energy", "mass", "w_abs"])
+    def test_non_finite_input_is_rejected(self, field, value):
+        args = {"energy": 2.0, "mass": 1.0, "w_abs": 0.5}
+        args[field] = value
+        with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (field, value)):
+            nr_parameters(**args)
+
     def test_regime_flag_tracks_slow_momentum(self):
         slow = nr_parameters(math.hypot(0.2, 1.0), 1.0, 0.5)
         assert slow.regime_flag is True
