@@ -28,7 +28,8 @@ from . import __version__, _kernels
 from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
-from .step import PotentialStep, SingularCoefficientsError, Zone, evanescent_width
+from .step import (PotentialStep, SingularCoefficientsError, Zone, branch_mom2,
+                   evanescent_width)
 
 __all__ = ["main", "build_parser"]
 
@@ -44,7 +45,7 @@ class UsageError(ValueError):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return "%d" % value
     if isinstance(value, float):
         return "%.17g" % value
@@ -65,6 +66,12 @@ def _render(command: str, params: dict, columns: list, rows: list,
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _params(args) -> dict:
+    """The flags that describe a table, in the parser's order."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "format", "output")}
 
 
 def _pot_from_args(args) -> PotentialStep:
@@ -89,7 +96,14 @@ def _cmd_zones(args):
             "--e-step %r over [%r, %r] gives more than %d rows"
             % (args.e_step, e_min, e_max, MAX_ROWS)
         )
-    energies = e_min + np.arange(int(math.floor(span)) + 1) * args.e_step
+    n = int(math.floor(span))
+    # every term of branch_mom2 is largest in size at one end of the grid,
+    # so finite ends mean a finite table
+    for e in (e_min, e_min + n * args.e_step):
+        if not all(map(math.isfinite,
+                       branch_mom2(e, args.mass, pot.v0, pot.w_abs, math.sqrt))):
+            raise UsageError("branch momenta at energy %r overflow float64" % e)
+    energies = e_min + np.arange(n + 1) * args.e_step
     p2, q2p, q2m, delta, mom2p, mom2m = _kernels.branch_mom2_grid(
         energies, args.mass, pot.v0, pot.w_abs
     )
@@ -104,11 +118,8 @@ def _cmd_zones(args):
             delta.tolist(), mom2p.tolist(), mom2m.tolist(), codes.tolist(),
         )
     ]
-    params = {
-        "mass": args.mass, "v0": pot.v0, "w0_abs": pot.w_abs,
-        "w0_phase": pot.w_phase, "e_min": e_min, "e_max": e_max,
-        "e_step": args.e_step,
-    }
+    params = _params(args)
+    params.update(e_min=e_min, e_max=e_max)
     columns = [
         "energy", "p2", "q2_plus", "q2_minus", "delta", "mom2_plus",
         "mom2_minus", "zone_minus", "zone_plus", "e_low", "e_up", "delta_e",
@@ -126,16 +137,11 @@ def _cmd_bag_spectrum(args):
         ]
         for lvl in levels
     ]
-    params = {
-        "mass": args.mass, "v0": pot.v0, "w0_abs": pot.w_abs,
-        "w0_phase": pot.w_phase, "length": args.length,
-        "levels": args.levels, "branch": args.branch,
-    }
     columns = [
         "branch", "index", "momentum", "eff_momentum", "energy", "phase",
         "norm_const", "regime_flag",
     ]
-    return _render("bag-spectrum", params, columns, rows, args.format), 0
+    return _render("bag-spectrum", _params(args), columns, rows, args.format), 0
 
 
 def _cmd_density(args):
@@ -153,14 +159,8 @@ def _cmd_density(args):
     z = np.linspace(0.0, wf.length, args.grid)
     rho_c, rho_q = wf.density_split(z)
     rows = np.column_stack([z, rho_c + rho_q, rho_c, rho_q]).tolist()
-    params = {
-        "mass": args.mass, "v0": pot.v0, "w0_abs": pot.w_abs,
-        "w0_phase": pot.w_phase, "length": args.length,
-        "levels": args.levels, "level": args.level, "branch": args.branch,
-        "spin": args.spin, "grid": args.grid,
-    }
     columns = ["z", "rho", "rho_complex_part", "rho_quaternionic_part"]
-    return _render("density", params, columns, rows, args.format), 0
+    return _render("density", _params(args), columns, rows, args.format), 0
 
 
 def _cmd_nr_spectrum(args):
@@ -174,15 +174,11 @@ def _cmd_nr_spectrum(args):
         ]
         for lvl in levels
     ]
-    params = {
-        "mass": args.mass, "w0_abs": args.w0_abs, "length": args.length,
-        "levels": args.levels,
-    }
     columns = [
         "index", "momentum", "eff_plus", "eff_minus", "energy_plus",
         "energy_minus", "regime_flag",
     ]
-    return _render("nr-spectrum", params, columns, rows, args.format), 0
+    return _render("nr-spectrum", _params(args), columns, rows, args.format), 0
 
 
 def _cmd_verify(args):
@@ -288,14 +284,19 @@ def main(argv=None) -> int:
     except (NoSolutionError, SingularCoefficientsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print("error: cannot write --output %s: %s" % (args.output, exc.strerror),
+              file=sys.stderr)
+        return 2
     return code
 
 

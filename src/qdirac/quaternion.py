@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["Quaternion", "I", "J", "K", "ONE", "ZERO"]
+
 
 class Quaternion:
     """An immutable quaternion u + j*w with u, w complex."""

@@ -294,6 +294,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: w_abs must be finite, got %s\n" % value
 
+    @pytest.mark.parametrize("argv", [
+        ["zones", "--mass", "1e200", "--w0-abs", "0.5", "--e-step", "1e199",
+         "--e-max", "1.5e200"],
+        ["zones", "--mass", "1", "--v0", "1e200", "--w0-abs", "0.5",
+         "--e-step", "1", "--e-max", "3"],
+    ])
+    def test_overflowing_zones_grid_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: branch momenta at energy ")
+        assert err.endswith(" overflow float64\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,target,reason", [
+        (["nr-spectrum", "--w0-abs", "0.5"], "missing/x.csv", "No such file"),
+        (["verify"], ".", "Is a directory"),
+    ])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv,
+                                                target, reason):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(argv + ["--output", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --output %s: %s" % (path, reason))
+        assert err.count("\n") == 1
+
     def test_argparse_errors_exit_two(self, capsys):
         for argv in (
             ["zones", "--no-such-flag"],
