@@ -33,6 +33,7 @@ serves the wall checks and is the tests' oracle for the density.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -225,6 +226,9 @@ def quantized_momenta(length: float, n_max: int) -> list:
         raise ValueError("length must be finite and > 0, got %r" % length)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not math.isfinite(n_max * math.pi / (2.0 * length)):
+        raise ValueError("length %r is too small: the momentum %d*pi/(2*length) "
+                         "overflows float64" % (length, n_max))
     return [n * math.pi / (2.0 * length) for n in range(1, n_max + 1)]
 
 
@@ -375,6 +379,9 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
             energy = _energy_for_momentum(q_n, mass, pot, br)
         regime = br is Branch.PLUS and q_n < pot.w_abs
         mc = mode_coefficients(energy, mass, pot, br)
+        if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
+            raise ValueError("level %d at energy %r: the mode coefficients "
+                             "overflow float64" % (n, energy))
         ph = boundary_phase(mc.amp_ratio.real, br).phase
         level = BagLevel(branch=br, index=n, momentum=q_n, eff_momentum=eff,
                          energy=energy, phase=ph, norm_const=1.0, length=length,

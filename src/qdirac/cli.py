@@ -5,8 +5,10 @@ Subcommands: zones (branch kinematics over an energy grid), bag-spectrum
 level, split into complex and quaternionic parts), nr-spectrum (the
 non-relativistic limit levels), verify (the self-check report).
 
-Output goes to stdout or --output as CSV (header line first, 17 significant
-digits, comma separator) or as a single JSON object with stable key order.
+Output goes to stdout or --output as CSV (header line first, comma
+separator, floats by %.17g) or as a single JSON object with stable key order
+(floats by repr; non-finite floats are NaN/Infinity, as json writes them).
+Both are rendered column by column through one %-template per table.
 Repeated runs with identical flags produce byte-identical output; nothing
 here reads the clock, the locale, or the environment.
 
@@ -18,6 +20,7 @@ coefficients singular at a level's energy).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -42,9 +45,12 @@ class UsageError(ValueError):
     """Invalid flag combination caught after parsing."""
 
 
-def _fmt(value) -> str:
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _csv_cell(value) -> str:
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL_TEXT[value]
     if isinstance(value, int):
         return "%d" % value
     if isinstance(value, float):
@@ -52,20 +58,65 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column(cells: tuple, as_json: bool):
+    """One column's piece of the row template and the values it takes.
+
+    The piece follows the exact type of the cells; values is None when the
+    column has one distinct value, which is then literal text. A column of
+    any other type, or of mixed types, goes through the per-cell encoder
+    (json.dumps or _csv_cell) and takes "%s".
+    """
+    encode = json.dumps if as_json else _csv_cell
+    kinds = set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    first = cells[0]
+    # equal cells of one type print alike, except floats 0.0 and -0.0
+    if kind in (float, int, bool, str) and cells.count(first) == len(cells) and (
+            first != 0.0 or len(set(map(repr, cells))) == 1):
+        return encode(first).replace("%", "%%"), None
+    if kind is float:
+        if not as_json:
+            return "%.17g", cells
+        # any nan or inf cell makes the sum non-finite; json spells those
+        if math.isfinite(sum(cells)):
+            return "%r", cells
+    elif kind is int:
+        return "%d", cells
+    elif kind is bool:
+        return "%s", list(map(_BOOL_TEXT.__getitem__, cells))
+    elif kind is str:
+        if not as_json:
+            return "%s", cells
+        text = {s: json.dumps(s) for s in set(cells)}
+        return "%s", list(map(text.__getitem__, cells))
+    return "%s", list(map(encode, cells))
+
+
 def _render(command: str, params: dict, columns: list, rows: list,
             fmt: str) -> str:
-    if fmt == "json":
-        obj = {
-            "command": command,
-            "params": params,
-            "columns": columns,
-            "rows": rows,
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The table as CSV or JSON text, built column by column.
+
+    Each column contributes one piece (see _column) to a single %-template,
+    and every row is that template applied to its values.
+    """
+    as_json = fmt == "json"
+    pieces, values = [], []
+    for cells in zip(*rows):
+        piece, col = _column(cells, as_json)
+        pieces.append(piece)
+        if col is not None:
+            values.append(col)
+    body = zip(*values) if values else itertools.repeat((), len(rows))
+    if not as_json:
+        return "\n".join([",".join(columns),
+                          *map(",".join(pieces).__mod__, body)]) + "\n"
+    # rows is the last key, so the head ends in its empty list "[]\n}"
+    head = json.dumps({"command": command, "params": params,
+                       "columns": columns, "rows": []}, indent=2)[:-4]
+    if not rows:
+        return head + "[]\n}\n"
+    template = "    [\n      " + ",\n      ".join(pieces) + "\n    ]"
+    return head + "[\n" + ",\n".join(map(template.__mod__, body)) + "\n  ]\n}\n"
 
 
 def _params(args) -> dict:

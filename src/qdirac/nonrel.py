@@ -161,6 +161,9 @@ def nr_quantize(length: float, n_max: int, mass: float,
         raise ValueError("length must be > 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not math.isfinite(n_max * math.pi / length):
+        raise ValueError("length %r is too small: the momentum %d*pi/length "
+                         "overflows float64" % (length, n_max))
     if mass < 0:
         raise ValueError("mass must be >= 0")
     if w_abs < 0:

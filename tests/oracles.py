@@ -3,12 +3,14 @@
 Nothing in here imports the package. The quaternion multiplication is done on
 real coefficient 4-tuples straight from the basis product table, the root
 finding is a plain bisection, the rank comes from row reduction, and the
-evanescent-window locator is a brute sign scan of the dispersion. These are the
-ground truth the tests freeze expected values from.
+evanescent-window locator is a brute sign scan of the dispersion, and the
+table renderer formats cell by cell and hands JSON to the json encoder. These
+are the ground truth the tests freeze expected values from.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -137,3 +139,30 @@ def window_sign_scan(m, v0, w_abs, e_step=1e-3, e_pad=1.0):
     if neg.size == 0:
         return None
     return float(grid[neg[0]]), float(grid[neg[-1]])
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return "%d" % value
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+def render_reference(command: str, params: dict, columns: list, rows: list,
+                     fmt: str) -> str:
+    """The CLI's table text, one cell at a time (CSV) or through json.dumps."""
+    if fmt == "json":
+        obj = {
+            "command": command,
+            "params": params,
+            "columns": columns,
+            "rows": rows,
+        }
+        return json.dumps(obj, indent=2) + "\n"
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Hard-wall well: boundary maps, quantization, spectrum, normalization."""
 
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -114,6 +115,11 @@ class TestQuantization:
         for length in (math.nan, math.inf):
             with pytest.raises(ValueError, match="length must be finite"):
                 quantized_momenta(length, 3)
+
+    def test_overflowing_momentum_names_the_length(self):
+        with pytest.raises(ValueError, match=r"^length 1e-310 is too small: the "
+                           r"momentum 2\*pi/\(2\*length\) overflows float64$"):
+            quantized_momenta(1e-310, 2)
 
     def test_residual_zero_at_roots_large_off_roots(self):
         length = 1.0
@@ -322,6 +328,15 @@ class TestSpectrum:
     def test_no_solution_raises(self):
         with pytest.raises(NoSolutionError):
             solve_spectrum(1.0, PotentialStep(v0=3.0), 1.0, 1, Branch.PLUS)
+
+    @pytest.mark.parametrize("w_abs,length,energy", [
+        (1e300, 1.0, "1e+300"), (0.5, 1e-200, "1.5707963267948964e+200"),
+    ])
+    def test_overflowing_coefficients_name_the_level(self, w_abs, length, energy):
+        match = (r"^level 1 at energy %s: the mode coefficients overflow float64$"
+                 % re.escape(energy))
+        with pytest.raises(ValueError, match=match):
+            solve_spectrum(1.0, PotentialStep(w_abs=w_abs), length, 2, "minus")
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("v0", [0.0, 0.7])

@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from qdirac import (
     PotentialStep,
     classify_zone,
@@ -17,7 +20,7 @@ from qdirac import (
     nr_quantize,
     solve_spectrum,
 )
-from qdirac.cli import main
+from qdirac.cli import _render, main
 
 ZONES_ARGS = [
     "zones", "--mass", "1", "--v0", "1", "--w0-abs", "1",
@@ -306,6 +309,25 @@ class TestExitCodes:
         assert err.startswith("error: branch momenta at energy ")
         assert err.endswith(" overflow float64\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,message", [
+        (["nr-spectrum", "--w0-abs", "0.5", "--length", "1e-310", "--levels", "2"],
+         "length 1e-310 is too small: the momentum 2*pi/length overflows"),
+        (["bag-spectrum", "--w0-abs", "0.5", "--length", "1e-310", "--levels", "2"],
+         "length 1e-310 is too small: the momentum 2*pi/(2*length) overflows"),
+        (["density", "--w0-abs", "0.5", "--length", "1e-310"],
+         "length 1e-310 is too small: the momentum 1*pi/(2*length) overflows"),
+        (["bag-spectrum", "--w0-abs", "1e300", "--levels", "2"],
+         "level 1 at energy 1e+300: the mode coefficients overflow"),
+        (["bag-spectrum", "--w0-abs", "0.5", "--length", "1e-200", "--levels", "2"],
+         "level 1 at energy 1.5707963267948964e+200: the mode coefficients "
+         "overflow"),
+    ])
+    def test_float64_overflow_is_a_usage_error(self, capsys, argv, message, fmt):
+        code, out, err = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: %s float64\n" % message
+
     @pytest.mark.parametrize("argv,target,reason", [
         (["nr-spectrum", "--w0-abs", "0.5"], "missing/x.csv", "No such file"),
         (["verify"], ".", "Is a directory"),
@@ -422,3 +444,64 @@ class TestOutputStability:
         assert first.stdout
         obj = json.loads(first.stdout)
         assert obj["command"] == "zones"
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308, 1e308, -1e308, 0.1, 3.0, -7.0)
+TEXTS = ("minus", "a,b", 'say "hi"', "100%", "%s%d%%", "back\\slash",
+         "caf\u00e9", "\u91cf\u5b50", "tab\tend", "")
+
+
+def random_float(rng):
+    pick = rng.random()
+    if pick < 0.15:
+        return rng.choice(SPECIAL_FLOATS)
+    if pick < 0.3:
+        return float(rng.randint(-10**6, 10**6))
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 307)
+
+
+CELLS = {
+    "float": random_float,
+    "finite": lambda rng: rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-30, 30),
+    "zero": lambda rng: rng.choice((0.0, -0.0)),
+    "nan": lambda rng: float("nan"),
+    "int": lambda rng: rng.randint(-10**20, 10**20),
+    "bool": lambda rng: rng.random() < 0.5,
+    "str": lambda rng: rng.choice(TEXTS),
+    "np.float64": lambda rng: np.float64(random_float(rng)),
+    "equal": lambda rng: rng.choice((1, 1.0, True)),
+    "mixed": lambda rng: CELLS[rng.choice(("float", "int", "bool", "str",
+                                            "np.float64"))](rng),
+}
+
+
+def random_table(rng):
+    """Columns of one kind each; a third of them hold a single value."""
+    n_rows = rng.choice((0, 1, 2, 3, rng.randint(4, 60)))
+    kinds = [rng.choice(sorted(CELLS)) for _ in range(rng.randint(1, 7))]
+    cols = []
+    for kind in kinds:
+        make = CELLS[kind]
+        if rng.random() < 0.35:
+            value = make(rng)
+            cols.append([value] * n_rows)
+        else:
+            cols.append([make(rng) for _ in range(n_rows)])
+    columns = [rng.choice(TEXTS) + kind for kind in kinds]
+    params = {"mass": random_float(rng), "levels": rng.randint(1, 9),
+              "branch": rng.choice(TEXTS), "e_min": None}
+    return columns, params, [list(row) for row in zip(*cols)]
+
+
+class TestRenderer:
+    def test_tables_equal_the_cell_by_cell_oracle(self):
+        """Seeded tables of every cell kind, in both formats, byte-equal to
+        the per-cell renderer that the column templates replaced."""
+        rng = random.Random(20261018)
+        for i in range(320):
+            columns, params, rows = random_table(rng)
+            for fmt in ("csv", "json"):
+                expected = oracles.render_reference("t", params, columns, rows, fmt)
+                assert _render("t", params, columns, rows, fmt) == expected, (
+                    i, fmt, rows)

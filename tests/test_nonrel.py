@@ -180,6 +180,9 @@ class TestQuantize:
             nr_quantize(1.0, 3, -1.0, 0.5)
         with pytest.raises(ValueError):
             nr_quantize(1.0, 3, 1.0, -0.5)
+        with pytest.raises(ValueError, match=r"^length 1e-310 is too small: the "
+                           r"momentum 2\*pi/length overflows float64$"):
+            nr_quantize(1e-310, 2, 1.0, 0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["length", "mass", "w_abs"])
