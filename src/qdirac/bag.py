@@ -36,19 +36,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dirac import QSpinor, apply_matrix, build_matrices
-from .quaternion import Quaternion
-from .step import (
-    Branch,
-    PotentialStep,
-    amp_denominator,
-    as_branch,
-    branch_mom2,
-    mode_coefficients,
-)
+from .dirac import QSpinor, _block_spinor, apply_matrix, build_matrices
+from .quaternion import ZERO, Quaternion
+from .step import (Branch, PotentialStep, SingularCoefficientsError, _pick,
+                   amp_denominator, as_branch, branch_mom2, mode_coefficients)
 
 __all__ = [
     "NoSolutionError",
@@ -134,29 +129,19 @@ class StationaryWavefunction:
     amplitude: float = 1.0
 
     def evaluate(self, z: float) -> QSpinor:
-        zero = Quaternion()
         if z < 0.0 or z > self.length:
-            return QSpinor([zero, zero, zero, zero])
+            return QSpinor([ZERO] * 4)
         a = self.momentum * z - 0.5 * self.phase
         b = self.momentum * z + 0.5 * self.phase
         wm = self.w_factor * self.j_chi
-        idx = 0 if self.spin == "up" else 1
-        sigma_sign = 1.0 if idx == 0 else -1.0
-        comp = [zero, zero, zero, zero]
         chi_block = Quaternion(math.cos(a), -wm * math.cos(b))
+        i_amp = 1j * self.amp_ratio
         if self.branch is Branch.MINUS:
-            sigma_block = Quaternion(math.sin(a), wm * math.sin(b)) * (
-                1j * self.amp_ratio
-            )
-            comp[idx] = self.amplitude * chi_block
-            comp[2 + idx] = (sigma_sign * self.amplitude) * sigma_block
+            sigma_block = Quaternion(math.sin(a), wm * math.sin(b)) * i_amp
         else:
-            sigma_block = (1j * self.amp_ratio) * Quaternion(
-                math.sin(a), -wm * math.sin(b)
-            )
-            comp[idx] = (sigma_sign * self.amplitude) * sigma_block
-            comp[2 + idx] = self.amplitude * chi_block
-        return QSpinor(comp)
+            sigma_block = i_amp * Quaternion(math.sin(a), -wm * math.sin(b))
+        return _block_spinor(self.branch is Branch.MINUS, self.spin,
+                             self.amplitude * chi_block, sigma_block, self.amplitude)
 
     def _weights(self):
         """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density."""
@@ -232,46 +217,95 @@ def quantized_momenta(length: float, n_max: int) -> list:
     return [n * math.pi / (2.0 * length) for n in range(1, n_max + 1)]
 
 
-def _e2_quadratic(momentum, mass, pot):
-    """(m^2, r, half_b, c) of X^2 - 2*half_b*X + c = 0 in X = E^2, for a
-    float or an array of momenta; see _energy_for_momentum."""
+# math's functions under numpy's names, for the formulas written once below
+_MATH = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, sin=math.sin,
+                        arctan2=math.atan2, copysign=math.copysign, where=_pick)
+
+
+def _energy_root(momentum, mass, pot, branch, xp):
+    """(energy, in_range): the energy at which the branch's travelling
+    momentum equals `momentum`, nan where none does.
+
+    The one written form: _energy_for_momentum passes a float and _MATH,
+    quantization_residual_grid a float64 array and numpy. With v0 = 0,
+    p = momentum +- w_abs per branch, and p <= 0 has no energy. With v0 != 0,
+    X = E^2 and r = Q^2 - v0^2 + m^2 - w^2, mom2 = Q^2 reads
+    -+2*sqrt(X v0^2 + (X - m^2) w^2) = r - X and squares to
+    X^2 - 2*half_b*X + c = 0. E^2 is its smallest root with X > m^2 that
+    keeps the unsquared sign (X >= r minus, X <= r plus). half_b =
+    Q^2 + v0^2 + m^2 + w^2 >= 0, so the small root c/big does not cancel.
+    in_range is false where disc overflows or big underflows to 0.
+    """
+    minus = branch is Branch.MINUS
+    if pot.v0 == 0.0:
+        p = momentum + pot.w_abs if minus else momentum - pot.w_abs
+        return xp.hypot(xp.where(p > 0.0, p, math.nan), mass), True
     m2 = mass * mass
     w2 = pot.w_abs * pot.w_abs
     r = momentum * momentum - pot.v0 * pot.v0 + m2 - w2
     half_b = r + 2.0 * (pot.v0 * pot.v0 + w2)
-    return m2, r, half_b, r * r + 4.0 * m2 * w2
+    c = r * r + 4.0 * m2 * w2
+    disc = half_b * half_b - c
+    big = half_b + xp.sqrt(xp.where(disc >= 0.0, disc, math.nan))
+    in_range = (abs(disc) < math.inf) & (big != 0.0)
+    big = xp.where(in_range, big, math.nan)
+    small = c / big
+    lo, hi = xp.where(small < big, small, big), xp.where(small < big, big, small)
+
+    def admissible(x):
+        return (x > m2) & ((x >= r) if minus else (x <= r))
+
+    x = xp.where(admissible(lo), lo, xp.where(admissible(hi), hi, math.nan))
+    return xp.sqrt(x), in_range
 
 
 def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
-                         branch: Branch) -> float:
-    """Energy at which the branch's travelling momentum equals `momentum`.
+                         branch: Branch, level=None) -> float:
+    """_energy_root at one momentum. nan where v0 = 0 and no energy carries
+    it (so residual scans can skip the region); NoSolutionError where
+    v0 != 0 and none does; ValueError, naming the level if given, where the
+    quadratic in E^2 leaves float64 range."""
+    energy, in_range = _energy_root(momentum, mass, pot, branch, _MATH)
+    if not in_range:
+        at = "" if level is None else "level %d at " % level
+        raise ValueError("%smomentum %r: the quadratic in E^2 leaves float64 "
+                         "range" % (at, momentum))
+    if math.isnan(energy) and pot.v0 != 0.0:
+        raise NoSolutionError(
+            "no energy above the mass %g carries momentum %g on the %s branch"
+            % (mass, momentum, branch.value))
+    return energy
 
-    With v0 = 0 the chain is algebraic: p = momentum +- w_abs per branch, and
-    plus-branch momenta at or below w_abs have no admissible energy (returns
-    nan so residual scans can skip the region). With v0 != 0, X = E^2,
-    r = Q^2 - v0^2 + m^2 - w^2 and a = v0^2 + w^2, mom2 = Q^2 reads
-    -+2*sqrt(X v0^2 + (X - m^2) w^2) = r - X and squares to
-    X^2 - (2r + 4a) X + r^2 + 4 m^2 w^2 = 0. E^2 is its smallest root with
-    X > m^2 that keeps the unsquared sign (X >= r minus, X <= r plus); the
-    small root is c/big so it does not cancel. NoSolutionError if none does.
+
+def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
+    """(g, regular, amp): g(Q) from a level's energy, through amp_ratio and
+    the boundary phase, operation for operation as mode_coefficients and
+    boundary_phase compute them.
+
+    The one written form: quantization_residual passes floats and _MATH,
+    quantization_residual_grid float64 arrays and numpy. regular is false
+    where a denominator of mode_coefficients vanishes; amp is amp_ratio.real,
+    nan where it is not finite. g = cot a + cot b = num/den is +-inf at a
+    pole, nan where num and den are both 0.
     """
-    if pot.v0 == 0.0:
-        p = momentum + pot.w_abs if branch is Branch.MINUS else momentum - pot.w_abs
-        if p <= 0.0:
-            return math.nan
-        return math.hypot(p, mass)
-
-    m2, r, half_b, c = _e2_quadratic(momentum, mass, pot)
-    disc = half_b * half_b - c
-    if disc >= 0.0:
-        big = half_b + math.copysign(math.sqrt(disc), half_b)
-        for x in sorted((big, c / big)):
-            if x > m2 and (x >= r if branch is Branch.MINUS else x <= r):
-                return math.sqrt(x)
-    raise NoSolutionError(
-        "no energy above the mass %g carries momentum %g on the %s branch"
-        % (mass, momentum, branch.value)
-    )
+    plus = branch is Branch.PLUS
+    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
+        energy, mass, pot.v0, pot.w_abs, xp.sqrt)
+    mom2 = mom2_plus if plus else mom2_minus
+    q2_other = q2_minus if plus else q2_plus
+    denom_a = amp_denominator(energy, mass, pot.v0, delta, 1.0 if plus else -1.0)
+    regular = (denom_a != 0.0) & (q2_other - mom2 != 0.0)
+    # principal_momentum is imaginary for mom2 < 0: amp_ratio.real is then 0
+    amp = (xp.sqrt(xp.where(mom2 < 0.0, 0.0, mom2))
+           / xp.where(regular, denom_a, math.nan))
+    amp = xp.where(abs(amp) < math.inf, amp, math.nan)
+    phase = 2.0 * xp.arctan2(1.0, -amp if plus else amp)
+    a = momentum * length - 0.5 * phase
+    b = momentum * length + 0.5 * phase
+    num, den = xp.sin(a + b), xp.sin(a) * xp.sin(b)
+    pole = xp.where(num != 0.0, xp.copysign(math.inf, num), math.nan)
+    g = xp.where(den == 0.0, pole, num / xp.where(den == 0.0, math.nan, den))
+    return g, regular, amp
 
 
 def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
@@ -282,74 +316,35 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     where the two cotangent conditions collide. nan where the energy chain
     leaves its regime (plus branch at momentum <= w_abs with v0 = 0).
     """
+    if mass < 0:
+        raise ValueError("mass must be >= 0")
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
-    if not math.isfinite(energy) or energy <= mass:
+    if not mass < energy < math.inf:
         return math.nan
-    mc = mode_coefficients(energy, mass, pot, br)
-    ph = boundary_phase(mc.amp_ratio.real, br).phase
-    num, den = _antisymmetry(momentum, length, ph, math.sin)
-    if den == 0.0:
-        return math.copysign(math.inf, num) if num != 0.0 else math.nan
-    return num / den
+    g, regular, amp = _residual_chain(momentum, energy, mass, pot, length, br, _MATH)
+    if not regular:
+        raise SingularCoefficientsError("coefficients singular at E = %r" % energy)
+    if math.isnan(amp):
+        raise ValueError("amp_ratio is not finite at energy %r" % energy)
+    return g
 
 
 def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
                                length: float, branch):
     """quantization_residual at every momentum of a float64 array, in one pass.
 
-    The same chain with numpy's functions, and masks where the scalar form
-    tests: every point where it returns nan or raises (no admissible energy,
-    singular coefficients, a non-finite amp_ratio) is nan here, and den == 0
-    gives +-inf or nan as there. np.hypot and np.arctan2 may differ from
-    math's in the last bit, so these values choose root brackets; refine a
-    root with the scalar form.
+    The same _energy_root and _residual_chain on numpy, with masks where the
+    scalar form tests: every point where it returns nan or raises is nan
+    here. np.hypot and np.arctan2 may differ from math's in the last bit, so
+    these values choose root brackets; refine a root with the scalar form.
     """
     br = as_branch(branch)
-    sgn = 1.0 if br is Branch.PLUS else -1.0
     q = np.asarray(momenta, dtype=np.float64)
-    if pot.v0 == 0.0:
-        p = q + pot.w_abs if br is Branch.MINUS else q - pot.w_abs
-        energy = np.hypot(np.where(p > 0.0, p, np.nan), mass)
-    else:
-        m2, r, half_b, c = _e2_quadratic(q, mass, pot)
-        disc = half_b * half_b - c
-        big = half_b + np.copysign(np.sqrt(np.where(disc >= 0.0, disc, np.nan)),
-                                   half_b)
-        lo, hi = np.minimum(big, c / big), np.maximum(big, c / big)
-
-        def admissible(x):
-            return (x > m2) & ((x >= r) if br is Branch.MINUS else (x <= r))
-
-        energy = np.sqrt(np.where(admissible(lo), lo,
-                                  np.where(admissible(hi), hi, np.nan)))
-    energy = np.where(np.isfinite(energy) & (energy > mass) & (mass >= 0.0),
+    energy = _energy_root(q, mass, pot, br, np)[0]
+    energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0),
                       energy, np.nan)
-    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
-        energy, mass, pot.v0, pot.w_abs, np.sqrt)
-    mom2 = mom2_plus if br is Branch.PLUS else mom2_minus
-    q2_other = q2_minus if br is Branch.PLUS else q2_plus
-    denom_a = amp_denominator(energy, mass, pot.v0, delta, sgn)
-    regular = (denom_a != 0.0) & (q2_other - mom2 != 0.0)
-    # principal_momentum is imaginary for mom2 < 0: amp_ratio.real is then 0
-    amp = (np.sqrt(np.where(mom2 >= 0.0, mom2, 0.0))
-           / np.where(regular, denom_a, np.nan))
-    amp = np.where(np.isfinite(amp), amp, np.nan)
-    phase = 2.0 * np.arctan2(1.0, amp if br is Branch.MINUS else -amp)
-    num, den = _antisymmetry(q, length, phase, np.sin)
-    pole = np.where(num != 0.0, np.copysign(np.inf, num), np.nan)
-    return np.where(den == 0.0, pole, num / np.where(den == 0.0, np.nan, den))
-
-
-def _antisymmetry(momentum, length, phase, sin):
-    """(num, den) of g = cot(QL - phase/2) + cot(QL + phase/2) = num/den.
-
-    The one written form: quantization_residual passes floats and math.sin,
-    quantization_residual_grid float64 arrays and np.sin.
-    """
-    a = momentum * length - 0.5 * phase
-    b = momentum * length + 0.5 * phase
-    return sin(a + b), sin(a) * sin(b)
+    return _residual_chain(q, energy, mass, pot, length, br, np)[0]
 
 
 def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
@@ -376,7 +371,7 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         if pot.v0 == 0.0:
             energy = math.hypot(eff, mass)
         else:
-            energy = _energy_for_momentum(q_n, mass, pot, br)
+            energy = _energy_for_momentum(q_n, mass, pot, br, n)
         regime = br is Branch.PLUS and q_n < pot.w_abs
         mc = mode_coefficients(energy, mass, pot, br)
         if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import I, J, K, ONE, Quaternion, left_matrix
+from .quaternion import I, J, K, ONE, ZERO, Quaternion, left_matrix
 
 __all__ = [
     "DiracMatrices",
@@ -126,6 +126,21 @@ class QSpinor:
 
     def __repr__(self):
         return "QSpinor(%s)" % (", ".join(repr(q) for q in self.comp),)
+
+
+def _block_spinor(minus: bool, spin: str, chi, sigma, scale: float = 1.0) -> QSpinor:
+    """The spinor of one branch and spin from its chi and sigma3*chi blocks.
+
+    The chi block goes on top (components 0, 1) on the minus branch and below
+    on the plus branch. Spin up takes each half's first component, spin down
+    the second, where sigma3 puts -1 on the sigma block: that sign times
+    scale multiplies it from the left. chi is placed as given.
+    """
+    idx = 0 if spin == "up" else 1
+    sigma = ((1.0 if idx == 0 else -1.0) * scale) * sigma
+    comp = [ZERO] * 4
+    comp[idx], comp[2 + idx] = (chi, sigma) if minus else (sigma, chi)
+    return QSpinor(comp)
 
 
 def apply_matrix(mat, psi: QSpinor) -> QSpinor:

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dirac import PlaneWaveState, QSpinor
+from .dirac import PlaneWaveState, _block_spinor
 from .quaternion import Quaternion
 from .step import Branch, as_branch
 
@@ -126,22 +126,14 @@ def nr_wavefunction(branch, spin: str, params: NonRelParams) -> PlaneWaveState:
     br = as_branch(branch)
     if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
-    idx = 0 if spin == "up" else 1
-    sigma_sign = 1.0 if idx == 0 else -1.0
-    zero = Quaternion()
-    comp = [zero, zero, zero, zero]
     if br is Branch.MINUS:
         j_part = Quaternion(0.0, -cmath.exp(1j * params.w_phase))
-        comp[idx] = Quaternion(1.0, 0.0)
-        comp[2 + idx] = sigma_sign * j_part
         momentum = params.mom_minus
     else:
         j_part = Quaternion(0.0, cmath.exp(-1j * params.w_phase))
-        comp[idx] = sigma_sign * j_part
-        comp[2 + idx] = Quaternion(1.0, 0.0)
         momentum = params.mom_plus
     return PlaneWaveState(
-        spinor=QSpinor(comp),
+        spinor=_block_spinor(br is Branch.MINUS, spin, Quaternion(1.0, 0.0), j_part),
         momentum=momentum,
         energy=params.energy,
         direction=1,
@@ -173,6 +165,11 @@ def nr_quantize(length: float, n_max: int, mass: float,
         q_n = n * math.pi / length
         eff_plus = q_n - w_abs
         eff_minus = q_n + w_abs
+        # |eff_plus| <= eff_minus, so energy_minus is the level's largest value
+        energy_minus = math.hypot(eff_minus, mass)
+        if energy_minus == math.inf:
+            raise ValueError("level %d: the energy hypot(%r, %r) overflows "
+                             "float64" % (n, eff_minus, mass))
         levels.append(
             NonRelLevel(
                 index=n,
@@ -180,7 +177,7 @@ def nr_quantize(length: float, n_max: int, mass: float,
                 eff_plus=eff_plus,
                 eff_minus=eff_minus,
                 energy_plus=math.hypot(eff_plus, mass),
-                energy_minus=math.hypot(eff_minus, mass),
+                energy_minus=energy_minus,
                 regime_flag=eff_plus <= w_abs,
             )
         )

@@ -26,6 +26,25 @@ import math
 __all__ = ["Quaternion", "I", "J", "K", "ONE", "ZERO"]
 
 
+def _quat_mul(u1, w1, u2, w2):
+    """(u, w) of (u1 + j w1)(u2 + j w2) = (u1 u2 - conj(w1) w2) + j (conj(u1) w2
+    + u2 w1), by j z = conj(z) j and j^2 = -1, for complex numbers or arrays.
+
+    Expanded into real arithmetic in the order Python multiplies complex
+    numbers, so an array element equals the object product bit for bit
+    (re + 1j*im may drop the sign of a zero part, which complex() keeps).
+    """
+    u1re, u1im, w1re, w1im = u1.real, u1.imag, w1.real, w1.imag
+    u2re, u2im, w2re, w2im = u2.real, u2.imag, w2.real, w2.imag
+    ure = u1re * u2re - u1im * u2im - (w1re * w2re + w1im * w2im)
+    uim = u1re * u2im + u1im * u2re - (w1re * w2im - w1im * w2re)
+    wre = u1re * w2re + u1im * w2im + (u2re * w1re - u2im * w1im)
+    wim = u1re * w2im - u1im * w2re + (u2re * w1im + u2im * w1re)
+    if isinstance(ure, float):
+        return complex(ure, uim), complex(wre, wim)
+    return ure + 1j * uim, wre + 1j * wim
+
+
 class Quaternion:
     """An immutable quaternion u + j*w with u, w complex."""
 
@@ -59,12 +78,7 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            # (u1 + j w1)(u2 + j w2) with j z = conj(z) j and j^2 = -1
-            u1, w1, u2, w2 = self.u, self.w, other.u, other.w
-            return Quaternion(
-                u1 * u2 - w1.conjugate() * w2,
-                u1.conjugate() * w2 + u2 * w1,
-            )
+            return Quaternion(*_quat_mul(self.u, self.w, other.u, other.w))
         if isinstance(other, (int, float, complex)):
             # right multiplication by a complex scalar
             return Quaternion(self.u * other, self.w * other)

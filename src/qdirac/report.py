@@ -11,7 +11,8 @@ The quantization section scans g(Q) on each 4096-point grid in one call to
 its array form, bag.quantization_residual_grid. Those values only bracket
 the roots; every root in the report is the scalar quantization_residual
 bisected, so the array form's last-bit differences from math never reach
-the output.
+the output. The quaternion section multiplies whole arrays with
+quaternion._quat_mul, the product Quaternion itself uses.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dirac import (
     stationary_residual,
 )
 from .nonrel import nr_parameters, nr_quantize
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _quat_mul
 from .step import (
     Branch,
     PotentialStep,
@@ -136,29 +137,16 @@ def _section_matrix_algebra():
     return {"kind": "assert", "passed": all(checks.values()), "checks": checks}
 
 
-def _quat_mul_batch(u1, w1, u2, w2):
-    """Elementwise product of two batches of quaternions in symplectic-pair
-    form, (u1*u2 - conj(w1)*w2, conj(u1)*w2 + u2*w1), expanded into real
-    arithmetic so each element equals Quaternion.__mul__ bit for bit."""
-    u1re, u1im, w1re, w1im = u1.real, u1.imag, w1.real, w1.imag
-    u2re, u2im, w2re, w2im = u2.real, u2.imag, w2.real, w2.imag
-    ure = u1re * u2re - u1im * u2im - (w1re * w2re + w1im * w2im)
-    uim = u1re * u2im + u1im * u2re - (w1re * w2im - w1im * w2re)
-    wre = u1re * w2re + u1im * w2im + (u2re * w1re - u2im * w1im)
-    wim = u1re * w2im - u1im * w2re + (u2re * w1im + u2im * w1re)
-    return ure + 1j * uim, wre + 1j * wim
-
-
 def _section_quaternion_algebra(n=10000):
     rng = _rng()
     u1, w1, u2, w2, u3, w3 = (
         rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)
     )
-    # associativity via the batched product
-    u12, w12 = _quat_mul_batch(u1, w1, u2, w2)
-    ul, wl = _quat_mul_batch(u12, w12, u3, w3)
-    u23, w23 = _quat_mul_batch(u2, w2, u3, w3)
-    ur, wr = _quat_mul_batch(u1, w1, u23, w23)
+    # associativity, with Quaternion's own product on whole arrays
+    u12, w12 = _quat_mul(u1, w1, u2, w2)
+    ul, wl = _quat_mul(u12, w12, u3, w3)
+    u23, w23 = _quat_mul(u2, w2, u3, w3)
+    ur, wr = _quat_mul(u1, w1, u23, w23)
     assoc = float(np.max(np.hypot(np.abs(ul - ur), np.abs(wl - wr))))
     # norm multiplicativity
     n1 = np.sqrt(np.abs(u1) ** 2 + np.abs(w1) ** 2)

@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .dirac import PlaneWaveState, QSpinor
+from .dirac import PlaneWaveState, _block_spinor
 from .quaternion import Quaternion
 
 __all__ = [
@@ -175,7 +175,7 @@ def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinemati
     p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
         energy, mass, pot.v0, pot.w_abs, math.sqrt
     )
-    zone_minus = _zone_minus(energy, mass, pot, mom2_minus)
+    zone_minus = _ZONES[_zone_minus(energy, mass, pot.v0, pot.w_abs, mom2_minus, _pick)]
     return BranchKinematics(
         energy=energy,
         mass=mass,
@@ -206,19 +206,29 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
     return e_low, e_up, e_up - e_low
 
 
-def _zone_minus(energy, mass, pot, mom2_minus) -> Zone:
-    # Window rule: strictly inside (E_low, E_up) is evanescent; at or above
-    # E_up is diffusion; the remaining band [m, E_low] is Klein when it has
-    # positive width. The leftover point E = E_low = m (window edge touching
-    # the mass shell) is assigned by the sign of the squared momentum.
-    e_low, e_up, _ = evanescent_width(mass, pot.v0, pot.w_abs)
-    if e_low < energy < e_up:
-        return Zone.EVANESCENT
-    if energy >= e_up:
-        return Zone.DIFFUSION
-    if e_low > mass:
-        return Zone.KLEIN
-    return Zone.EVANESCENT if mom2_minus < 0 else Zone.KLEIN
+_ZONES = tuple(Zone)
+_DIFFUSION, _EVANESCENT, _KLEIN = range(3)  # the zone codes, in Zone's order
+
+
+def _pick(cond, yes, no):
+    """np.where for a single bool."""
+    return yes if cond else no
+
+
+def _zone_minus(energy, mass, v0, w_abs, mom2_minus, where):
+    """Minus-branch zone as an index into tuple(Zone).
+
+    The one written window rule: kinematics passes a float and _pick,
+    _kernels.zone_minus_grid a float64 array and np.where. Strictly inside
+    (E_low, E_up) is evanescent; at or above E_up is diffusion; the remaining
+    band [m, E_low] is Klein when it has positive width. The leftover point
+    E = E_low = m (window edge touching the mass shell) is assigned by the
+    sign of the squared momentum.
+    """
+    e_low, e_up, _ = evanescent_width(mass, v0, w_abs)
+    below = _KLEIN if e_low > mass else where(mom2_minus < 0, _EVANESCENT, _KLEIN)
+    return where((e_low < energy) & (energy < e_up), _EVANESCENT,
+                 where(energy >= e_up, _DIFFUSION, below))
 
 
 def classify_zone(energy: float, mass: float, pot: PotentialStep):
@@ -242,7 +252,7 @@ def amp_denominator(energy, mass, v0, delta, sgn):
     plus branch and -1 on the minus branch.
 
     The one written form: mode_coefficients passes floats,
-    bag.quantization_residual_grid float64 arrays.
+    bag._residual_chain floats or float64 arrays.
     """
     return energy + sgn * v0 + mass + sgn * delta / (energy - mass)
 
@@ -288,9 +298,6 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     )
 
 
-_CHI = {"up": 0, "down": 1}
-
-
 def step_spinor(energy: float, mass: float, pot: PotentialStep, branch,
                 direction: int = 1, spin: str = "up") -> PlaneWaveState:
     """The plane-wave state of one branch, direction, and spin projection.
@@ -304,27 +311,16 @@ def step_spinor(energy: float, mass: float, pot: PotentialStep, branch,
     br = as_branch(branch)
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    if spin not in _CHI:
+    if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
     mc = mode_coefficients(energy, mass, pot, br)
     amp, j_chi, j_sigma = mc.amp_ratio, mc.j_chi, mc.j_sigma
     if direction == -1:
         amp, j_sigma = -amp, -j_sigma
     w0 = pot.w0 if br is Branch.MINUS else pot.w0.conjugate()
-    chi_block = Quaternion(1.0, -w0 * j_chi)
-    sigma_block = Quaternion(amp, -w0 * j_sigma)
-    idx = _CHI[spin]
-    sigma_sign = 1.0 if idx == 0 else -1.0
-    zero = Quaternion()
-    comp = [zero, zero, zero, zero]
-    if br is Branch.MINUS:
-        comp[idx] = chi_block
-        comp[2 + idx] = sigma_sign * sigma_block
-    else:
-        comp[idx] = sigma_sign * sigma_block
-        comp[2 + idx] = chi_block
     return PlaneWaveState(
-        spinor=QSpinor(comp),
+        spinor=_block_spinor(br is Branch.MINUS, spin, Quaternion(1.0, -w0 * j_chi),
+                             Quaternion(amp, -w0 * j_sigma)),
         momentum=mc.momentum,
         energy=energy,
         direction=direction,

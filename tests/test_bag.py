@@ -395,6 +395,52 @@ class TestSpectrum:
         assert 40 < solved < 120
 
 
+    def test_energy_root_is_the_same_bits_for_floats_and_arrays(self):
+        # _energy_root is written once; with sqrt, +, -, *, / and comparisons
+        # only, a float call and an array call must agree bit for bit
+        rng = np.random.default_rng(83)
+        seen = set()
+        for i in range(24):
+            mass = float(rng.uniform(0.0, 2.0))
+            v0 = float(rng.uniform(0.1, 2.0)) * (1.0, -1.0)[i % 2]
+            pot = PotentialStep(v0=v0, w_abs=float(rng.uniform(0.0, 1.5)))
+            momenta = rng.uniform(0.01, 6.0, 64)
+            for branch in (Branch.MINUS, Branch.PLUS):
+                energies, in_range = bag._energy_root(momenta, mass, pot, branch, np)
+                assert in_range.all()
+                for q, e_arr in zip(momenta.tolist(), energies.tolist()):
+                    try:
+                        e = bag._energy_for_momentum(q, mass, pot, branch)
+                    except NoSolutionError:
+                        seen.add("none")
+                        assert math.isnan(e_arr), (q, mass, pot, branch)
+                        continue
+                    seen.add(branch)
+                    assert e_arr.hex() == e.hex(), (q, mass, pot, branch)
+        assert seen == {"none", Branch.MINUS, Branch.PLUS}
+
+    @pytest.mark.parametrize("mass,pot,length,momentum", [
+        (1.0, PotentialStep(v0=0.3, w_abs=0.5), 1e-200, "1.5707963267948964e+200"),
+        (1.0, PotentialStep(v0=1.0, w_abs=1e300), 1.0, "1.5707963267948966"),
+        (0.0, PotentialStep(v0=1e-200), 1e300, "1.5707963267948965e-300"),
+    ])
+    def test_quadratic_out_of_range_names_the_level(self, mass, pot, length, momentum):
+        # overflow (the first two) and underflow to big = 0 (the third) are
+        # out of float64 range, not a missing level
+        match = (r"^level 1 at momentum %s: the quadratic in E\^2 leaves float64 "
+                 r"range$" % re.escape(momentum))
+        with pytest.raises(ValueError, match=match) as info:
+            solve_spectrum(mass, pot, length, 2, "minus")
+        assert not isinstance(info.value, NoSolutionError)
+        q = float(momentum)
+        with pytest.raises(ValueError, match=r"^momentum "):
+            quantization_residual(q, mass, pot, length, Branch.MINUS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy, in_range = bag._energy_root(np.array([q]), mass, pot, Branch.MINUS, np)
+            g = quantization_residual_grid(np.array([q]), mass, pot, length, Branch.MINUS)
+        assert not in_range[0] and math.isnan(energy[0]) and math.isnan(g[0])
+
+
 class TestNormalization:
     def test_frozen_norm_const(self):
         levels = solve_spectrum(1.0, POT, 1.0, 1, Branch.MINUS)

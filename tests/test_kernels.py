@@ -1,10 +1,11 @@
-"""The array paths against the scalar ones they replace, bit for bit.
+"""The array paths against the scalar ones, bit for bit.
 
 branch_mom2_grid and kinematics share step.branch_mom2, so every grid value
-must equal the scalar value at the same energy. zone_minus_grid must give
-classify_zone's label on every row, the leftover point E = E_low = m
-included. The verify report's batched quaternion product must equal the
-object product element for element.
+must equal the scalar value at the same energy. zone_minus_grid and
+classify_zone share step._zone_minus, so the grid must give classify_zone's
+label on every row, the leftover point E = E_low = m included. The shared
+quaternion product, quaternion._quat_mul, must give on arrays what
+Quaternion's own product gives element for element.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from qdirac import PotentialStep, Quaternion, Zone, classify_zone, kinematics
 from qdirac import _kernels
-from qdirac.report import _quat_mul_batch
+from qdirac.quaternion import _quat_mul as _quat_mul_batch
 
 GRID_SPEC = dict(seed=71, n=257, mass=0.8, v0=-1.3, w_abs=0.6)
 

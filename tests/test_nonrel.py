@@ -184,6 +184,14 @@ class TestQuantize:
                            r"momentum 2\*pi/length overflows float64$"):
             nr_quantize(1e-310, 2, 1.0, 0.5)
 
+    def test_overflowing_energy_names_the_first_level(self):
+        with pytest.raises(ValueError, match=r"^level 1: the energy hypot\(1\.7e\+308, "
+                           r"1\.7e\+308\) overflows float64$"):
+            nr_quantize(1.0, 2, 1.7e308, 1.7e308)
+        # the momentum grows with the level, so a later level can be first
+        with pytest.raises(ValueError, match=r"^level 4: "):
+            nr_quantize(math.pi / 2.5e307, 5, 0.0, 1e308)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["length", "mass", "w_abs"])
     def test_non_finite_input_is_rejected(self, field, value):
