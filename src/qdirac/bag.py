@@ -29,6 +29,9 @@ root of a quadratic in E^2, the norm integrates the cos^2/sin^2(Qz -+ phase/2)
 density exactly (Alberto, Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19), and
 density_split evaluates that form on whole arrays. The spinor (evaluate)
 serves the wall checks and is the tests' oracle for the density.
+
+solve_spectrum, stationary_wavefunction and normalize use math and cmath
+only; numpy is imported by the array functions when they are called.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-
-import numpy as np
 
 from .dirac import QSpinor, _block_spinor, apply_matrix, build_matrices
 from .quaternion import ZERO, Quaternion
@@ -154,6 +155,8 @@ class StationaryWavefunction:
 
     def density_split(self, z):
         """(rho_c, rho_q) of the closed form above at z, a float or an array."""
+        import numpy as np
+
         amp2, r2, wm2 = self._weights()
         z = np.asarray(z, dtype=float)
         outside = (z < 0.0) | (z > self.length)
@@ -339,12 +342,17 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
     here. np.hypot and np.arctan2 may differ from math's in the last bit, so
     these values choose root brackets; refine a root with the scalar form.
     """
+    import numpy as np
+
     br = as_branch(branch)
     q = np.asarray(momenta, dtype=np.float64)
-    energy = _energy_root(q, mass, pot, br, np)[0]
-    energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0),
-                      energy, np.nan)
-    return _residual_chain(q, energy, mass, pot, length, br, np)[0]
+    # where the E^2 quadratic leaves float64 range its terms overflow to inf
+    # and inf - inf; the masks turn those lanes into nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _energy_root(q, mass, pot, br, np)[0]
+        energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0),
+                          energy, np.nan)
+        return _residual_chain(q, energy, mass, pot, length, br, np)[0]
 
 
 def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
@@ -440,5 +448,7 @@ def density_profile(psi: StationaryWavefunction, grid_points: int):
     """Sampled (z, density) arrays on a uniform grid over the well."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    import numpy as np
+
     z = np.linspace(0.0, psi.length, grid_points)
     return z, psi.density(z)

@@ -12,6 +12,10 @@ Both are rendered column by column through one %-template per table.
 Repeated runs with identical flags produce byte-identical output; nothing
 here reads the clock, the locale, or the environment.
 
+numpy is imported by the array commands (zones, density, verify) when they
+run, not with this module, so --version, bag-spectrum, nr-spectrum and the
+usage errors never load it.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 no
 solution at these parameters (no level in the requested range, or mode
 coefficients singular at a level's energy).
@@ -24,8 +28,6 @@ import itertools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__, _kernels
 from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
@@ -154,21 +156,18 @@ def _cmd_zones(args):
         if not all(map(math.isfinite,
                        branch_mom2(e, args.mass, pot.v0, pot.w_abs, math.sqrt))):
             raise UsageError("branch momenta at energy %r overflow float64" % e)
+    import numpy as np
+
     energies = e_min + np.arange(n + 1) * args.e_step
-    p2, q2p, q2m, delta, mom2p, mom2m = _kernels.branch_mom2_grid(
-        energies, args.mass, pot.v0, pot.w_abs
-    )
-    codes = _kernels.zone_minus_grid(energies, args.mass, pot.v0, pot.w_abs, mom2m)
+    grid = _kernels.branch_mom2_grid(energies, args.mass, pot.v0, pot.w_abs)
+    codes = _kernels.zone_minus_grid(energies, args.mass, pot.v0, pot.w_abs, grid[-1])
     labels = [zone.value for zone in Zone]
-    zone_plus = Zone.DIFFUSION.value
-    e_low, e_up, width = evanescent_width(args.mass, pot.v0, pot.w_abs)
-    rows = [
-        [e, a, b, c, d, f, g, labels[z], zone_plus, e_low, e_up, width]
-        for e, a, b, c, d, f, g, z in zip(
-            energies.tolist(), p2.tolist(), q2p.tolist(), q2m.tolist(),
-            delta.tolist(), mom2p.tolist(), mom2m.tolist(), codes.tolist(),
-        )
-    ]
+    constants = (Zone.DIFFUSION.value, *evanescent_width(args.mass, pot.v0, pot.w_abs))
+    rows = list(zip(
+        energies.tolist(), *(col.tolist() for col in grid),
+        map(labels.__getitem__, codes.tolist()),
+        *map(itertools.repeat, constants),
+    ))
     params = _params(args)
     params.update(e_min=e_min, e_max=e_max)
     columns = [
@@ -207,9 +206,12 @@ def _cmd_density(args):
     pot = _pot_from_args(args)
     level = solve_spectrum(args.mass, pot, args.length, args.level, args.branch)[-1]
     wf = stationary_wavefunction(level, args.mass, pot, args.spin)
+    import numpy as np
+
     z = np.linspace(0.0, wf.length, args.grid)
     rho_c, rho_q = wf.density_split(z)
-    rows = np.column_stack([z, rho_c + rho_q, rho_c, rho_q]).tolist()
+    rows = list(zip(z.tolist(), (rho_c + rho_q).tolist(), rho_c.tolist(),
+                    rho_q.tolist()))
     columns = ["z", "rho", "rho_complex_part", "rho_quaternionic_part"]
     return _render("density", _params(args), columns, rows, args.format), 0
 

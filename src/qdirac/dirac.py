@@ -11,6 +11,11 @@ stationary problem is not complex-hermitian; it is handled as a 16x16 real
 linear map on the real coordinates of a spinor, and its numerical nullspace
 (via SVD) serves as the independent ground truth for every closed-form spinor
 in the package.
+
+numpy is imported where an array is made, not with the module: the matrices
+and the realified operator's 4x4 blocks are built on first use, so the
+closed-form spinors that step and bag assemble from QSpinor and
+PlaneWaveState never load it.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .quaternion import I, J, K, ONE, ZERO, Quaternion, left_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiracMatrices",
@@ -52,7 +60,17 @@ class DiracMatrices:
     pauli: tuple
 
 
-def _make_matrices() -> DiracMatrices:
+@cache
+def _built():
+    """(DiracMatrices, L_i, L_j, L_k, R_i), made once on first use.
+
+    The L blocks are the real 4x4 matrices of left multiplication by i, j
+    and k, R_i that of right multiplication by i; they are generated from
+    the quaternion product itself, so there is a single source of truth for
+    the sign conventions of the realified operator.
+    """
+    import numpy as np
+
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -63,15 +81,14 @@ def _make_matrices() -> DiracMatrices:
     identity = np.eye(4, dtype=complex)
     for arr in (*alpha, beta, identity, s1, s2, s3):
         arr.flags.writeable = False
-    return DiracMatrices(alpha=alpha, beta=beta, identity=identity, pauli=(s1, s2, s3))
-
-
-_MATRICES = _make_matrices()
+    mats = DiracMatrices(alpha=alpha, beta=beta, identity=identity, pauli=(s1, s2, s3))
+    r_i = np.array([(b * I).coeffs() for b in (ONE, I, J, K)], dtype=float).T
+    return mats, left_matrix(I), left_matrix(J), left_matrix(K), r_i
 
 
 def build_matrices() -> DiracMatrices:
-    """The one read-only DiracMatrices instance, built at import."""
-    return _MATRICES
+    """The one read-only DiracMatrices instance, built on first use."""
+    return _built()[0]
 
 
 class QSpinor:
@@ -112,6 +129,8 @@ class QSpinor:
 
     def to_real_vector(self) -> np.ndarray:
         """The 16 real coordinates, component-major."""
+        import numpy as np
+
         out = np.empty(16)
         for a, q in enumerate(self.comp):
             out[4 * a : 4 * a + 4] = q.coeffs()
@@ -119,6 +138,8 @@ class QSpinor:
 
     @classmethod
     def from_real_vector(cls, vec) -> "QSpinor":
+        import numpy as np
+
         v = np.asarray(vec, dtype=float)
         if v.shape != (16,):
             raise ValueError("expected 16 real coordinates")
@@ -149,6 +170,8 @@ def apply_matrix(mat, psi: QSpinor) -> QSpinor:
     Matrix entries act on the left of each quaternion component, which matters:
     a complex entry c sends u + jw to c*u + j*conj(c)*w.
     """
+    import numpy as np
+
     m = np.asarray(mat, dtype=complex)
     out = []
     for a in range(4):
@@ -200,9 +223,10 @@ def _operator_defect(psi: QSpinor, t_factor: complex, z_factor: complex,
     t_factor and z_factor are the complex scalars the analytic derivatives
     bring down on the right (i*sgn*E and i*dir*Q respectively).
     """
+    mats = _built()[0]
     t_term = psi.scale_right(t_factor)
-    z_term = apply_matrix(_MATRICES.alpha[2], psi).scale_right(z_factor)
-    mass_term = apply_matrix(1j * mass * _MATRICES.beta, psi)
+    z_term = apply_matrix(mats.alpha[2], psi).scale_right(z_factor)
+    mass_term = apply_matrix(1j * mass * mats.beta, psi)
     pq = potential_quaternion(pot)
     pot_term = QSpinor([pq * q for q in psi.comp])
     return t_term + z_term + mass_term + pot_term
@@ -244,21 +268,6 @@ def stationary_residual(psi: QSpinor, energy: float, momentum: complex,
     return defect.norm() / nrm
 
 
-# 4x4 real blocks for the realified operator, generated from the quaternion
-# product itself so there is a single source of truth for the sign conventions.
-_L_I = left_matrix(I)
-_L_J = left_matrix(J)
-_L_K = left_matrix(K)
-_R_I = np.array([(b * I).coeffs() for b in (ONE, I, J, K)], dtype=float).T
-_EYE4 = np.eye(4)
-
-
-def _right_mult_block(c: complex) -> np.ndarray:
-    """Real 4x4 matrix of right multiplication by the complex scalar c."""
-    c = complex(c)
-    return c.real * _EYE4 + c.imag * _R_I
-
-
 def realify_stationary_operator(energy: float, momentum: complex, mass: float,
                                 pot) -> np.ndarray:
     """The stationary plane-wave operator as a 16x16 real matrix.
@@ -272,12 +281,22 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
     antilinear over left-acting complex scalars, so the map is assembled over
     the reals.
     """
+    import numpy as np
+
+    mats, l_i, l_j, l_k, r_i = _built()
+    eye4 = np.eye(4)
+
+    def right_mult(c):
+        """Real 4x4 matrix of right multiplication by the complex scalar c."""
+        c = complex(c)
+        return c.real * eye4 + c.imag * r_i
+
     w0 = complex(pot.w0)
     v1, v2, v3 = pot.v0, w0.imag, w0.real
-    op = np.kron(_EYE4, _right_mult_block(-1j * energy))
-    op += np.kron(_MATRICES.alpha[2].real, _right_mult_block(1j * momentum))
-    op += np.kron(_MATRICES.beta.real, mass * _L_I)
-    op += np.kron(_EYE4, v1 * _L_I + v2 * _L_J + v3 * _L_K)
+    op = np.kron(eye4, right_mult(-1j * energy))
+    op += np.kron(mats.alpha[2].real, right_mult(1j * momentum))
+    op += np.kron(mats.beta.real, mass * l_i)
+    op += np.kron(eye4, v1 * l_i + v2 * l_j + v3 * l_k)
     return op
 
 
@@ -293,6 +312,8 @@ def nullspace_oracle(energy: float, momentum: complex, mass: float, pot,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    import numpy as np
+
     op = realify_stationary_operator(energy, momentum, mass, pot)
     _, svals, vt = np.linalg.svd(op)
     cutoff = tol * svals[0]

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from functools import partial
 
-import numpy as np
-
 from . import _kernels
 from .bag import (
     boundary_residual,
@@ -58,6 +56,8 @@ __all__ = ["build_report", "report_passed"]
 
 
 def _rng():
+    import numpy as np
+
     return np.random.default_rng(SEED)
 
 
@@ -88,6 +88,8 @@ def _scan_roots(f, f_grid, q_max, n_grid=4096):
     brackets: a grid point where f is exactly 0, or a sign change between
     two finite neighbours. Every other root is the scalar f bisected.
     """
+    import numpy as np
+
     grid = np.linspace(q_max / n_grid, q_max, n_grid)
     vals = f_grid(grid)
     a, b = vals[:-1], vals[1:]
@@ -107,6 +109,8 @@ def _scan_roots(f, f_grid, q_max, n_grid=4096):
 
 
 def _section_matrix_algebra():
+    import numpy as np
+
     mats = build_matrices()
     eye = np.eye(4, dtype=complex)
     zero = np.zeros((4, 4), dtype=complex)
@@ -138,6 +142,8 @@ def _section_matrix_algebra():
 
 
 def _section_quaternion_algebra(n=10000):
+    import numpy as np
+
     rng = _rng()
     u1, w1, u2, w2, u3, w3 = (
         rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)
@@ -228,6 +234,8 @@ def _spin_up_nullvector(energy, mom, mass, pot):
     spin-up line. The result is normalized so the complex part of the third
     component (the chi-like block) is 1.
     """
+    import numpy as np
+
     basis = nullspace_oracle(energy, mom, mass, pot)
     rows = np.array([b.to_real_vector() for b in basis])
     down = rows[:, list(range(4, 8)) + list(range(12, 16))].T
@@ -242,6 +250,8 @@ def _spin_up_nullvector(energy, mom, mass, pot):
 def _section_plus_branch(n_draws=10):
     """The travelling plus-branch form does not solve the equation of motion;
     quantify the failure and measure what the true solution looks like."""
+    import numpy as np
+
     rng = _rng()
     mass = 1.0
     printed_res = []
@@ -458,6 +468,8 @@ def _section_spectrum():
 
 
 def _section_normalization():
+    import numpy as np
+
     pot = PotentialStep(w_abs=0.5)
     level = solve_spectrum(1.0, pot, 1.0, 2, Branch.MINUS)[1]
     wf = stationary_wavefunction(level, 1.0, pot)
@@ -476,6 +488,8 @@ def _section_normalization():
 
 
 def _section_window(n_draws=4, e_step=1e-3):
+    import numpy as np
+
     rng = _rng()
     samples = []
     all_ok = True
@@ -578,6 +592,8 @@ def _section_nonrel():
 
 
 def _section_realified_operator():
+    import numpy as np
+
     rng = _rng()
     mass = 1.0
     pot = PotentialStep(v0=1.0, w_abs=1.0, w_phase=0.3)

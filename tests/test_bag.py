@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -224,6 +225,18 @@ class TestResidualGrid:
                     assert math.isnan(g_arr) if math.isnan(g) else g_arr == g
         assert {"finite", "nan", NoSolutionError, SingularCoefficientsError} <= seen
 
+    @pytest.mark.parametrize("w_abs", [0.5, 1e300])
+    def test_out_of_range_lanes_are_nan_without_warnings(self, w_abs):
+        # the E^2 quadratic overflows in the first lane; the grid masks it
+        # to nan where the scalar form raises, and numpy's overflow and
+        # invalid-value warnings stay inside the call
+        pot = PotentialStep(v0=0.3, w_abs=w_abs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = quantization_residual_grid(np.array([1.57e200, 1.0]), 1.0, pot,
+                                           1.0, "minus")
+        assert math.isnan(g[0])
+
     def test_scan_roots_equal_a_scalar_scan(self, monkeypatch):
         # verify's own three configurations, through its section
         scans = []
@@ -437,7 +450,8 @@ class TestSpectrum:
             quantization_residual(q, mass, pot, length, Branch.MINUS)
         with np.errstate(over="ignore", invalid="ignore"):
             energy, in_range = bag._energy_root(np.array([q]), mass, pot, Branch.MINUS, np)
-            g = quantization_residual_grid(np.array([q]), mass, pot, length, Branch.MINUS)
+        # the public array form masks these lanes without warning
+        g = quantization_residual_grid(np.array([q]), mass, pot, length, Branch.MINUS)
         assert not in_range[0] and math.isnan(energy[0]) and math.isnan(g[0])
 
 

@@ -233,7 +233,8 @@ class TestExitCodes:
         def no_grid(*args, **kwargs):
             raise AssertionError("grid allocated before the size check")
 
-        monkeypatch.setattr(cli.np, "arange", no_grid)
+        monkeypatch.setattr(np, "arange", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
         monkeypatch.setattr(cli, "solve_spectrum", no_grid)
         monkeypatch.setattr(cli, "nr_quantize", no_grid)
         over = str(cli.MAX_ROWS + 1)
@@ -423,6 +424,82 @@ class TestRuntimeDependencies:
         assert json.loads(proc.stdout) == {
             "scipy_loaded": False, "verify": 0, "bag-spectrum": 0, "density": 0,
         }
+
+    def test_scalar_paths_run_without_numpy(self, tmp_path):
+        # the scalar commands and the spectrum API use math and cmath only:
+        # importing the CLI must not load numpy, and with numpy blocked they
+        # print what an unblocked run prints
+        script = tmp_path / "no_numpy.py"
+        script.write_text(NO_NUMPY_SCRIPT)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        blocked, plain = (
+            json.loads(subprocess.run(
+                [sys.executable, str(script), mode], env=env, capture_output=True,
+                text=True, check=True).stdout)
+            for mode in ("block", "plain"))
+        for run in (blocked, plain):
+            assert run.pop("numpy_after_import") is False
+            assert run.pop("numpy_at_end") is False
+        assert blocked == plain
+        codes = {name: code for name, (code, _) in blocked.items()}
+        assert codes == {name: code for name, code, _ in NO_NUMPY_CASES}
+        assert all(out for name, (code, out) in blocked.items() if code == 0)
+
+
+# (name, expected exit code, argv); "api" runs the spectrum API instead
+NO_NUMPY_CASES = (
+    ("version", 0, ["--version"]),
+    ("bag_v0_zero_minus", 0, ["bag-spectrum", "--w0-abs", "0.5", "--levels", "8"]),
+    ("bag_v0_zero_plus", 0,
+     ["bag-spectrum", "--w0-abs", "0.5", "--levels", "8", "--branch", "plus"]),
+    ("bag_v0_minus", 0,
+     ["bag-spectrum", "--v0", "0.7", "--w0-abs", "0.5", "--levels", "8"]),
+    ("bag_v0_plus_json", 0,
+     ["bag-spectrum", "--v0", "-0.4", "--w0-abs", "0.5", "--levels", "8",
+      "--branch", "plus", "--format", "json"]),
+    ("nr_spectrum", 0, ["nr-spectrum", "--w0-abs", "0.5", "--levels", "20"]),
+    ("usage_nonfinite_mass", 2, ["bag-spectrum", "--mass", "nan"]),
+    ("usage_zones_step", 2, ["zones", "--e-step", "0"]),
+    ("usage_nr_w0", 2, ["nr-spectrum"]),
+    ("usage_bad_choice", 2, ["bag-spectrum", "--branch", "sideways"]),
+    ("api", 0, None),
+)
+
+NO_NUMPY_SCRIPT = """\
+import contextlib, io, json, sys
+import qdirac.cli
+out = {'numpy_after_import': 'numpy' in sys.modules}
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name == 'numpy' or name.startswith('numpy.'):
+            raise ImportError('numpy blocked')
+if sys.argv[1] == 'block':
+    sys.meta_path.insert(0, Block())
+from qdirac import (PotentialStep, kinematics, mode_coefficients, normalize,
+                    solve_spectrum, stationary_wavefunction)
+def api():
+    pot = PotentialStep(v0=0.7, w_abs=0.5, w_phase=0.3)
+    levels = solve_spectrum(1.0, pot, 1.0, 6, 'plus')
+    wf = stationary_wavefunction(levels[-1], 1.0, pot, 'down')
+    print(repr(levels), repr(wf), repr(wf.evaluate(0.3)), normalize(wf)[0],
+          repr(mode_coefficients(2.0, 1.0, pot, 'minus')),
+          repr(kinematics(2.0, 1.0, pot)))
+    return 0
+def cli(argv):
+    try:
+        return qdirac.cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+for name, _, argv in %r:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = api() if argv is None else cli(argv)
+    out[name] = [code, buf.getvalue()]
+out['numpy_at_end'] = 'numpy' in sys.modules
+print(json.dumps(out))
+""" % (NO_NUMPY_CASES,)
 
 
 class TestOutputStability:

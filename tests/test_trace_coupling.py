@@ -21,6 +21,9 @@ ARGVS = (
     ["bag-spectrum", "--w0-abs", "0.5", "--v0", "0.3"],
     ["zones", "--v0", "1", "--w0-abs", "0.5", "--format", "json"],
     ["density", "--w0-abs", "0.5"],
+    # build_matrices must stay a plain function the tracer can wrap, or the
+    # per-layer count of matrix requests in verify reads 0
+    ["verify"],
 )
 
 
@@ -64,5 +67,7 @@ def test_traced_runs_print_the_same_bytes_and_count_work():
     quantities = tracer.quantities()
     for name in ("cli.render.rows", "kernels.branch_mom2_grid.points",
                  "bag.solve_spectrum.levels",
-                 "bag.StationaryWavefunction.density_split.calls"):
+                 "bag.StationaryWavefunction.density_split.calls",
+                 "dirac.build_matrices.calls"):
         assert quantities.get(name, 0) > 0, name
+
