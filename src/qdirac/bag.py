@@ -39,11 +39,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 from .dirac import QSpinor, _block_spinor, apply_matrix, build_matrices
 from .quaternion import ZERO, Quaternion
-from .step import (Branch, PotentialStep, SingularCoefficientsError, _pick,
+from .step import (_MATH, Branch, PotentialStep, SingularCoefficientsError,
                    amp_denominator, as_branch, branch_mom2, mode_coefficients)
 
 __all__ = [
@@ -220,19 +219,14 @@ def quantized_momenta(length: float, n_max: int) -> list:
     return [n * math.pi / (2.0 * length) for n in range(1, n_max + 1)]
 
 
-# math's functions under numpy's names, for the formulas written once below
-_MATH = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, sin=math.sin,
-                        arctan2=math.atan2, copysign=math.copysign, where=_pick)
-
-
 def _energy_root(momentum, mass, pot, branch, xp):
     """(energy, in_range): the energy at which the branch's travelling
     momentum equals `momentum`, nan where none does.
 
-    The one written form: _energy_for_momentum passes a float and _MATH,
-    quantization_residual_grid a float64 array and numpy. With v0 = 0,
-    p = momentum +- w_abs per branch, and p <= 0 has no energy. With v0 != 0,
-    X = E^2 and r = Q^2 - v0^2 + m^2 - w^2, mom2 = Q^2 reads
+    The one written form: _energy_for_momentum passes a float and
+    step._MATH as xp, quantization_residual_grid a float64 array and numpy.
+    With v0 = 0, p = momentum +- w_abs per branch, and p <= 0 has no energy.
+    With v0 != 0, X = E^2 and r = Q^2 - v0^2 + m^2 - w^2, mom2 = Q^2 reads
     -+2*sqrt(X v0^2 + (X - m^2) w^2) = r - X and squares to
     X^2 - 2*half_b*X + c = 0. E^2 is its smallest root with X > m^2 that
     keeps the unsquared sign (X >= r minus, X <= r plus). half_b =
@@ -285,15 +279,17 @@ def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     the boundary phase, operation for operation as mode_coefficients and
     boundary_phase compute them.
 
-    The one written form: quantization_residual passes floats and _MATH,
-    quantization_residual_grid float64 arrays and numpy. regular is false
-    where a denominator of mode_coefficients vanishes; amp is amp_ratio.real,
-    nan where it is not finite. g = cot a + cot b = num/den is +-inf at a
-    pole, nan where num and den are both 0.
+    The one written form: quantization_residual passes floats and
+    step._MATH as xp, quantization_residual_grid float64 arrays and numpy.
+    branch_mom2 takes the same xp; amp_denominator uses only +, -, * and /
+    and takes none. regular is false where a denominator of
+    mode_coefficients vanishes; amp is amp_ratio.real, nan where it is not
+    finite. g = cot a + cot b = num/den is +-inf at a pole, nan where num and
+    den are both 0.
     """
     plus = branch is Branch.PLUS
     _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
-        energy, mass, pot.v0, pot.w_abs, xp.sqrt)
+        energy, mass, pot.v0, pot.w_abs, xp)
     mom2 = mom2_plus if plus else mom2_minus
     q2_other = q2_minus if plus else q2_plus
     denom_a = amp_denominator(energy, mass, pot.v0, delta, 1.0 if plus else -1.0)

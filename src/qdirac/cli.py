@@ -33,8 +33,8 @@ from . import __version__, _kernels
 from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
-from .step import (PotentialStep, SingularCoefficientsError, Zone, branch_mom2,
-                   evanescent_width)
+from .step import (_MATH, PotentialStep, SingularCoefficientsError, Zone,
+                   _zone_minus, branch_mom2, evanescent_width)
 
 __all__ = ["main", "build_parser"]
 
@@ -154,13 +154,13 @@ def _cmd_zones(args):
     # so finite ends mean a finite table
     for e in (e_min, e_min + n * args.e_step):
         if not all(map(math.isfinite,
-                       branch_mom2(e, args.mass, pot.v0, pot.w_abs, math.sqrt))):
+                       branch_mom2(e, args.mass, pot.v0, pot.w_abs, _MATH))):
             raise UsageError("branch momenta at energy %r overflow float64" % e)
     import numpy as np
 
     energies = e_min + np.arange(n + 1) * args.e_step
     grid = _kernels.branch_mom2_grid(energies, args.mass, pot.v0, pot.w_abs)
-    codes = _kernels.zone_minus_grid(energies, args.mass, pot.v0, pot.w_abs, grid[-1])
+    codes = _zone_minus(energies, args.mass, pot.v0, pot.w_abs, grid[-1], np)
     labels = [zone.value for zone in Zone]
     constants = (Zone.DIFFUSION.value, *evanescent_width(args.mass, pot.v0, pot.w_abs))
     rows = list(zip(

@@ -172,14 +172,12 @@ def apply_matrix(mat, psi: QSpinor) -> QSpinor:
     """
     import numpy as np
 
-    m = np.asarray(mat, dtype=complex)
     out = []
-    for a in range(4):
+    for row in np.asarray(mat, dtype=complex).tolist():
         acc = Quaternion()
-        for b in range(4):
-            c = m[a, b]
+        for c, q in zip(row, psi.comp):
             if c != 0:
-                acc = acc + c * psi.comp[b]
+                acc = acc + c * q
         out.append(acc)
     return QSpinor(out)
 

@@ -120,7 +120,8 @@ class Quaternion:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.w))
+        # equal to a number exactly when w == 0, so hash like that number
+        return hash(self.u) if self.w == 0 else hash((self.u, self.w))
 
     def conjugate(self) -> "Quaternion":
         """Quaternion conjugate (negates the i, j, k parts)."""

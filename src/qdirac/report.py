@@ -226,8 +226,9 @@ def _section_oracle_residuals(n_draws=25):
     }
 
 
-def _spin_up_nullvector(energy, mom, mass, pot):
-    """The unique (up to right complex scale) spin-up nullvector.
+def _spin_up_nullvector(basis):
+    """The unique (up to right complex scale) spin-up nullvector of the
+    nullspace_oracle basis.
 
     The nullspace is a right-complex module of complex dimension 2; combining
     its real basis to annihilate the spin-down components isolates the one
@@ -236,7 +237,6 @@ def _spin_up_nullvector(energy, mom, mass, pot):
     """
     import numpy as np
 
-    basis = nullspace_oracle(energy, mom, mass, pot)
     rows = np.array([b.to_real_vector() for b in basis])
     down = rows[:, list(range(4, 8)) + list(range(12, 16))].T
     _, _, vt = np.linalg.svd(down)
@@ -272,7 +272,7 @@ def _section_plus_branch(n_draws=10):
         v = v / np.linalg.norm(v)
         proj2 = sum(float(np.dot(v, b.to_real_vector())) ** 2 for b in basis)
         deficits.append(1.0 - proj2)
-        psi = _spin_up_nullvector(energy, mom, mass, pot)
+        psi = _spin_up_nullvector(basis)
         if psi is None:
             continue
         mc = mode_coefficients(energy, mass, pot, Branch.PLUS)

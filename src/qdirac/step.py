@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .dirac import PlaneWaveState, _block_spinor
 from .quaternion import Quaternion
@@ -138,13 +139,20 @@ class ModeCoefficients:
     j_sigma: complex
 
 
-def branch_mom2(e, mass, v0, w_abs, sqrt):
+# math's functions under numpy's names. A formula written once takes one of
+# them as xp: numpy to run on a float64 array, _MATH to run on a float.
+_MATH = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, sin=math.sin,
+                        arctan2=math.atan2, copysign=math.copysign,
+                        where=lambda cond, yes, no: yes if cond else no)
+
+
+def branch_mom2(e, mass, v0, w_abs, xp):
     """(p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus) at energy e.
 
-    The one written form of the dispersion relation. kinematics passes a
-    float and math.sqrt; _kernels.branch_mom2_grid passes a float64 array
-    and np.sqrt. Only +, -, * and sqrt occur, each correctly rounded, so the
-    scalar and the array results agree bit for bit.
+    The one written form of the dispersion relation: kinematics passes a
+    float and _MATH, _kernels.branch_mom2_grid a float64 array and numpy.
+    Only +, -, * and sqrt occur, each correctly rounded, so the scalar and
+    the array results agree bit for bit.
     """
     p2 = e * e - mass * mass
     t_plus = e + v0
@@ -153,7 +161,7 @@ def branch_mom2(e, mass, v0, w_abs, sqrt):
     q2_minus = t_minus * t_minus - mass * mass
     ev0 = e * v0
     w2 = w_abs * w_abs
-    delta = sqrt(ev0 * ev0 + p2 * w2) - ev0
+    delta = xp.sqrt(ev0 * ev0 + p2 * w2) - ev0
     mom2_plus = q2_plus + w2 + 2.0 * delta
     mom2_minus = q2_minus + w2 - 2.0 * delta
     return p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus
@@ -173,9 +181,9 @@ def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinemati
             % (energy, mass)
         )
     p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
-        energy, mass, pot.v0, pot.w_abs, math.sqrt
+        energy, mass, pot.v0, pot.w_abs, _MATH
     )
-    zone_minus = _ZONES[_zone_minus(energy, mass, pot.v0, pot.w_abs, mom2_minus, _pick)]
+    zone_minus = _ZONES[_zone_minus(energy, mass, pot.v0, pot.w_abs, mom2_minus, _MATH)]
     return BranchKinematics(
         energy=energy,
         mass=mass,
@@ -210,25 +218,20 @@ _ZONES = tuple(Zone)
 _DIFFUSION, _EVANESCENT, _KLEIN = range(3)  # the zone codes, in Zone's order
 
 
-def _pick(cond, yes, no):
-    """np.where for a single bool."""
-    return yes if cond else no
-
-
-def _zone_minus(energy, mass, v0, w_abs, mom2_minus, where):
+def _zone_minus(energy, mass, v0, w_abs, mom2_minus, xp):
     """Minus-branch zone as an index into tuple(Zone).
 
-    The one written window rule: kinematics passes a float and _pick,
-    _kernels.zone_minus_grid a float64 array and np.where. Strictly inside
-    (E_low, E_up) is evanescent; at or above E_up is diffusion; the remaining
-    band [m, E_low] is Klein when it has positive width. The leftover point
-    E = E_low = m (window edge touching the mass shell) is assigned by the
-    sign of the squared momentum.
+    The one written window rule: kinematics passes a float and _MATH, the
+    zones table a float64 array and numpy. Strictly inside (E_low, E_up) is
+    evanescent; at or above E_up is diffusion; the remaining band [m, E_low]
+    is Klein when it has positive width. The leftover point E = E_low = m
+    (window edge touching the mass shell) is assigned by the sign of the
+    squared momentum.
     """
     e_low, e_up, _ = evanescent_width(mass, v0, w_abs)
-    below = _KLEIN if e_low > mass else where(mom2_minus < 0, _EVANESCENT, _KLEIN)
-    return where((e_low < energy) & (energy < e_up), _EVANESCENT,
-                 where(energy >= e_up, _DIFFUSION, below))
+    below = _KLEIN if e_low > mass else xp.where(mom2_minus < 0, _EVANESCENT, _KLEIN)
+    return xp.where((e_low < energy) & (energy < e_up), _EVANESCENT,
+                    xp.where(energy >= e_up, _DIFFUSION, below))
 
 
 def classify_zone(energy: float, mass: float, pot: PotentialStep):

@@ -1,11 +1,11 @@
 """The array paths against the scalar ones, bit for bit.
 
 branch_mom2_grid and kinematics share step.branch_mom2, so every grid value
-must equal the scalar value at the same energy. zone_minus_grid and
-classify_zone share step._zone_minus, so the grid must give classify_zone's
-label on every row, the leftover point E = E_low = m included. The shared
-quaternion product, quaternion._quat_mul, must give on arrays what
-Quaternion's own product gives element for element.
+must equal the scalar value at the same energy. step._zone_minus with numpy
+labels the zones table, and classify_zone calls it with step._MATH, so on an
+array it must give classify_zone's label on every row, the leftover point
+E = E_low = m included. The shared quaternion product, quaternion._quat_mul,
+must give on arrays what Quaternion's own product gives element for element.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from qdirac import PotentialStep, Quaternion, Zone, classify_zone, kinematics
 from qdirac import _kernels
 from qdirac.quaternion import _quat_mul as _quat_mul_batch
+from qdirac.step import _zone_minus
 
 GRID_SPEC = dict(seed=71, n=257, mass=0.8, v0=-1.3, w_abs=0.6)
 
@@ -61,7 +62,7 @@ def test_zone_labels_match_classify_zone(mass, v0, w_abs):
         mass + np.arange(64) * 0.0625, mass + rng.uniform(0.0, 5.0, 256)
     ])
     mom2_minus = _kernels.branch_mom2_grid(e, mass, v0, w_abs)[5]
-    codes = _kernels.zone_minus_grid(e, mass, v0, w_abs, mom2_minus)
+    codes = _zone_minus(e, mass, v0, w_abs, mom2_minus, np)
     zones = list(Zone)
     for energy, code in zip(e.tolist(), codes.tolist()):
         assert zones[code] is classify_zone(energy, mass, pot)[0], energy

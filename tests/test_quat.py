@@ -93,6 +93,16 @@ def test_immutability_and_hash():
     assert "Quaternion" in repr(q)
 
 
+@pytest.mark.parametrize("w", [0.0, -0.0])
+@pytest.mark.parametrize("number", [1, 1.0, 1 + 0j, 0, 0.0, -0.0, complex(-0.0, -0.0),
+                                    2.5 - 3j])
+def test_hash_agrees_with_equal_numbers(number, w):
+    q = Quaternion(number, w)
+    assert q == number
+    assert hash(q) == hash(number)
+    assert q in {number} and number in {q}
+
+
 def test_is_close():
     q = Quaternion.from_coeffs(1.0, 0.0, 0.0, 0.0)
     assert q.is_close(ONE)
