@@ -27,6 +27,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 
 from . import __version__, _kernels
@@ -260,8 +261,18 @@ def _add_output_flags(p, formats=True):
                    help="write to this file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's negative-number pattern, widened from -5 and -.5 to -1e-3,
+    -1. and -inf, so `--v0 -1e-3` reads as a value. Subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdirac",
         description="Quaternionic Dirac step and bound-state tables.",
     )

@@ -214,22 +214,6 @@ def potential_quaternion(pot) -> Quaternion:
     return Quaternion(1j * pot.v0, -1j * complex(pot.w0))
 
 
-def _operator_defect(psi: QSpinor, t_factor: complex, z_factor: complex,
-                     mass: float, pot) -> QSpinor:
-    """d_t-side plus RHS-side of the equation of motion on a bare amplitude.
-
-    t_factor and z_factor are the complex scalars the analytic derivatives
-    bring down on the right (i*sgn*E and i*dir*Q respectively).
-    """
-    mats = _built()[0]
-    t_term = psi.scale_right(t_factor)
-    z_term = apply_matrix(mats.alpha[2], psi).scale_right(z_factor)
-    mass_term = apply_matrix(1j * mass * mats.beta, psi)
-    pq = potential_quaternion(pot)
-    pot_term = QSpinor([pq * q for q in psi.comp])
-    return t_term + z_term + mass_term + pot_term
-
-
 def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     """Relative norm of the equation of motion applied to a plane wave.
 
@@ -241,29 +225,23 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     nrm = psi.norm()
     if nrm == 0.0:
         raise ValueError("zero-norm spinor has no defined residual")
-    defect = _operator_defect(
-        psi,
-        1j * state.energy_sign * state.energy,
-        1j * state.direction * state.momentum,
-        mass,
-        pot,
-    )
-    return defect.norm() / nrm
+    mats = _built()[0]
+    t_term = psi.scale_right(1j * state.energy_sign * state.energy)
+    z_term = apply_matrix(mats.alpha[2], psi).scale_right(1j * state.direction * state.momentum)
+    mass_term = apply_matrix(1j * mass * mats.beta, psi)
+    pq = potential_quaternion(pot)
+    pot_term = QSpinor([pq * q for q in psi.comp])
+    return (t_term + z_term + mass_term + pot_term).norm() / nrm
 
 
 def stationary_residual(psi: QSpinor, energy: float, momentum: complex,
                         mass: float, pot) -> float:
     """Residual of the stationary operator on a bare spinor amplitude.
 
-    Same operator as dirac_residual with the exp(-iEt), exp(+iQz) convention
-    and no plane-wave bookkeeping; used by the oracle self-checks and the bag
-    module.
+    dirac_residual of the plane wave with the exp(-iEt), exp(+iQz)
+    convention; used by the oracle self-checks of the verify report.
     """
-    nrm = psi.norm()
-    if nrm == 0.0:
-        raise ValueError("zero-norm spinor has no defined residual")
-    defect = _operator_defect(psi, -1j * energy, 1j * momentum, mass, pot)
-    return defect.norm() / nrm
+    return dirac_residual(PlaneWaveState(psi, momentum, energy), pot, mass)
 
 
 def realify_stationary_operator(energy: float, momentum: complex, mass: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .dirac import PlaneWaveState, _block_spinor
 from .quaternion import Quaternion
-from .step import Branch, as_branch
+from .step import Branch, _require_finite, as_branch
 
 __all__ = [
     "NonRelParams",
@@ -77,12 +77,6 @@ class NonRelLevel:
     energy_plus: float
     energy_minus: float
     regime_flag: bool
-
-
-def _require_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def nr_parameters(energy: float, mass: float, w_abs: float,

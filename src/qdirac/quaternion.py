@@ -155,14 +155,6 @@ K = Quaternion.from_coeffs(0, 0, 0, 1)
 ZERO = Quaternion()
 
 
-def commute_complex(z: complex) -> complex:
-    """The complex number z' with j*z == z'*j, namely conj(z).
-
-    This is the anti-commutation rule that threads complex scalars through j.
-    """
-    return complex(z).conjugate()
-
-
 def left_matrix(q: Quaternion):
     """4x4 real matrix of left multiplication by q on coefficient 4-vectors.
 

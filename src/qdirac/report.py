@@ -178,13 +178,15 @@ def _section_quaternion_algebra(n=10000):
     }
 
 
-def _draw_pot(rng, v0_zero=False):
-    v0 = 0.0 if v0_zero else float(rng.uniform(0.0, 2.0))
-    return PotentialStep(
-        v0=v0,
+def _draw_point(rng, mass, span):
+    """A random well and an energy 0.1 to span above its window's upper edge."""
+    pot = PotentialStep(
+        v0=float(rng.uniform(0.0, 2.0)),
         w_abs=float(rng.uniform(0.05, 1.5)),
         w_phase=float(rng.uniform(-math.pi, math.pi)),
     )
+    _, e_up, _ = evanescent_width(mass, pot.v0, pot.w_abs)
+    return pot, float(rng.uniform(e_up + 0.1, e_up + span))
 
 
 def _section_oracle_residuals(n_draws=25):
@@ -194,9 +196,7 @@ def _section_oracle_residuals(n_draws=25):
     minus_res = []
     empty_offbranch = 0
     for _ in range(n_draws):
-        pot = _draw_pot(rng)
-        _, e_up, _ = evanescent_width(mass, pot.v0, pot.w_abs)
-        energy = float(rng.uniform(e_up + 0.1, e_up + 4.0))
+        pot, energy = _draw_point(rng, mass, 4.0)
         kin = kinematics(energy, mass, pot)
         for branch, mom2 in ((Branch.MINUS, kin.mom2_minus), (Branch.PLUS, kin.mom2_plus)):
             mom = principal_momentum(mom2)
@@ -260,9 +260,7 @@ def _section_plus_branch(n_draws=10):
     w_ratio_defects = []
     u_ratio_defects = []
     for _ in range(n_draws):
-        pot = _draw_pot(rng)
-        _, e_up, _ = evanescent_width(mass, pot.v0, pot.w_abs)
-        energy = float(rng.uniform(e_up + 0.1, e_up + 4.0))
+        pot, energy = _draw_point(rng, mass, 4.0)
         kin = kinematics(energy, mass, pot)
         mom = principal_momentum(kin.mom2_plus)
         st = step_spinor(energy, mass, pot, Branch.PLUS)
@@ -307,9 +305,7 @@ def _section_consistency(n_draws=8):
     mass = 1.0
     samples = []
     for _ in range(n_draws):
-        pot = _draw_pot(rng)
-        _, e_up, _ = evanescent_width(mass, pot.v0, pot.w_abs)
-        energy = float(rng.uniform(e_up + 0.1, e_up + 3.0))
+        pot, energy = _draw_point(rng, mass, 3.0)
         r_minus, r_plus = consistency_residual(energy, mass, pot)
         samples.append(
             {

@@ -66,6 +66,12 @@ def as_branch(value) -> Branch:
         raise ValueError("branch must be 'minus' or 'plus', got %r" % (value,)) from None
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 class SingularCoefficientsError(ValueError):
     """The mode coefficients divide by zero at this energy: on the mass shell,
     or where a denominator of mode_coefficients vanishes exactly."""
@@ -85,9 +91,7 @@ class PotentialStep:
     w_phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("v0", "w_abs", "w_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        _require_finite(v0=self.v0, w_abs=self.w_abs, w_phase=self.w_phase)
         if self.w_abs < 0:
             raise ValueError("w_abs is a magnitude and must be >= 0")
 

@@ -271,7 +271,7 @@ class TestExitCodes:
             code, _, err = run_cli(argv + ["--levels", "4"], capsys)
             assert code == 2 and err.startswith("error: --levels"), argv
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "command,flag",
         [("bag-spectrum", "--mass"), ("density", "--length"),
@@ -279,9 +279,18 @@ class TestExitCodes:
          ("zones", "--e-step")],
     )
     def test_non_finite_flags_name_the_flag(self, capsys, command, flag, value):
-        code, out, err = run_cli([command, "--w0-abs", "0.5", flag + "=" + value], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: %s must be finite, got %s\n" % (flag, value)
+        for given in ([flag + "=" + value], [flag, value]):
+            code, out, err = run_cli([command, "--w0-abs", "0.5"] + given, capsys)
+            assert code == 2 and out == ""
+            assert err == "error: %s must be finite, got %s\n" % (flag, value)
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1.5E2", "-1.", "-1.0000000000000001e-05"])
+    def test_negative_float_text_is_a_value(self, capsys, value):
+        """A value the way %.17g prints it reads back with or without '='."""
+        argv = ["bag-spectrum", "--w0-abs", "0.5", "--levels", "2"]
+        spaced = run_cli(argv + ["--v0", value], capsys)
+        assert spaced == run_cli(argv + ["--v0=" + value], capsys)
+        assert spaced[0] == 0 and spaced[2] == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
