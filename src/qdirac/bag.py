@@ -24,11 +24,13 @@ The full spinor mismatch at z = L is available separately
 (boundary_residual) and is reported by the verify command rather than
 asserted.
 
-Energies, norms and densities are closed-form: at v0 != 0 the energy is a
-root of a quadratic in E^2, the norm integrates the cos^2/sin^2(Qz -+ phase/2)
-density exactly (Alberto, Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19), and
-density_split evaluates that form on whole arrays. The spinor (evaluate)
-serves the wall checks and is the tests' oracle for the density.
+Energies, norms and densities are closed-form: at v0 != 0 the energy is a root
+of a quadratic in E^2, _density_integral (the one written norm integral)
+integrates the cos^2/sin^2(Qz -+ phase/2) density exactly (Alberto, Fiolhais &
+Gil, Eur. J. Phys. 17 (1996) 19), and density_split evaluates that form on
+whole arrays. solve_spectrum solves each level's mode coefficients once. The
+spinor (evaluate) serves the wall checks and is the tests' oracle for the
+density.
 
 solve_spectrum, stationary_wavefunction and normalize use math and cmath
 only; numpy is imported by the array functions when they are called.
@@ -112,7 +114,7 @@ class StationaryWavefunction:
     spinor. With a, b = Qz -+ phase/2, wm = w_factor*j_chi and r = amp_ratio
     the density on [0, length] is, for either branch and spin, the complex part
     A^2 [cos^2 a + r^2 sin^2 a] plus the quaternionic part A^2 |wm|^2 [cos^2 b +
-    r^2 sin^2 b], which normalize integrates in closed form.
+    r^2 sin^2 b], which _density_integral integrates in closed form.
     """
 
     branch: Branch
@@ -360,15 +362,16 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     v0 != 0 it is a root of the quadratic in E^2 of _energy_for_momentum;
     eff_momentum is still reported as the shifted wavenumber and the closed
     form is checked by the verify command as a diagnostic, not assumed here.
-    norm_const comes from normalize's closed-form integral. Plus-branch
-    levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts the level
-    exactly on the mass shell where the coefficients are singular, which
-    raises.
+    Each level's one mode_coefficients call gives its phase and, through
+    _density_integral, its norm_const. Plus-branch levels with Q_n < w_abs
+    carry regime_flag; Q_n = w_abs puts the level exactly on the mass shell
+    where the coefficients are singular, which raises.
     """
     if not (math.isfinite(mass) and mass >= 0):
         raise ValueError("mass must be finite and >= 0, got %r" % (mass,))
     br = as_branch(branch)
     shift = pot.w_abs if br is Branch.MINUS else -pot.w_abs
+    w_factor = pot.w0 if br is Branch.MINUS else pot.w0.conjugate()
     levels = []
     for n, q_n in enumerate(quantized_momenta(length, n_max), start=1):
         eff = q_n + shift
@@ -376,17 +379,18 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
             energy = math.hypot(eff, mass)
         else:
             energy = _energy_for_momentum(q_n, mass, pot, br, n)
-        regime = br is Branch.PLUS and q_n < pot.w_abs
         mc = mode_coefficients(energy, mass, pot, br)
         if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
             raise ValueError("level %d at energy %r: the mode coefficients "
                              "overflow float64" % (n, energy))
-        ph = boundary_phase(mc.amp_ratio.real, br).phase
-        level = BagLevel(branch=br, index=n, momentum=q_n, eff_momentum=eff,
-                         energy=energy, phase=ph, norm_const=1.0, length=length,
-                         regime_flag=regime)
-        norm_const, _ = normalize(stationary_wavefunction(level, mass, pot))
-        levels.append(replace(level, norm_const=norm_const))
+        amp = mc.amp_ratio.real
+        ph = boundary_phase(amp, br).phase
+        total = _density_integral(q_n, length, ph, 1.0, amp * amp,
+                                  abs(w_factor * mc.j_chi.real) ** 2)
+        levels.append(BagLevel(
+            branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
+            phase=ph, norm_const=1.0 / math.sqrt(total), length=length,
+            regime_flag=br is Branch.PLUS and q_n < pot.w_abs))
     return levels
 
 
@@ -403,7 +407,6 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
     if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
     mc = mode_coefficients(level.energy, mass, pot, level.branch)
-    w_factor = pot.w0 if level.branch is Branch.MINUS else pot.w0.conjugate()
     return StationaryWavefunction(
         branch=level.branch,
         spin=spin,
@@ -411,7 +414,7 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
         phase=level.phase,
         amp_ratio=mc.amp_ratio.real,
         j_chi=mc.j_chi.real,
-        w_factor=w_factor,
+        w_factor=pot.w0 if level.branch is Branch.MINUS else pot.w0.conjugate(),
         length=level.length,
         energy=level.energy,
         mass=mass,
@@ -420,22 +423,25 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
     )
 
 
-def normalize(psi: StationaryWavefunction):
-    """Rescale so the density integrates to 1 over the well.
-
-    Returns (norm_const, normalized wavefunction); norm_const is the total
-    amplitude of the normalized state. Closed form of the density integral:
-    int_0^L cos^2(Qz + s) dz = L/2 + [sin(2QL + 2s) - sin(2s)]/(4Q), and sin^2
-    gives L/2 minus the same term. ValueError unless it is finite and > 0.
-    """
-    q, length, phase = psi.momentum, psi.length, psi.phase
-    amp2, r2, wm2 = psi._weights()
+def _density_integral(q, length, phase, amp2, r2, wm2):
+    """int_0^L of the density at the weights (amp2, r2, wm2) of
+    StationaryWavefunction._weights, for normalize and solve_spectrum:
+    int_0^L cos^2(Qz + s) dz = L/2 + [sin(2QL + 2s) - sin(2s)]/(4Q), and
+    sin^2 gives L/2 minus that. ValueError unless it is finite and > 0."""
     osc_a = (math.sin(2.0 * q * length - phase) + math.sin(phase)) / (4.0 * q)
     osc_b = (math.sin(2.0 * q * length + phase) - math.sin(phase)) / (4.0 * q)
     total = amp2 * (
         0.5 * length * (1.0 + r2) * (1.0 + wm2) + (1.0 - r2) * (osc_a + wm2 * osc_b))
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError("cannot normalize: the density integrates to %r" % total)
+    return total
+
+
+def normalize(psi: StationaryWavefunction):
+    """Rescale so the density integrates to 1 over the well. Returns
+    (norm_const, normalized wavefunction); norm_const is the total amplitude
+    of the normalized state."""
+    total = _density_integral(psi.momentum, psi.length, psi.phase, *psi._weights())
     norm_const = psi.amplitude / math.sqrt(total)
     return norm_const, replace(psi, amplitude=norm_const)
 

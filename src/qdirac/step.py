@@ -153,10 +153,10 @@ _MATH = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot, sin=math.sin,
 def branch_mom2(e, mass, v0, w_abs, xp):
     """(p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus) at energy e.
 
-    The one written form of the dispersion relation: kinematics passes a
-    float and _MATH, _kernels.branch_mom2_grid a float64 array and numpy.
-    Only +, -, * and sqrt occur, each correctly rounded, so the scalar and
-    the array results agree bit for bit.
+    The one written form of the dispersion relation, for a float with _MATH
+    (kinematics, mode_coefficients) or a float64 array with numpy
+    (_kernels.branch_mom2_grid). Only +, -, * and sqrt occur, each correctly
+    rounded, so the scalar and the array results agree bit for bit.
     """
     p2 = e * e - mass * mass
     t_plus = e + v0
@@ -171,19 +171,21 @@ def branch_mom2(e, mass, v0, w_abs, xp):
     return p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus
 
 
+def _require_on_shell(energy, mass):
+    if mass < 0:
+        raise ValueError("mass must be >= 0")
+    if energy < mass:
+        raise ValueError("energy %g below mass %g: sub-mass-shell kinematics "
+                         "unsupported" % (energy, mass))
+
+
 def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinematics:
     """Both squared branch momenta and zone labels at one energy.
 
     The energy must sit on or above the mass shell; below it the square-root
     shift turns complex and nothing downstream is defined.
     """
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
-    if energy < mass:
-        raise ValueError(
-            "energy %g below mass %g: sub-mass-shell kinematics unsupported"
-            % (energy, mass)
-        )
+    _require_on_shell(energy, mass)
     p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
         energy, mass, pot.v0, pot.w_abs, _MATH
     )
@@ -278,12 +280,14 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     if energy == mass:
         raise SingularCoefficientsError(
             "coefficients singular at E = m (delta/(E - m) pole)")
-    kin = kinematics(energy, mass, pot)
+    _require_on_shell(energy, mass)
+    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
+        energy, mass, pot.v0, pot.w_abs, _MATH)
     sgn = 1.0 if br is Branch.PLUS else -1.0
-    mom2 = kin.mom2_plus if br is Branch.PLUS else kin.mom2_minus
-    q2_other = kin.q2_minus if br is Branch.PLUS else kin.q2_plus
+    mom2 = mom2_plus if br is Branch.PLUS else mom2_minus
+    q2_other = q2_minus if br is Branch.PLUS else q2_plus
     momentum = principal_momentum(mom2)
-    denom_a = amp_denominator(energy, mass, pot.v0, kin.delta, sgn)
+    denom_a = amp_denominator(energy, mass, pot.v0, delta, sgn)
     if denom_a == 0:
         raise SingularCoefficientsError(
             "amp_ratio denominator vanishes at these parameters")

@@ -5,11 +5,16 @@ real coefficient 4-tuples straight from the basis product table, the root
 finding is a plain bisection, the rank comes from row reduction, and the
 evanescent-window locator is a brute sign scan of the dispersion, and the
 table renderer formats cell by cell and hands JSON to the json encoder. These
-are the ground truth the tests freeze expected values from.
+are the ground truth the tests freeze expected values from. The spectrum
+composition oracle takes the package's step and bag modules as arguments and
+builds each level through kinematics, a placeholder BagLevel, normalize and
+dataclasses.replace.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import json
 import math
 
@@ -166,3 +171,60 @@ def render_reference(command: str, params: dict, columns: list, rows: list,
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def mode_coefficients_via_kinematics(step, energy, mass, pot, branch):
+    """step.mode_coefficients read off a full step.kinematics record: the
+    same checks in the same order and the same expressions on the
+    BranchKinematics fields."""
+    br = step.as_branch(branch)
+    if energy == mass:
+        raise step.SingularCoefficientsError(
+            "coefficients singular at E = m (delta/(E - m) pole)")
+    kin = step.kinematics(energy, mass, pot)
+    plus = br is step.Branch.PLUS
+    sgn = 1.0 if plus else -1.0
+    mom2 = kin.mom2_plus if plus else kin.mom2_minus
+    q2_other = kin.q2_minus if plus else kin.q2_plus
+    momentum = step.principal_momentum(mom2)
+    denom_a = step.amp_denominator(energy, mass, pot.v0, kin.delta, sgn)
+    if denom_a == 0:
+        raise step.SingularCoefficientsError(
+            "amp_ratio denominator vanishes at these parameters")
+    denom_mn = q2_other - mom2
+    if denom_mn == 0:
+        raise step.SingularCoefficientsError(
+            "resonant denominator: branch momentum squared equals the "
+            "opposite complex-limit momentum squared")
+    amp_ratio = momentum / denom_a
+    return step.ModeCoefficients(
+        branch=br, momentum=momentum, amp_ratio=amp_ratio,
+        j_chi=(energy - sgn * pot.v0 - mass + momentum * amp_ratio) / denom_mn,
+        j_sigma=(momentum + amp_ratio * (energy - sgn * pot.v0 + mass)) / denom_mn)
+
+
+def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
+    """bag.solve_spectrum composed from the public pieces: per level the
+    coefficients via kinematics, a BagLevel with norm_const 1, the
+    normalize(stationary_wavefunction(...)) norm, and a replaced copy."""
+    br = step.as_branch(branch)
+    shift = pot.w_abs if br is step.Branch.MINUS else -pot.w_abs
+    levels = []
+    for n, q_n in enumerate(bag.quantized_momenta(length, n_max), start=1):
+        eff = q_n + shift
+        if pot.v0 == 0.0:
+            energy = math.hypot(eff, mass)
+        else:
+            energy = bag._energy_for_momentum(q_n, mass, pot, br, n)
+        mc = mode_coefficients_via_kinematics(step, energy, mass, pot, br)
+        if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
+            raise ValueError("level %d at energy %r: the mode coefficients "
+                             "overflow float64" % (n, energy))
+        level = bag.BagLevel(
+            branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
+            phase=bag.boundary_phase(mc.amp_ratio.real, br).phase,
+            norm_const=1.0, length=length,
+            regime_flag=br is step.Branch.PLUS and q_n < pot.w_abs)
+        norm_const, _ = bag.normalize(bag.stationary_wavefunction(level, mass, pot))
+        levels.append(dataclasses.replace(level, norm_const=norm_const))
+    return levels

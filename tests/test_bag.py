@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -11,7 +12,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 import oracles
-from qdirac import bag, report
+from qdirac import bag, report, step
 from qdirac import (
     Branch,
     NoSolutionError,
@@ -24,6 +25,7 @@ from qdirac import (
     boundary_residual,
     build_matrices,
     density_profile,
+    evanescent_width,
     kinematics,
     mode_coefficients,
     normalize,
@@ -453,6 +455,103 @@ class TestSpectrum:
         # the public array form masks these lanes without warning
         g = quantization_residual_grid(np.array([q]), mass, pot, length, Branch.MINUS)
         assert not in_range[0] and math.isnan(energy[0]) and math.isnan(g[0])
+
+
+def composition_draws(seed, n_wells=72):
+    """Seeded wells: v0 zero, positive and negative; both branches; small
+    w_abs, or w_abs between Q_1 and 4*Q_1 so the first plus-branch levels
+    carry regime_flag; 1, 100, or a random 2 to 99 levels."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_wells):
+        mass = float(rng.uniform(0.0, 2.0))
+        length = float(rng.uniform(0.3, 3.0))
+        q1 = math.pi / (2.0 * length)
+        v0 = (0.0, 1.0, -1.0)[i % 3] * float(rng.uniform(0.1, 1.5))
+        branch = (Branch.MINUS, Branch.PLUS)[i // 3 % 2]
+        w_abs = float(rng.uniform(0.02, 0.6) if i // 6 % 2 else rng.uniform(1.1, 3.9)) * q1
+        n_max = (1, 100, int(rng.integers(2, 100)))[i // 12 % 3]
+        pot = PotentialStep(v0=v0, w_abs=w_abs, w_phase=float(rng.uniform(-math.pi, math.pi)))
+        yield mass, pot, length, n_max, branch
+
+
+def outcome(fn, *args):
+    """repr of what fn returns, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+class TestOneSolvePerLevel:
+    def test_spectrum_equals_the_composed_oracle(self):
+        # solve_spectrum solves each level's coefficients once; the oracle
+        # chains kinematics, a placeholder BagLevel, normalize and replace,
+        # and every field must come out the same bits
+        oracle = partial(oracles.spectrum_by_composition, bag, step)
+        seen = set()
+        for seed in (67, 71):
+            for args in composition_draws(seed):
+                got = outcome(solve_spectrum, *args)
+                assert got == outcome(oracle, *args), args
+                if got.startswith("["):
+                    levels = solve_spectrum(*args)
+                    sign = (args[1].v0 > 0) - (args[1].v0 < 0)
+                    seen.add((sign, args[4], len(levels)))
+                    seen.update(("regime", sign) for l in levels if l.regime_flag)
+        # a plus-branch level under the shift exists only at v0 = 0: with
+        # v0 != 0, mom2_plus >= w_abs^2 + v0^2 > Q^2 from the mass shell up
+        assert ("regime", 0) in seen
+        for sign in (-1, 0, 1):
+            for branch in (Branch.MINUS, Branch.PLUS):
+                assert {(sign, branch, 1), (sign, branch, 100)} <= seen
+
+    def test_mode_coefficients_equal_the_kinematics_composition(self):
+        # evanescent energies (mom2_minus < 0) inside the minus-branch window,
+        # energies above it, and the mass-shell and sub-mass-shell errors
+        rng = np.random.default_rng(73)
+        evanescent = 0
+        for i in range(200):
+            mass = float(rng.uniform(0.0, 2.0))
+            pot = PotentialStep(v0=(1.0, -1.0)[i % 2] * float(rng.uniform(0.1, 2.0)),
+                                w_abs=float(rng.uniform(0.0, 1.5)),
+                                w_phase=float(rng.uniform(-math.pi, math.pi)))
+            e_low, e_up, width = evanescent_width(mass, pot.v0, pot.w_abs)
+            energy = (e_low + float(rng.uniform(0.0, 1.0)) * width if i % 4
+                      else e_up + float(rng.uniform(0.0, 3.0)))
+            evanescent += kinematics(energy, mass, pot).mom2_minus < 0.0
+            for branch in (Branch.MINUS, Branch.PLUS):
+                for e in (energy, mass, 0.5 * mass):
+                    want = outcome(oracles.mode_coefficients_via_kinematics, step,
+                                   e, mass, pot, branch)
+                    assert outcome(mode_coefficients, e, mass, pot, branch) == want
+        assert evanescent > 100
+        for e, m in ((1.0, -1.0), (-1.0, -1.0), (math.nan, 1.0)):
+            want = outcome(oracles.mode_coefficients_via_kinematics, step, e, m,
+                           POT, Branch.MINUS)
+            assert outcome(mode_coefficients, e, m, POT, Branch.MINUS) == want
+
+    @pytest.mark.parametrize("v0", [0.0, 0.7])
+    @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
+    @pytest.mark.parametrize("n_max", [1, 7, 100])
+    def test_one_coefficient_solve_per_level(self, monkeypatch, v0, branch, n_max):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("mode_coefficients", "normalize", "stationary_wavefunction",
+                     "replace"):
+            counted(bag, name)
+        counted(step, "kinematics")
+        levels = solve_spectrum(1.0, PotentialStep(v0=v0, w_abs=0.5), 1.0, n_max, branch)
+        assert len(levels) == n_max
+        assert calls == Counter(mode_coefficients=n_max)
 
 
 class TestNormalization:

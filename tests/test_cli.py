@@ -381,6 +381,21 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: " + message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--w0-abs", "0.5", "--mass", "1e308", "--levels", "2"], 3,
+         "coefficients singular at E = m (delta/(E - m) pole)"),
+        (["--w0-abs", "0.5", "--length", "1e308", "--levels", "1"], 3,
+         "amp_ratio denominator vanishes at these parameters"),
+        (["--w0-abs", "1e300", "--levels", "2"], 2,
+         "level 1 at energy 1e+300: the mode coefficients overflow float64"),
+    ])
+    def test_coefficient_checks_keep_their_order(self, capsys, argv, code, message):
+        # past each check sits a float division by zero (E = m, a zero
+        # amp_ratio denominator) or an amp_ratio that boundary_phase rejects
+        # (nan coefficients), so the check that runs first names the error
+        got = run_cli(["bag-spectrum"] + argv, capsys)
+        assert got == (code, "", "error: %s\n" % message)
+
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
