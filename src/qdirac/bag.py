@@ -28,9 +28,10 @@ Energies, norms and densities are closed-form: at v0 != 0 the energy is a root
 of a quadratic in E^2, _density_integral (the one written norm integral)
 integrates the cos^2/sin^2(Qz -+ phase/2) density exactly (Alberto, Fiolhais &
 Gil, Eur. J. Phys. 17 (1996) 19), and density_split evaluates that form on
-whole arrays. solve_spectrum solves each level's mode coefficients once. The
-spinor (evaluate) serves the wall checks and is the tests' oracle for the
-density.
+whole arrays. solve_spectrum solves each level's mode coefficients once and
+the BagLevel carries them, so stationary_wavefunction solves nothing; _phase
+is the one phase formula. The spinor (evaluate) serves the wall checks and is
+the tests' oracle for the density.
 
 solve_spectrum, stationary_wavefunction and normalize use math and cmath
 only; numpy is imported by the array functions when they are called.
@@ -90,7 +91,8 @@ class BagLevel:
     plus branch) whose square enters the energy. regime_flag marks plus-branch
     levels with momentum < w_abs, where the closed-form energy still follows
     from the squared shifted momentum but the travelling-mode decomposition
-    behind the coefficients leaves its stated regime.
+    behind the coefficients leaves its stated regime. amp_ratio (which fixes
+    the phase) and j_chi are the real parts of the level's mode coefficients.
     """
 
     branch: Branch
@@ -101,6 +103,8 @@ class BagLevel:
     phase: float
     norm_const: float
     length: float
+    amp_ratio: float
+    j_chi: float
     regime_flag: bool = False
 
 
@@ -125,9 +129,6 @@ class StationaryWavefunction:
     j_chi: float
     w_factor: complex
     length: float
-    energy: float
-    mass: float
-    pot: PotentialStep
     amplitude: float = 1.0
 
     def evaluate(self, z: float) -> QSpinor:
@@ -205,20 +206,25 @@ def boundary_phase(amp_ratio: float, branch) -> BoundaryPhase:
     br = as_branch(branch)
     if not math.isfinite(amp_ratio):
         raise ValueError("amp_ratio must be finite")
-    a = amp_ratio if br is Branch.MINUS else -amp_ratio
-    return BoundaryPhase(branch=br, phase=2.0 * math.atan2(1.0, a))
+    return BoundaryPhase(branch=br, phase=_phase(amp_ratio, br is Branch.PLUS, _MATH))
+
+
+def _phase(amp, plus, xp):
+    """2*arccot(amp) (minus), 2*arccot(-amp) (plus); xp as in _residual_chain."""
+    return 2.0 * xp.arctan2(1.0, -amp if plus else amp)
 
 
 def quantized_momenta(length: float, n_max: int) -> list:
-    """The quantized wavenumbers n*pi/(2*length), n = 1..n_max."""
+    """The quantized wavenumbers n*pi/(2*length), n = 1..n_max, formed as
+    n*pi/2/length: the same bits wherever 2*length is finite, and never 0."""
     if not 0.0 < length < math.inf:
         raise ValueError("length must be finite and > 0, got %r" % length)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not math.isfinite(n_max * math.pi / (2.0 * length)):
+    if not math.isfinite(n_max * math.pi / 2.0 / length):
         raise ValueError("length %r is too small: the momentum %d*pi/(2*length) "
                          "overflows float64" % (length, n_max))
-    return [n * math.pi / (2.0 * length) for n in range(1, n_max + 1)]
+    return [n * math.pi / 2.0 / length for n in range(1, n_max + 1)]
 
 
 def _energy_root(momentum, mass, pot, branch, xp):
@@ -300,7 +306,7 @@ def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     amp = (xp.sqrt(xp.where(mom2 < 0.0, 0.0, mom2))
            / xp.where(regular, denom_a, math.nan))
     amp = xp.where(abs(amp) < math.inf, amp, math.nan)
-    phase = 2.0 * xp.arctan2(1.0, -amp if plus else amp)
+    phase = _phase(amp, plus, xp)
     a = momentum * length - 0.5 * phase
     b = momentum * length + 0.5 * phase
     num, den = xp.sin(a + b), xp.sin(a) * xp.sin(b)
@@ -362,10 +368,11 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     v0 != 0 it is a root of the quadratic in E^2 of _energy_for_momentum;
     eff_momentum is still reported as the shifted wavenumber and the closed
     form is checked by the verify command as a diagnostic, not assumed here.
-    Each level's one mode_coefficients call gives its phase and, through
-    _density_integral, its norm_const. Plus-branch levels with Q_n < w_abs
-    carry regime_flag; Q_n = w_abs puts the level exactly on the mass shell
-    where the coefficients are singular, which raises.
+    Each level's one mode_coefficients call gives the amp_ratio and j_chi it
+    carries, its phase and, through _density_integral, its norm_const.
+    Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
+    the level exactly on the mass shell where the coefficients are singular,
+    which raises.
     """
     if not (math.isfinite(mass) and mass >= 0):
         raise ValueError("mass must be finite and >= 0, got %r" % (mass,))
@@ -383,13 +390,14 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
             raise ValueError("level %d at energy %r: the mode coefficients "
                              "overflow float64" % (n, energy))
-        amp = mc.amp_ratio.real
-        ph = boundary_phase(amp, br).phase
+        amp, j_chi = mc.amp_ratio.real, mc.j_chi.real
+        ph = _phase(amp, br is Branch.PLUS, _MATH)
         total = _density_integral(q_n, length, ph, 1.0, amp * amp,
-                                  abs(w_factor * mc.j_chi.real) ** 2)
+                                  abs(w_factor * j_chi) ** 2)
         levels.append(BagLevel(
             branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
             phase=ph, norm_const=1.0 / math.sqrt(total), length=length,
+            amp_ratio=amp, j_chi=j_chi,
             regime_flag=br is Branch.PLUS and q_n < pot.w_abs))
     return levels
 
@@ -403,24 +411,16 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
     i*amp_ratio (right factor on the minus branch, left factor on the plus
     branch, whose spinor also conjugates the potential representative and
     swaps the block order). The level's norm_const enters as the amplitude.
+    Nothing is solved: amp_ratio and j_chi are read off the level, and of
+    the well (mass, pot) the level was solved in only pot.w0 enters.
     """
     if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
-    mc = mode_coefficients(level.energy, mass, pot, level.branch)
     return StationaryWavefunction(
-        branch=level.branch,
-        spin=spin,
-        momentum=level.momentum,
-        phase=level.phase,
-        amp_ratio=mc.amp_ratio.real,
-        j_chi=mc.j_chi.real,
+        branch=level.branch, spin=spin, momentum=level.momentum, phase=level.phase,
+        amp_ratio=level.amp_ratio, j_chi=level.j_chi,
         w_factor=pot.w0 if level.branch is Branch.MINUS else pot.w0.conjugate(),
-        length=level.length,
-        energy=level.energy,
-        mass=mass,
-        pot=pot,
-        amplitude=level.norm_const,
-    )
+        length=level.length, amplitude=level.norm_const)
 
 
 def _density_integral(q, length, phase, amp2, r2, wm2):

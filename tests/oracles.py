@@ -8,7 +8,8 @@ table renderer formats cell by cell and hands JSON to the json encoder. These
 are the ground truth the tests freeze expected values from. The spectrum
 composition oracle takes the package's step and bag modules as arguments and
 builds each level through kinematics, a placeholder BagLevel, normalize and
-dataclasses.replace.
+dataclasses.replace; its wavefunction oracle solves the level's mode
+coefficients again instead of reading them off the level.
 """
 
 from __future__ import annotations
@@ -203,10 +204,27 @@ def mode_coefficients_via_kinematics(step, energy, mass, pot, branch):
         j_sigma=(momentum + amp_ratio * (energy - sgn * pot.v0 + mass)) / denom_mn)
 
 
+def wavefunction_by_solving(bag, step, level, mass, pot, spin="up"):
+    """bag.stationary_wavefunction with the level's mode coefficients solved
+    again by step.mode_coefficients at its energy, not read off the level."""
+    mc = step.mode_coefficients(level.energy, mass, pot, level.branch)
+    return bag.StationaryWavefunction(
+        branch=level.branch,
+        spin=spin,
+        momentum=level.momentum,
+        phase=level.phase,
+        amp_ratio=mc.amp_ratio.real,
+        j_chi=mc.j_chi.real,
+        w_factor=pot.w0 if level.branch is step.Branch.MINUS else pot.w0.conjugate(),
+        length=level.length,
+        amplitude=level.norm_const,
+    )
+
+
 def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
     """bag.solve_spectrum composed from the public pieces: per level the
     coefficients via kinematics, a BagLevel with norm_const 1, the
-    normalize(stationary_wavefunction(...)) norm, and a replaced copy."""
+    normalize(wavefunction_by_solving(...)) norm, and a replaced copy."""
     br = step.as_branch(branch)
     shift = pot.w_abs if br is step.Branch.MINUS else -pot.w_abs
     levels = []
@@ -223,8 +241,8 @@ def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
         level = bag.BagLevel(
             branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
             phase=bag.boundary_phase(mc.amp_ratio.real, br).phase,
-            norm_const=1.0, length=length,
-            regime_flag=br is step.Branch.PLUS and q_n < pot.w_abs)
-        norm_const, _ = bag.normalize(bag.stationary_wavefunction(level, mass, pot))
+            norm_const=1.0, length=length, amp_ratio=mc.amp_ratio.real,
+            j_chi=mc.j_chi.real, regime_flag=br is step.Branch.PLUS and q_n < pot.w_abs)
+        norm_const, _ = bag.normalize(wavefunction_by_solving(bag, step, level, mass, pot))
         levels.append(dataclasses.replace(level, norm_const=norm_const))
     return levels

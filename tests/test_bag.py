@@ -124,6 +124,18 @@ class TestQuantization:
                            r"momentum 2\*pi/\(2\*length\) overflows float64$"):
             quantized_momenta(1e-310, 2)
 
+    def test_momenta_stay_positive_and_keep_their_bits(self):
+        # n*pi/2/length is n*pi/(2*length) wherever 2*length is finite
+        # (halving is exact) and stays > 0 where 2*length overflows
+        rng = np.random.default_rng(107)
+        lengths = [1e-300, 0.3, 1.0, 2.0 ** 1022, 8.98e307]
+        lengths += (10.0 ** rng.uniform(-300.0, 307.9, 200)).tolist()
+        for length in lengths:
+            assert quantized_momenta(length, 3) == [
+                n * math.pi / (2.0 * length) for n in (1, 2, 3)], length
+        for length in (2.0 ** 1023, 1e308, 1.7976931348623157e308):
+            assert min(quantized_momenta(length, 3)) > 0.0
+
     def test_residual_zero_at_roots_large_off_roots(self):
         length = 1.0
         for branch in (Branch.MINUS, Branch.PLUS):
@@ -505,6 +517,29 @@ class TestOneSolvePerLevel:
             for branch in (Branch.MINUS, Branch.PLUS):
                 assert {(sign, branch, 1), (sign, branch, 100)} <= seen
 
+    def test_wavefunction_equals_the_solving_oracle(self):
+        # the coefficients a level carries are the ones a fresh solve at its
+        # energy gives: every field of the wavefunction, bit for bit
+        seen = set()
+        for args in composition_draws(101, n_wells=36):
+            mass, pot = args[0], args[1]
+            try:
+                levels = solve_spectrum(*args)
+            except ValueError:
+                continue
+            for level in levels:
+                for spin in ("up", "down"):
+                    want = oracles.wavefunction_by_solving(bag, step, level, mass, pot, spin)
+                    got = stationary_wavefunction(level, mass, pot, spin)
+                    assert repr(got) == repr(want), (args, level)
+                    sign = (pot.v0 > 0) - (pot.v0 < 0)
+                    seen.add((sign, level.branch, spin, level.regime_flag))
+        for sign in (-1, 0, 1):
+            for branch in (Branch.MINUS, Branch.PLUS):
+                for spin in ("up", "down"):
+                    assert (sign, branch, spin, False) in seen
+        assert {(0, Branch.PLUS, "up", True), (0, Branch.PLUS, "down", True)} <= seen
+
     def test_mode_coefficients_equal_the_kinematics_composition(self):
         # evanescent energies (mom2_minus < 0) inside the minus-branch window,
         # energies above it, and the mass-shell and sub-mass-shell errors
@@ -552,6 +587,29 @@ class TestOneSolvePerLevel:
         levels = solve_spectrum(1.0, PotentialStep(v0=v0, w_abs=0.5), 1.0, n_max, branch)
         assert len(levels) == n_max
         assert calls == Counter(mode_coefficients=n_max)
+
+    @pytest.mark.parametrize("v0", [0.0, 0.7])
+    @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
+    def test_wavefunction_solves_nothing(self, monkeypatch, v0, branch):
+        pot = PotentialStep(v0=v0, w_abs=0.5)
+        levels = solve_spectrum(1.0, pot, 1.0, 7, branch)
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[module.__name__, name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((bag, "mode_coefficients"), (step, "mode_coefficients"),
+                             (step, "kinematics")):
+            counted(module, name)
+        wfs = [stationary_wavefunction(level, 1.0, pot, spin)
+               for level in levels for spin in ("up", "down")]
+        assert len(wfs) == 14 and calls == Counter()
 
 
 class TestNormalization:
@@ -654,8 +712,8 @@ class TestNormalization:
 
 
 def density_draws(seed, n_wells=24, n_levels=4):
-    """Seeded standing waves over both branches and spins, v0 zero, positive
-    and negative, and a nonzero w0 phase."""
+    """(v0, wavefunction): seeded standing waves over both branches and
+    spins, v0 zero, positive and negative, and a nonzero w0 phase."""
     rng = np.random.default_rng(seed)
     for i in range(n_wells):
         mass = float(rng.uniform(0.2, 2.0))
@@ -671,7 +729,7 @@ def density_draws(seed, n_wells=24, n_levels=4):
             continue
         for level in levels:
             for spin in ("up", "down"):
-                yield stationary_wavefunction(level, mass, pot, spin)
+                yield v0, stationary_wavefunction(level, mass, pot, spin)
 
 
 def sample_points(rng, length):
@@ -686,8 +744,8 @@ class TestDensity:
     def test_closed_form_matches_spinor_oracle(self):
         rng = np.random.default_rng(83)
         seen = set()
-        for wf in density_draws(79):
-            seen.add((wf.branch, wf.spin, np.sign(wf.pot.v0)))
+        for v0, wf in density_draws(79):
+            seen.add((wf.branch, wf.spin, np.sign(v0)))
             z = sample_points(rng, wf.length)
             rho_c, rho_q = wf.density_split(z)
             for zz, got_c, got_q in zip(z.tolist(), rho_c.tolist(), rho_q.tolist()):
@@ -700,7 +758,7 @@ class TestDensity:
 
     def test_scalar_call_is_the_array_element(self):
         rng = np.random.default_rng(89)
-        for wf in density_draws(97, n_wells=12, n_levels=2):
+        for _, wf in density_draws(97, n_wells=12, n_levels=2):
             z = sample_points(rng, wf.length)
             rho_c, rho_q = wf.density_split(z)
             rho = wf.density(z)

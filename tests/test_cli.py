@@ -391,10 +391,22 @@ class TestExitCodes:
     ])
     def test_coefficient_checks_keep_their_order(self, capsys, argv, code, message):
         # past each check sits a float division by zero (E = m, a zero
-        # amp_ratio denominator) or an amp_ratio that boundary_phase rejects
-        # (nan coefficients), so the check that runs first names the error
+        # amp_ratio denominator) or a nan phase that the norm integral
+        # rejects (nan coefficients), so the check that runs first names the
+        # error
         got = run_cli(["bag-spectrum"] + argv, capsys)
         assert got == (code, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv", [
+        ["--length", "1e308", "--v0", "1e20", "--w0-abs", "1", "--levels", "5"],
+        ["--length", "1.7e308", "--levels", "2"],
+    ])
+    def test_widest_wells_end_in_one_line(self, capsys, argv):
+        # 2*length overflows to inf in these wells, which must not make the
+        # momenta 0 (a ZeroDivisionError in the norm integral)
+        code, _, err = run_cli(["bag-spectrum"] + argv, capsys)
+        assert code in (0, 2, 3) and err.count("\n") <= 1
+        assert "Traceback" not in err
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
