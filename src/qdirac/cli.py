@@ -8,25 +8,32 @@ non-relativistic limit levels), verify (the self-check report).
 Output goes to stdout or --output as CSV (header line first, comma
 separator, floats by %.17g) or as a single JSON object with stable key order
 (floats by repr; non-finite floats are NaN/Infinity, as json writes them).
-Both are rendered column by column through one %-template per table.
-Repeated runs with identical flags produce byte-identical output; nothing
-here reads the clock, the locale, or the environment.
+Tables are written in blocks of BLOCK (4096) rows, each rendered column by
+column through one %-template per block, so memory does not grow with the
+row count. Every check runs before the first block is written; a write
+error mid-table leaves the blocks already written. Repeated runs with
+identical flags produce byte-identical output; nothing here reads the
+clock, the locale, or the environment.
 
 numpy is imported by the array commands (zones, density, verify) when they
 run, not with this module, so --version, bag-spectrum, nr-spectrum and the
 usage errors never load it.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 no
-solution at these parameters (no level in the requested range, or mode
-coefficients singular at a level's energy).
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
+output that cannot be written, 3 no solution at these parameters (no level
+in the requested range, or mode coefficients singular at a level's energy),
+4 internal error. A reader that closes stdout early (`| head`) ends the run
+quietly with its usual code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
 
@@ -42,6 +49,8 @@ __all__ = ["main", "build_parser"]
 # largest table (zones or density rows, --levels); checked before anything
 # is allocated
 MAX_ROWS = 10**6
+# rows per written block: only one block's row tuples and text exist at once
+BLOCK = 4096
 
 
 class UsageError(ValueError):
@@ -62,10 +71,10 @@ def _csv_cell(value) -> str:
 
 
 def _column(cells: tuple, as_json: bool):
-    """One column's piece of the row template and the values it takes.
+    """One column's piece of a block's row template and the values it takes.
 
     The piece follows the exact type of the cells; values is None when the
-    column has one distinct value, which is then literal text. A column of
+    block's cells print as one text, which is then literal. A column of
     any other type, or of mixed types, goes through the per-cell encoder
     (json.dumps or _csv_cell) and takes "%s".
     """
@@ -96,11 +105,13 @@ def _column(cells: tuple, as_json: bool):
 
 
 def _render(command: str, params: dict, columns: list, rows: list,
-            fmt: str) -> str:
-    """The table as CSV or JSON text, built column by column.
+            fmt: str, first: bool = True, last: bool = True) -> str:
+    """One block of the table as CSV or JSON text, built column by column.
 
     Each column contributes one piece (see _column) to a single %-template,
-    and every row is that template applied to its values.
+    and every row is that template applied to its values. The first block
+    carries the CSV header or the JSON head, the last one the JSON tail; a
+    table of no rows is one block that is both.
     """
     as_json = fmt == "json"
     pieces, values = [], []
@@ -111,15 +122,28 @@ def _render(command: str, params: dict, columns: list, rows: list,
             values.append(col)
     body = zip(*values) if values else itertools.repeat((), len(rows))
     if not as_json:
-        return "\n".join([",".join(columns),
-                          *map(",".join(pieces).__mod__, body)]) + "\n"
-    # rows is the last key, so the head ends in its empty list "[]\n}"
-    head = json.dumps({"command": command, "params": params,
-                       "columns": columns, "rows": []}, indent=2)[:-4]
-    if not rows:
-        return head + "[]\n}\n"
+        text = "".join(map((",".join(pieces) + "\n").__mod__, body))
+        return ",".join(columns) + "\n" + text if first else text
+    if first:
+        # rows is the last key, so the head ends in its empty list "[]\n}"
+        head = json.dumps({"command": command, "params": params,
+                           "columns": columns, "rows": []}, indent=2)[:-4]
+        if not rows:
+            return head + "[]\n}\n"
     template = "    [\n      " + ",\n      ".join(pieces) + "\n    ]"
-    return head + "[\n" + ",\n".join(map(template.__mod__, body)) + "\n  ]\n}\n"
+    text = (head + "[\n" if first else ",\n") + ",\n".join(
+        map(template.__mod__, body))
+    return text + "\n  ]\n}\n" if last else text
+
+
+def _blocks(command: str, params: dict, columns: list, n: int, rows, fmt: str):
+    """The n-row table's text, one block of BLOCK rows at a time.
+
+    rows(a, b) builds rows a..b-1, so only one block's rows exist at once.
+    """
+    for a in range(0, max(n, 1), BLOCK):
+        b = min(a + BLOCK, n)
+        yield _render(command, params, columns, rows(a, b), fmt, a == 0, b == n)
 
 
 def _params(args) -> dict:
@@ -164,35 +188,38 @@ def _cmd_zones(args):
     codes = _zone_minus(energies, args.mass, pot.v0, pot.w_abs, grid[-1], np)
     labels = [zone.value for zone in Zone]
     constants = (Zone.DIFFUSION.value, *evanescent_width(args.mass, pot.v0, pot.w_abs))
-    rows = list(zip(
-        energies.tolist(), *(col.tolist() for col in grid),
-        map(labels.__getitem__, codes.tolist()),
-        *map(itertools.repeat, constants),
-    ))
+
+    def rows(a, b):
+        return list(zip(
+            energies[a:b].tolist(), *(col[a:b].tolist() for col in grid),
+            map(labels.__getitem__, codes[a:b].tolist()),
+            *map(itertools.repeat, constants),
+        ))
+
     params = _params(args)
     params.update(e_min=e_min, e_max=e_max)
     columns = [
         "energy", "p2", "q2_plus", "q2_minus", "delta", "mom2_plus",
         "mom2_minus", "zone_minus", "zone_plus", "e_low", "e_up", "delta_e",
     ]
-    return _render("zones", params, columns, rows, args.format), 0
+    return _blocks("zones", params, columns, n + 1, rows, args.format), 0
 
 
 def _cmd_bag_spectrum(args):
     pot = _pot_from_args(args)
     levels = solve_spectrum(args.mass, pot, args.length, args.levels, args.branch)
-    rows = [
-        [
-            lvl.branch.value, lvl.index, lvl.momentum, lvl.eff_momentum,
-            lvl.energy, lvl.phase, lvl.norm_const, lvl.regime_flag,
-        ]
-        for lvl in levels
-    ]
+
+    def rows(a, b):
+        return [[lvl.branch.value, lvl.index, lvl.momentum, lvl.eff_momentum,
+                 lvl.energy, lvl.phase, lvl.norm_const, lvl.regime_flag]
+                for lvl in levels[a:b]]
+
     columns = [
         "branch", "index", "momentum", "eff_momentum", "energy", "phase",
         "norm_const", "regime_flag",
     ]
-    return _render("bag-spectrum", _params(args), columns, rows, args.format), 0
+    return _blocks("bag-spectrum", _params(args), columns, len(levels), rows,
+                   args.format), 0
 
 
 def _cmd_density(args):
@@ -211,34 +238,38 @@ def _cmd_density(args):
 
     z = np.linspace(0.0, wf.length, args.grid)
     rho_c, rho_q = wf.density_split(z)
-    rows = list(zip(z.tolist(), (rho_c + rho_q).tolist(), rho_c.tolist(),
-                    rho_q.tolist()))
+
+    def rows(a, b):
+        c, q = rho_c[a:b], rho_q[a:b]
+        return list(zip(z[a:b].tolist(), (c + q).tolist(), c.tolist(), q.tolist()))
+
     columns = ["z", "rho", "rho_complex_part", "rho_quaternionic_part"]
-    return _render("density", _params(args), columns, rows, args.format), 0
+    return _blocks("density", _params(args), columns, args.grid, rows,
+                   args.format), 0
 
 
 def _cmd_nr_spectrum(args):
     if args.w0_abs <= 0:
         raise UsageError("nr-spectrum needs w0-abs > 0 (the limit divides by it)")
     levels = nr_quantize(args.length, args.levels, args.mass, args.w0_abs)
-    rows = [
-        [
-            lvl.index, lvl.momentum, lvl.eff_plus, lvl.eff_minus,
-            lvl.energy_plus, lvl.energy_minus, lvl.regime_flag,
-        ]
-        for lvl in levels
-    ]
+
+    def rows(a, b):
+        return [[lvl.index, lvl.momentum, lvl.eff_plus, lvl.eff_minus,
+                 lvl.energy_plus, lvl.energy_minus, lvl.regime_flag]
+                for lvl in levels[a:b]]
+
     columns = [
         "index", "momentum", "eff_plus", "eff_minus", "energy_plus",
         "energy_minus", "regime_flag",
     ]
-    return _render("nr-spectrum", _params(args), columns, rows, args.format), 0
+    return _blocks("nr-spectrum", _params(args), columns, len(levels), rows,
+                   args.format), 0
 
 
 def _cmd_verify(args):
     report = build_report()
     text = json.dumps(report, indent=2) + "\n"
-    return text, (0 if report_passed(report) else 1)
+    return [text], (0 if report_passed(report) else 1)
 
 
 def _add_pot_flags(p, v0=True, phase=True):
@@ -344,24 +375,33 @@ def main(argv=None) -> int:
         if levels > MAX_ROWS:
             raise UsageError(
                 "--levels %d is over the %d-row limit" % (levels, MAX_ROWS))
-        text, code = args.func(args)
+        blocks, code = args.func(args)
+        try:
+            with (contextlib.nullcontext(sys.stdout) if args.output is None
+                  else open(args.output, "w", newline="")) as fh:
+                fh.writelines(blocks)
+                fh.flush()
+        except OSError as exc:
+            if args.output is None and isinstance(exc, BrokenPipeError):
+                # the reader closed stdout (`| head`): stop quietly, with fd 1
+                # on devnull so the interpreter's exit flush cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return code
+            target = "stdout" if args.output is None else "--output " + args.output
+            print("error: cannot write %s: %s" % (target, exc.strerror),
+                  file=sys.stderr)
+            return 2
+        return code
     except (NoSolutionError, SingularCoefficientsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if args.output is None:
-        sys.stdout.write(text)
-        return code
-    try:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print("error: cannot write --output %s: %s" % (args.output, exc.strerror),
+    except Exception as exc:  # no traceback reaches the user
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
-        return 2
-    return code
+        return 4
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from qdirac import (
     nr_quantize,
     solve_spectrum,
 )
+from qdirac import cli
 from qdirac.cli import _render, main
 
 ZONES_ARGS = [
@@ -36,6 +37,14 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestZones:
@@ -408,6 +417,44 @@ class TestExitCodes:
         assert code in (0, 2, 3) and err.count("\n") <= 1
         assert "Traceback" not in err
 
+    def test_internal_error_exits_four_after_the_written_blocks(self, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK", 3)  # ZONES_ARGS has 5 rows: two blocks
+        render, texts = cli._render, []
+
+        def fail_second(*args):
+            if texts:
+                raise RuntimeError("render failed")
+            texts.append(render(*args))
+            return texts[0]
+
+        monkeypatch.setattr(cli, "_render", fail_second)
+        code, out, err = run_cli(ZONES_ARGS, capsys)
+        assert code == 4
+        assert out == texts[0] and out.count("\n") == 4
+        assert err == "error: internal: RuntimeError: render failed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_write_error_mid_table_is_one_line(self, capsys):
+        code, out, err = run_cli(
+            ["zones", "--e-step", "0.0001", "--output", "/dev/full"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: cannot write --output /dev/full: "
+                       "No space left on device\n")
+
+    def test_reader_closing_stdout_ends_quietly(self):
+        # 50,001 rows are 13 blocks and far more than a pipe buffer, so the
+        # writer is still mid-table when the reader goes away
+        argv = [sys.executable, "-m", "qdirac", "zones", "--e-step", "0.0001"]
+        with subprocess.Popen(argv, env=src_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert header.decode() == ZONES_HEADER + "\n"
+        assert (code, err) == (0, b"")
+
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -452,10 +499,7 @@ class TestRuntimeDependencies:
             "        codes[argv[0]] = qdirac.cli.main(argv)\n"
             "print(json.dumps(codes))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, str(script)], env=env,
+        proc = subprocess.run([sys.executable, str(script)], env=src_env(),
                               capture_output=True, text=True, check=True)
         assert json.loads(proc.stdout) == {
             "scipy_loaded": False, "verify": 0, "bag-spectrum": 0, "density": 0,
@@ -467,12 +511,9 @@ class TestRuntimeDependencies:
         # print what an unblocked run prints
         script = tmp_path / "no_numpy.py"
         script.write_text(NO_NUMPY_SCRIPT)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         blocked, plain = (
             json.loads(subprocess.run(
-                [sys.executable, str(script), mode], env=env, capture_output=True,
+                [sys.executable, str(script), mode], env=src_env(), capture_output=True,
                 text=True, check=True).stdout)
             for mode in ("block", "plain"))
         for run in (blocked, plain):
@@ -547,6 +588,37 @@ class TestOutputStability:
         assert code2 == 0 and out2 == ""
         assert target.read_bytes().decode() == out
 
+    @pytest.mark.parametrize("argv", [
+        ["zones", "--v0", "-0.3", "--w0-abs", "0.2", "--e-step", "0.0005"],
+        ["density", "--v0", "0.7", "--w0-abs", "0.5", "--grid", "9000"],
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_multi_block_output_file_equals_stdout(self, capsys, tmp_path,
+                                                   argv, fmt):
+        argv = argv + ["--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.count("\n") > 2 * cli.BLOCK
+        target = tmp_path / "table"
+        assert run_cli(argv + ["--output", str(target)], capsys) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+    def test_peak_memory_does_not_grow_with_the_row_count(self):
+        # 200,001 zones rows in JSON are about 50 MB of text; written whole
+        # they took the process to about 240 MB
+        script = (
+            "import os, resource\n"
+            "from qdirac.cli import main\n"
+            "code = main(['zones', '--e-min', '1', '--e-max', '196.3125',\n"
+            "             '--e-step', '0.0009765625', '--format', 'json',\n"
+            "             '--output', os.devnull])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, check=True)
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kib < 120 * 1024, peak_kib
+
     def test_repeat_runs_are_byte_identical(self):
         argv = [sys.executable, "-m", "qdirac"] + ZONES_ARGS + [
             "--format", "json",
@@ -618,3 +690,46 @@ class TestRenderer:
                 expected = oracles.render_reference("t", params, columns, rows, fmt)
                 assert _render("t", params, columns, rows, fmt) == expected, (
                     i, fmt, rows)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
+    def test_blocks_equal_the_cell_by_cell_oracle(self, monkeypatch, block):
+        """The same seeded tables written block by block: the blocks join to
+        the oracle's text whatever the block size."""
+        monkeypatch.setattr(cli, "BLOCK", block)
+        rng = random.Random(20261018)
+        for i in range(320):
+            columns, params, rows = random_table(rng)
+            for fmt in ("csv", "json"):
+                expected = oracles.render_reference("t", params, columns, rows, fmt)
+                assert write_blocks(params, columns, rows, fmt) == expected, (
+                    i, fmt, rows)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 5, 6, 7])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_that_change_between_blocks(self, monkeypatch, n_rows, fmt):
+        """Blocks of 3 rows; 6 and 7 rows are 2*BLOCK and 2*BLOCK + 1. Each
+        column is constant, non-finite or a signed zero in some blocks only."""
+        monkeypatch.setattr(cli, "BLOCK", 3)
+        nan, inf = math.nan, math.inf
+        cols = {
+            "float": [1.5, 1.5, 1.5, 2.0, 3.0, 1.5, 1.5],
+            "int": [7, 7, 7, 8, 7, 7, 7],
+            "bool": [True, True, True, False, True, True, True],
+            "str": ["a", "a", "a", "b%", "a", "a", "a"],
+            "nonfinite": [0.5, 0.25, 1.0, nan, inf, -inf, 2.0],
+            "same_nan": [nan] * 3 + [1.0, 2.0, 3.0, 4.0],
+            "inf_block": [1.0, 2.0, 3.0, inf, inf, inf, -inf],
+            "zeros": [0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0],
+            "mixed_zeros": [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0],
+        }
+        columns = list(cols)
+        rows = [list(row) for row in zip(*cols.values())][:n_rows]
+        params = {"levels": n_rows}
+        expected = oracles.render_reference("t", params, columns, rows, fmt)
+        assert write_blocks(params, columns, rows, fmt) == expected
+
+
+def write_blocks(params, columns, rows, fmt):
+    """The text of cli._blocks for a ready list of rows."""
+    return "".join(cli._blocks("t", params, columns, len(rows),
+                               lambda a, b: rows[a:b], fmt))
