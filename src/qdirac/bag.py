@@ -16,22 +16,22 @@ combination
 
 vanishes along the family, and its zeros are exactly Q_n = n*pi/(2L) for every
 phase. quantization_residual computes g with the phase carried through the
-physical energy chain; quantization_residual_grid is the same chain over a
-whole array of momenta, with numpy's functions and masks in place of the
-scalar guards. Verify scans g with the array form, which only brackets the
+physical energy chain, whose coefficient denominators are mode_coefficients'
+own (step._branch_denominators); quantization_residual_grid is the same chain
+over a whole array of momenta, with numpy's functions and masks in place of
+the scalar guards. Verify scans g with the array form, which only brackets the
 roots; every root it prints is the scalar quantization_residual bisected.
-The full spinor mismatch at z = L is available separately
-(boundary_residual) and is reported by the verify command rather than
-asserted.
+The full spinor mismatch at z = L (boundary_residual) is reported by the
+verify command rather than asserted.
 
 Energies, norms and densities are closed-form: at v0 != 0 the energy is a root
 of a quadratic in E^2, _density_integral (the one written norm integral)
 integrates the cos^2/sin^2(Qz -+ phase/2) density exactly (Alberto, Fiolhais &
 Gil, Eur. J. Phys. 17 (1996) 19), and density_split evaluates that form on
 whole arrays. solve_spectrum solves each level's mode coefficients once and
-the BagLevel carries them, so stationary_wavefunction solves nothing; _phase
-is the one phase formula. The spinor (evaluate) serves the wall checks and is
-the tests' oracle for the density.
+the BagLevel carries them with its w_factor, so stationary_wavefunction solves
+nothing and reads nothing of the well. _phase is the one phase formula. The
+spinor (evaluate) serves the wall checks and is the tests' density oracle.
 
 solve_spectrum, stationary_wavefunction and normalize use math and cmath
 only; numpy is imported by the array functions when they are called.
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from .dirac import QSpinor, _block_spinor, apply_matrix, build_matrices
 from .quaternion import ZERO, Quaternion
 from .step import (_MATH, Branch, PotentialStep, SingularCoefficientsError,
-                   amp_denominator, as_branch, branch_mom2, mode_coefficients)
+                   _branch_denominators, as_branch, mode_coefficients)
 
 __all__ = [
     "NoSolutionError",
@@ -92,7 +92,9 @@ class BagLevel:
     levels with momentum < w_abs, where the closed-form energy still follows
     from the squared shifted momentum but the travelling-mode decomposition
     behind the coefficients leaves its stated regime. amp_ratio (which fixes
-    the phase) and j_chi are the real parts of the level's mode coefficients.
+    the phase) and j_chi are the real parts of the level's mode coefficients
+    and w_factor is the potential's w0 in this branch's spinor (conjugated on
+    the plus branch): every weight of the level's density.
     """
 
     branch: Branch
@@ -105,6 +107,7 @@ class BagLevel:
     length: float
     amp_ratio: float
     j_chi: float
+    w_factor: complex
     regime_flag: bool = False
 
 
@@ -284,24 +287,20 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
 
 def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     """(g, regular, amp): g(Q) from a level's energy, through amp_ratio and
-    the boundary phase, operation for operation as mode_coefficients and
-    boundary_phase compute them.
+    the boundary phase.
 
     The one written form: quantization_residual passes floats and
     step._MATH as xp, quantization_residual_grid float64 arrays and numpy.
-    branch_mom2 takes the same xp; amp_denominator uses only +, -, * and /
-    and takes none. regular is false where a denominator of
-    mode_coefficients vanishes; amp is amp_ratio.real, nan where it is not
-    finite. g = cot a + cot b = num/den is +-inf at a pole, nan where num and
-    den are both 0.
+    The denominators are mode_coefficients' own (step._branch_denominators,
+    same xp). Above the mass shell, regular is false exactly where
+    mode_coefficients raises; E = m divides by zero and the callers skip it.
+    amp is amp_ratio.real, nan where it is not finite. g = cot a + cot b =
+    num/den is +-inf at a pole, nan where num and den are both 0.
     """
     plus = branch is Branch.PLUS
-    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
-        energy, mass, pot.v0, pot.w_abs, xp)
-    mom2 = mom2_plus if plus else mom2_minus
-    q2_other = q2_minus if plus else q2_plus
-    denom_a = amp_denominator(energy, mass, pot.v0, delta, 1.0 if plus else -1.0)
-    regular = (denom_a != 0.0) & (q2_other - mom2 != 0.0)
+    mom2, denom_a, denom_mn = _branch_denominators(
+        energy, mass, pot.v0, pot.w_abs, plus, xp)
+    regular = (denom_a != 0.0) & (denom_mn != 0.0)
     # principal_momentum is imaginary for mom2 < 0: amp_ratio.real is then 0
     amp = (xp.sqrt(xp.where(mom2 < 0.0, 0.0, mom2))
            / xp.where(regular, denom_a, math.nan))
@@ -369,7 +368,7 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     eff_momentum is still reported as the shifted wavenumber and the closed
     form is checked by the verify command as a diagnostic, not assumed here.
     Each level's one mode_coefficients call gives the amp_ratio and j_chi it
-    carries, its phase and, through _density_integral, its norm_const.
+    carries, its phase and, with its w_factor, its norm_const.
     Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
     the level exactly on the mass shell where the coefficients are singular,
     which raises.
@@ -397,7 +396,7 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         levels.append(BagLevel(
             branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
             phase=ph, norm_const=1.0 / math.sqrt(total), length=length,
-            amp_ratio=amp, j_chi=j_chi,
+            amp_ratio=amp, j_chi=j_chi, w_factor=w_factor,
             regime_flag=br is Branch.PLUS and q_n < pot.w_abs))
     return levels
 
@@ -411,15 +410,14 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
     i*amp_ratio (right factor on the minus branch, left factor on the plus
     branch, whose spinor also conjugates the potential representative and
     swaps the block order). The level's norm_const enters as the amplitude.
-    Nothing is solved: amp_ratio and j_chi are read off the level, and of
-    the well (mass, pot) the level was solved in only pot.w0 enters.
+    Nothing is solved and mass and pot are not read: amp_ratio, j_chi and
+    w_factor are read off the level, as solved in its own well.
     """
     if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
     return StationaryWavefunction(
         branch=level.branch, spin=spin, momentum=level.momentum, phase=level.phase,
-        amp_ratio=level.amp_ratio, j_chi=level.j_chi,
-        w_factor=pot.w0 if level.branch is Branch.MINUS else pot.w0.conjugate(),
+        amp_ratio=level.amp_ratio, j_chi=level.j_chi, w_factor=level.w_factor,
         length=level.length, amplitude=level.norm_const)
 
 

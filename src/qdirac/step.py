@@ -154,9 +154,9 @@ def branch_mom2(e, mass, v0, w_abs, xp):
     """(p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus) at energy e.
 
     The one written form of the dispersion relation, for a float with _MATH
-    (kinematics, mode_coefficients) or a float64 array with numpy
-    (_kernels.branch_mom2_grid). Only +, -, * and sqrt occur, each correctly
-    rounded, so the scalar and the array results agree bit for bit.
+    (kinematics, _branch_denominators) or a float64 array with numpy
+    (_kernels.branch_mom2_grid, _branch_denominators). Only +, -, * and sqrt
+    occur, each correctly rounded, so the two agree bit for bit.
     """
     p2 = e * e - mass * mass
     t_plus = e + v0
@@ -256,14 +256,19 @@ def principal_momentum(mom2: float) -> complex:
     return complex(0.0, math.sqrt(-mom2))
 
 
-def amp_denominator(energy, mass, v0, delta, sgn):
-    """Denominator of amp_ratio = momentum / denom_a, with sgn = +1 on the
-    plus branch and -1 on the minus branch.
+def _branch_denominators(energy, mass, v0, w_abs, plus, xp):
+    """(mom2, denom_a, denom_mn): a branch's squared momentum and the
+    denominators of amp_ratio = momentum/denom_a and of j_chi and j_sigma.
 
-    The one written form: mode_coefficients passes floats,
-    bag._residual_chain floats or float64 arrays.
+    The one written form: mode_coefficients passes floats and _MATH,
+    bag._residual_chain floats or float64 arrays with its own xp.
     """
-    return energy + sgn * v0 + mass + sgn * delta / (energy - mass)
+    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
+        energy, mass, v0, w_abs, xp)
+    sgn = 1.0 if plus else -1.0
+    mom2, q2_other = (mom2_plus, q2_minus) if plus else (mom2_minus, q2_plus)
+    denom_a = energy + sgn * v0 + mass + sgn * delta / (energy - mass)
+    return mom2, denom_a, q2_other - mom2
 
 
 def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
@@ -274,29 +279,25 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     delta/(E - m) term that is singular at E = m. Exact zeros of either
     denominator (the resonant case where one branch momentum collides with
     the other complex-limit momentum) raise SingularCoefficientsError rather
-    than divide.
+    than divide. _branch_denominators, shared with bag, forms both.
     """
     br = as_branch(branch)
     if energy == mass:
         raise SingularCoefficientsError(
             "coefficients singular at E = m (delta/(E - m) pole)")
     _require_on_shell(energy, mass)
-    _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
-        energy, mass, pot.v0, pot.w_abs, _MATH)
-    sgn = 1.0 if br is Branch.PLUS else -1.0
-    mom2 = mom2_plus if br is Branch.PLUS else mom2_minus
-    q2_other = q2_minus if br is Branch.PLUS else q2_plus
+    mom2, denom_a, denom_mn = _branch_denominators(
+        energy, mass, pot.v0, pot.w_abs, br is Branch.PLUS, _MATH)
     momentum = principal_momentum(mom2)
-    denom_a = amp_denominator(energy, mass, pot.v0, delta, sgn)
     if denom_a == 0:
         raise SingularCoefficientsError(
             "amp_ratio denominator vanishes at these parameters")
-    denom_mn = q2_other - mom2
     if denom_mn == 0:
         raise SingularCoefficientsError(
             "resonant denominator: branch momentum squared equals the "
             "opposite complex-limit momentum squared"
         )
+    sgn = 1.0 if br is Branch.PLUS else -1.0
     amp_ratio = momentum / denom_a
     j_chi = (energy - sgn * pot.v0 - mass + momentum * amp_ratio) / denom_mn
     j_sigma = (momentum + amp_ratio * (energy - sgn * pot.v0 + mass)) / denom_mn

@@ -177,7 +177,7 @@ def render_reference(command: str, params: dict, columns: list, rows: list,
 def mode_coefficients_via_kinematics(step, energy, mass, pot, branch):
     """step.mode_coefficients read off a full step.kinematics record: the
     same checks in the same order and the same expressions on the
-    BranchKinematics fields."""
+    BranchKinematics fields, each denominator spelled out here."""
     br = step.as_branch(branch)
     if energy == mass:
         raise step.SingularCoefficientsError(
@@ -188,7 +188,7 @@ def mode_coefficients_via_kinematics(step, energy, mass, pot, branch):
     mom2 = kin.mom2_plus if plus else kin.mom2_minus
     q2_other = kin.q2_minus if plus else kin.q2_plus
     momentum = step.principal_momentum(mom2)
-    denom_a = step.amp_denominator(energy, mass, pot.v0, kin.delta, sgn)
+    denom_a = energy + sgn * pot.v0 + mass + sgn * kin.delta / (energy - mass)
     if denom_a == 0:
         raise step.SingularCoefficientsError(
             "amp_ratio denominator vanishes at these parameters")
@@ -206,7 +206,8 @@ def mode_coefficients_via_kinematics(step, energy, mass, pot, branch):
 
 def wavefunction_by_solving(bag, step, level, mass, pot, spin="up"):
     """bag.stationary_wavefunction with the level's mode coefficients solved
-    again by step.mode_coefficients at its energy, not read off the level."""
+    again by step.mode_coefficients at its energy and w_factor taken from
+    pot, not read off the level."""
     mc = step.mode_coefficients(level.energy, mass, pot, level.branch)
     return bag.StationaryWavefunction(
         branch=level.branch,
@@ -242,7 +243,9 @@ def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
             branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
             phase=bag.boundary_phase(mc.amp_ratio.real, br).phase,
             norm_const=1.0, length=length, amp_ratio=mc.amp_ratio.real,
-            j_chi=mc.j_chi.real, regime_flag=br is step.Branch.PLUS and q_n < pot.w_abs)
+            j_chi=mc.j_chi.real,
+            w_factor=pot.w0 if br is step.Branch.MINUS else pot.w0.conjugate(),
+            regime_flag=br is step.Branch.PLUS and q_n < pot.w_abs)
         norm_const, _ = bag.normalize(wavefunction_by_solving(bag, step, level, mass, pot))
         levels.append(dataclasses.replace(level, norm_const=norm_const))
     return levels

@@ -217,7 +217,77 @@ def scalar_grid(g):
     return lambda qs: np.array([safe(q) for q in qs.tolist()])
 
 
+def denominator_draws(seed, n_wells=36, n_energies=8):
+    """Seeded wells over v0 < 0, v0 = 0 and v0 > 0 on both branches, each
+    with energies above the mass shell (inside the minus-branch evanescent
+    window for half of them), then the energies of the pinned singular
+    argv: bag-spectrum's defaults (resonant denominator) and --w0-abs 0.5
+    --length 1e308 (a zero amp_ratio denominator), on both branches."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_wells):
+        mass = float(rng.uniform(0.0, 2.0))
+        v0 = (-1.0, 0.0, 1.0)[i % 3] * float(rng.uniform(0.1, 1.5))
+        w_abs = 0.0 if i % 9 == 4 else float(rng.uniform(0.05, 1.5))
+        pot = PotentialStep(v0=v0, w_abs=w_abs,
+                            w_phase=float(rng.uniform(-math.pi, math.pi)))
+        e_low, e_up, width = evanescent_width(mass, v0, w_abs)
+        energies = [e_low + float(rng.uniform(0.0, 1.0)) * width if width and k % 2
+                    else mass + float(rng.uniform(1e-3, 3.0)) for k in range(n_energies)]
+        yield mass, pot, (Branch.MINUS, Branch.PLUS)[i // 3 % 2], energies
+    for w_abs, length in ((0.0, 1.0), (0.5, 1e308)):
+        q = quantized_momenta(length, 1)[0]
+        for branch in (Branch.MINUS, Branch.PLUS):
+            yield 1.0, PotentialStep(w_abs=w_abs), branch, [math.hypot(q + w_abs, 1.0)]
+
+
 class TestResidualGrid:
+    def test_chain_shares_the_coefficient_denominators_bitwise(self):
+        # the residual chain's amp_ratio.real and regular mask are
+        # mode_coefficients' own, for floats and for each array lane
+        seen = set()
+        for mass, pot, branch, energies in denominator_draws(83):
+            want = []
+            for energy in energies:
+                try:
+                    mc = mode_coefficients(energy, mass, pot, branch)
+                except SingularCoefficientsError as exc:
+                    want.append((False, math.nan))
+                    seen.add(str(exc).split(":")[0])
+                    continue
+                amp = mc.amp_ratio.real
+                want.append((True, amp if math.isfinite(amp) else math.nan))
+                sign = (pot.v0 > 0) - (pot.v0 < 0)
+                seen.add((sign, branch, mc.momentum.imag > 0))
+            got = [bag._residual_chain(1.0, e, mass, pot, 1.0, branch, step._MATH)[1:]
+                   for e in energies]
+            assert repr(got) == repr(want), (mass, pot, branch)
+            _, regular, amp = bag._residual_chain(
+                np.ones(len(energies)), np.array(energies), mass, pot, 1.0, branch, np)
+            assert repr(list(zip(regular.tolist(), amp.tolist()))) == repr(got)
+        for sign in (-1, 0, 1):
+            for branch in (Branch.MINUS, Branch.PLUS):
+                assert (sign, branch, False) in seen
+        assert {"resonant denominator", "amp_ratio denominator vanishes at these "
+                "parameters", (1, Branch.MINUS, True), (-1, Branch.MINUS, True)} <= seen
+
+    @pytest.mark.parametrize("mass,w_abs,length,n,branch", [
+        (1.0, 3.141592653589793, 1.0, 2, Branch.PLUS),
+        (1e308, 0.5, 1.0, 2, Branch.MINUS),
+    ])
+    def test_mass_shell_is_outside_the_chain(self, mass, w_abs, length, n, branch):
+        # the E = m levels of the pinned singular argv: mode_coefficients
+        # raises before any denominator, the chain divides by E - m = 0,
+        # and quantization_residual's guard returns nan instead
+        q = quantized_momenta(length, n)[-1]
+        pot = PotentialStep(w_abs=w_abs)
+        energy = math.hypot(q - w_abs if branch is Branch.PLUS else q + w_abs, mass)
+        assert energy == mass
+        with pytest.raises(SingularCoefficientsError, match=r"E = m"):
+            mode_coefficients(energy, mass, pot, branch)
+        with pytest.raises(ZeroDivisionError):
+            bag._residual_chain(q, energy, mass, pot, length, branch, step._MATH)
+        assert math.isnan(quantization_residual(q, mass, pot, length, branch))
+
     def test_array_form_matches_scalar(self):
         seen = set()
         for mass, pot, length, branch, momenta in residual_draws(61):
@@ -519,7 +589,8 @@ class TestOneSolvePerLevel:
 
     def test_wavefunction_equals_the_solving_oracle(self):
         # the coefficients a level carries are the ones a fresh solve at its
-        # energy gives: every field of the wavefunction, bit for bit
+        # energy gives, and its w_factor the one its pot gives: every field
+        # of the wavefunction, bit for bit
         seen = set()
         for args in composition_draws(101, n_wells=36):
             mass, pot = args[0], args[1]
@@ -587,6 +658,29 @@ class TestOneSolvePerLevel:
         levels = solve_spectrum(1.0, PotentialStep(v0=v0, w_abs=0.5), 1.0, n_max, branch)
         assert len(levels) == n_max
         assert calls == Counter(mode_coefficients=n_max)
+
+    def test_wavefunction_reads_nothing_of_the_well(self, monkeypatch):
+        # a level carries its w_factor: with PotentialStep.w0 made to raise,
+        # every wavefunction still builds, and to the same bits as the
+        # oracle that takes w_factor from the level's own pot
+        cases = []
+        for mass, pot, length, n_max, branch in composition_draws(103, n_wells=36):
+            try:
+                levels = solve_spectrum(mass, pot, length, n_max, branch)
+            except ValueError:
+                continue
+            cases += [(level, mass, pot, spin, repr(oracles.wavefunction_by_solving(
+                bag, step, level, mass, pot, spin)))
+                for level in levels for spin in ("up", "down")]
+
+        def unread(_):
+            raise AssertionError("stationary_wavefunction read pot.w0")
+
+        monkeypatch.setattr(PotentialStep, "w0", property(unread))
+        for level, mass, pot, spin, want in cases:
+            assert repr(stationary_wavefunction(level, mass, pot, spin)) == want
+        assert {(c[0].branch, c[3]) for c in cases} == {
+            (b, s) for b in (Branch.MINUS, Branch.PLUS) for s in ("up", "down")}
 
     @pytest.mark.parametrize("v0", [0.0, 0.7])
     @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
