@@ -8,9 +8,12 @@ non-relativistic limit levels), verify (the self-check report).
 Output goes to stdout or --output as CSV (header line first, comma
 separator, floats by %.17g) or as a single JSON object with stable key order
 (floats by repr; non-finite floats are NaN/Infinity, as json writes them).
-Tables are written in blocks of BLOCK (4096) rows, each rendered column by
-column through one %-template per block, so memory does not grow with the
-row count. Every check runs before the first block is written; a write
+Each table command states its table once, as ordered (name, cells) pairs:
+numpy arrays for zones and density, lists read off the level objects for
+the spectra, and a str or float for a value every row shares. _blocks alone
+cuts a table into blocks of BLOCK (4096) rows, each rendered column by
+column through one %-template, so memory does not grow with the row
+count. Every check runs before the first block is written; a write
 error mid-table leaves the blocks already written. Repeated runs with
 identical flags produce byte-identical output; nothing here reads the
 clock, the locale, or the environment.
@@ -19,8 +22,9 @@ numpy is imported by the array commands (zones, density, verify) when they
 run, not with this module, so --version, bag-spectrum, nr-spectrum and the
 usage errors never load it.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
-output that cannot be written, 3 no solution at these parameters (no level
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments, a
+value derived from them that leaves float64 range, or an output that
+cannot be written, 3 no solution at these parameters (no level
 in the requested range, or mode coefficients singular at a level's energy),
 4 internal error. A reader that closes stdout early (`| head`) ends the run
 quietly with its usual code.
@@ -136,14 +140,21 @@ def _render(command: str, params: dict, columns: list, rows: list,
     return text + "\n  ]\n}\n" if last else text
 
 
-def _blocks(command: str, params: dict, columns: list, n: int, rows, fmt: str):
-    """The n-row table's text, one block of BLOCK rows at a time.
+def _blocks(command: str, params: dict, table, fmt: str):
+    """The table's text, one block of BLOCK rows at a time.
 
-    rows(a, b) builds rows a..b-1, so only one block's rows exist at once.
+    table is an ordered sequence of (name, cells) pairs. cells is a numpy
+    array, a list, or a str or float that every row shares; the first
+    column's length is the row count. Only one block's rows exist at once.
     """
+    names = [name for name, _ in table]
+    n = len(table[0][1])
     for a in range(0, max(n, 1), BLOCK):
         b = min(a + BLOCK, n)
-        yield _render(command, params, columns, rows(a, b), fmt, a == 0, b == n)
+        cols = [itertools.repeat(cells, b - a) if isinstance(cells, (str, float))
+                else cells[a:b] if isinstance(cells, list) else cells[a:b].tolist()
+                for _, cells in table]
+        yield _render(command, params, names, list(zip(*cols)), fmt, a == 0, b == n)
 
 
 def _params(args) -> dict:
@@ -163,7 +174,7 @@ def _cmd_zones(args):
     e_min = args.mass if args.e_min is None else args.e_min
     e_max = (args.mass + 5.0) if args.e_max is None else args.e_max
     if e_min < args.mass:
-        raise UsageError("e-min %g is below the mass shell %g" % (e_min, args.mass))
+        raise UsageError("e-min %r is below the mass shell %r" % (e_min, args.mass))
     if e_max < e_min:
         raise UsageError("e-max must be >= e-min")
     if args.e_step <= 0:
@@ -186,40 +197,27 @@ def _cmd_zones(args):
     energies = e_min + np.arange(n + 1) * args.e_step
     grid = _kernels.branch_mom2_grid(energies, args.mass, pot.v0, pot.w_abs)
     codes = _zone_minus(energies, args.mass, pot.v0, pot.w_abs, grid[-1], np)
-    labels = [zone.value for zone in Zone]
-    constants = (Zone.DIFFUSION.value, *evanescent_width(args.mass, pot.v0, pot.w_abs))
-
-    def rows(a, b):
-        return list(zip(
-            energies[a:b].tolist(), *(col[a:b].tolist() for col in grid),
-            map(labels.__getitem__, codes[a:b].tolist()),
-            *map(itertools.repeat, constants),
-        ))
-
+    table = [
+        ("energy", energies),
+        *zip(("p2", "q2_plus", "q2_minus", "delta", "mom2_plus", "mom2_minus"), grid),
+        ("zone_minus", np.array([zone.value for zone in Zone], dtype=object)[codes]),
+        ("zone_plus", Zone.DIFFUSION.value),
+        *zip(("e_low", "e_up", "delta_e"),
+             evanescent_width(args.mass, pot.v0, pot.w_abs)),
+    ]
     params = _params(args)
     params.update(e_min=e_min, e_max=e_max)
-    columns = [
-        "energy", "p2", "q2_plus", "q2_minus", "delta", "mom2_plus",
-        "mom2_minus", "zone_minus", "zone_plus", "e_low", "e_up", "delta_e",
-    ]
-    return _blocks("zones", params, columns, n + 1, rows, args.format), 0
+    return _blocks("zones", params, table, args.format), 0
 
 
 def _cmd_bag_spectrum(args):
     pot = _pot_from_args(args)
     levels = solve_spectrum(args.mass, pot, args.length, args.levels, args.branch)
-
-    def rows(a, b):
-        return [[lvl.branch.value, lvl.index, lvl.momentum, lvl.eff_momentum,
-                 lvl.energy, lvl.phase, lvl.norm_const, lvl.regime_flag]
-                for lvl in levels[a:b]]
-
-    columns = [
-        "branch", "index", "momentum", "eff_momentum", "energy", "phase",
-        "norm_const", "regime_flag",
-    ]
-    return _blocks("bag-spectrum", _params(args), columns, len(levels), rows,
-                   args.format), 0
+    names = ("index", "momentum", "eff_momentum", "energy", "phase", "norm_const",
+             "regime_flag")
+    table = [("branch", [lvl.branch.value for lvl in levels]),
+             *((name, [getattr(lvl, name) for lvl in levels]) for name in names)]
+    return _blocks("bag-spectrum", _params(args), table, args.format), 0
 
 
 def _cmd_density(args):
@@ -238,32 +236,19 @@ def _cmd_density(args):
 
     z = np.linspace(0.0, wf.length, args.grid)
     rho_c, rho_q = wf.density_split(z)
-
-    def rows(a, b):
-        c, q = rho_c[a:b], rho_q[a:b]
-        return list(zip(z[a:b].tolist(), (c + q).tolist(), c.tolist(), q.tolist()))
-
-    columns = ["z", "rho", "rho_complex_part", "rho_quaternionic_part"]
-    return _blocks("density", _params(args), columns, args.grid, rows,
-                   args.format), 0
+    table = [("z", z), ("rho", rho_c + rho_q), ("rho_complex_part", rho_c),
+             ("rho_quaternionic_part", rho_q)]
+    return _blocks("density", _params(args), table, args.format), 0
 
 
 def _cmd_nr_spectrum(args):
     if args.w0_abs <= 0:
         raise UsageError("nr-spectrum needs w0-abs > 0 (the limit divides by it)")
     levels = nr_quantize(args.length, args.levels, args.mass, args.w0_abs)
-
-    def rows(a, b):
-        return [[lvl.index, lvl.momentum, lvl.eff_plus, lvl.eff_minus,
-                 lvl.energy_plus, lvl.energy_minus, lvl.regime_flag]
-                for lvl in levels[a:b]]
-
-    columns = [
-        "index", "momentum", "eff_plus", "eff_minus", "energy_plus",
-        "energy_minus", "regime_flag",
-    ]
-    return _blocks("nr-spectrum", _params(args), columns, len(levels), rows,
-                   args.format), 0
+    names = ("index", "momentum", "eff_plus", "eff_minus", "energy_plus",
+             "energy_minus", "regime_flag")
+    table = [(name, [getattr(lvl, name) for lvl in levels]) for name in names]
+    return _blocks("nr-spectrum", _params(args), table, args.format), 0
 
 
 def _cmd_verify(args):

@@ -175,7 +175,7 @@ def _require_on_shell(energy, mass):
     if mass < 0:
         raise ValueError("mass must be >= 0")
     if energy < mass:
-        raise ValueError("energy %g below mass %g: sub-mass-shell kinematics "
+        raise ValueError("energy %r below mass %r: sub-mass-shell kinematics "
                          "unsupported" % (energy, mass))
 
 

@@ -1,5 +1,7 @@
 """CLI contract: headers, cell formatting, exit codes, byte-identical reruns."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,12 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qdirac import (
@@ -233,6 +238,12 @@ class TestExitCodes:
             code, out, err = run_cli(argv, capsys)
             assert code == 2, argv
             assert out == "" and err.startswith("error:")
+
+    def test_mass_shell_error_shows_the_values_it_compares(self, capsys):
+        code, out, err = run_cli(
+            ["zones", "--mass", "1.0000002", "--e-min", "1.0000001"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: e-min 1.0000001 is below the mass shell 1.0000002\n"
 
     def test_table_size_is_bounded_before_allocating(self, capsys, monkeypatch):
         # the check runs before the grid exists, so refusing a count just
@@ -463,6 +474,83 @@ class TestExitCodes:
         assert out.strip().count(".") == 2
 
 
+# edge values for every float flag; half the draws are ordinary values, so
+# that many argv get past validation
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324,
+               -5e-324, -1.0, -0.5)
+
+
+def fuzz_floats(low, high):
+    ordinary = st.floats(low, high)
+    return st.one_of(ordinary, ordinary, st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+POSITIVE, SIGNED = fuzz_floats(1e-3, 4.0), fuzz_floats(-4.0, 4.0)
+# counts around 0 and around the 1000-row bound the test patches in
+COUNT = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(-2, 0),
+                  st.integers(995, 1005))
+FORMAT = st.sampled_from(("csv", "json"))
+FUZZ_POT = {"--mass": POSITIVE, "--v0": SIGNED, "--w0-abs": POSITIVE,
+            "--w0-phase": SIGNED, "--format": FORMAT}
+FUZZ_WELL = {"--length": POSITIVE, "--levels": COUNT,
+             "--branch": st.sampled_from(("minus", "plus"))}
+FUZZ_FLAGS = {
+    "zones": {**FUZZ_POT, "--e-min": POSITIVE, "--e-max": fuzz_floats(1.0, 8.0),
+              "--e-step": fuzz_floats(0.01, 1.0)},
+    "bag-spectrum": {**FUZZ_POT, **FUZZ_WELL},
+    "density": {**FUZZ_POT, **FUZZ_WELL, "--level": COUNT, "--grid": COUNT,
+                "--spin": st.sampled_from(("up", "down"))},
+    "nr-spectrum": {"--mass": POSITIVE, "--w0-abs": POSITIVE, "--length": POSITIVE,
+                    "--levels": COUNT, "--format": FORMAT},
+}
+
+
+@st.composite
+def table_argv(draw):
+    """argv that argparse accepts for one table command: any subset of its
+    flags, each spelled `--flag value` or `--flag=value`."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = draw(st.fixed_dictionaries({}, optional=FUZZ_FLAGS[command]))
+    argv = [command]
+    for flag, value in flags.items():
+        text = repr(value) if isinstance(value, float) else str(value)
+        argv += [flag + "=" + text] if draw(st.booleans()) else [flag, text]
+    return argv
+
+
+def reject_constant(name):
+    raise ValueError("non-finite JSON constant " + name)
+
+
+class TestContractFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(table_argv())
+    @example(["bag-spectrum", "--length", "1e308", "--v0", "1e20", "--w0-abs", "1",
+              "--levels", "5"])
+    @example(["bag-spectrum", "--w0-abs", "0.5", "--length", "1e308", "--levels", "1"])
+    def test_every_accepted_argv_keeps_the_contract(self, argv):
+        """Exit 0, 2 or 3 and never the internal-error code; a failure is one
+        error line and no table; a rerun prints the same bytes; JSON output
+        holds no NaN or Infinity."""
+        runs = []
+        with mock.patch.object(cli, "MAX_ROWS", 1000):
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                runs.append((code, out.getvalue(), err.getvalue()))
+        code, out, err = runs[0]
+        assert runs[1] == runs[0], argv
+        assert code in (0, 2, 3), (argv, err)
+        if code:
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert err == "" and out.endswith("\n"), argv
+            if "json" in argv or "--format=json" in argv:
+                json.loads(out, parse_constant=reject_constant)
+
+
 class TestVerify:
     def test_report_passes_and_has_stable_shape(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -604,14 +692,17 @@ class TestOutputStability:
 
     def test_peak_memory_does_not_grow_with_the_row_count(self):
         # 200,001 zones rows in JSON are about 50 MB of text; written whole
-        # they took the process to about 240 MB
+        # they took the process to about 240 MB. The peak is the child's
+        # own VmHWM: its ru_maxrss would also hold the high-water mark of
+        # this test process, which Linux carries across fork and exec.
         script = (
-            "import os, resource\n"
+            "import os, re\n"
             "from qdirac.cli import main\n"
             "code = main(['zones', '--e-min', '1', '--e-max', '196.3125',\n"
             "             '--e-step', '0.0009765625', '--format', 'json',\n"
             "             '--output', os.devnull])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                               capture_output=True, text=True, check=True)
@@ -708,7 +799,9 @@ class TestRenderer:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_columns_that_change_between_blocks(self, monkeypatch, n_rows, fmt):
         """Blocks of 3 rows; 6 and 7 rows are 2*BLOCK and 2*BLOCK + 1. Each
-        column is constant, non-finite or a signed zero in some blocks only."""
+        column is constant, non-finite or a signed zero in some blocks only.
+        The table mixes the column shapes the commands hand to _blocks:
+        lists, a float64 array, and a str and a float shared by every row."""
         monkeypatch.setattr(cli, "BLOCK", 3)
         nan, inf = math.nan, math.inf
         cols = {
@@ -721,15 +814,27 @@ class TestRenderer:
             "inf_block": [1.0, 2.0, 3.0, inf, inf, inf, -inf],
             "zeros": [0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0],
             "mixed_zeros": [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0],
+            "array": np.array([0.5, 0.5, 0.5, -0.0, 1e308, nan, 5e-324]),
+            "list": [2, 2, 2, 2.0, 2.0, 2.0, True],
+            "shared_str": "50% of %s",
+            "shared_zero": -0.0,
         }
-        columns = list(cols)
-        rows = [list(row) for row in zip(*cols.values())][:n_rows]
+        table = [(name, cells if isinstance(cells, (str, float)) else cells[:n_rows])
+                 for name, cells in cols.items()]
+        # the rows the oracle renders: an array prints as its Python floats
+        # and a shared value fills every row
+        cells_by_column = [
+            [cells] * n_rows if isinstance(cells, (str, float))
+            else cells.tolist() if isinstance(cells, np.ndarray) else cells
+            for _, cells in table]
+        rows = [list(row) for row in zip(*cells_by_column)]
         params = {"levels": n_rows}
-        expected = oracles.render_reference("t", params, columns, rows, fmt)
-        assert write_blocks(params, columns, rows, fmt) == expected
+        expected = oracles.render_reference("t", params, list(cols), rows, fmt)
+        assert "".join(cli._blocks("t", params, table, fmt)) == expected
 
 
 def write_blocks(params, columns, rows, fmt):
-    """The text of cli._blocks for a ready list of rows."""
-    return "".join(cli._blocks("t", params, columns, len(rows),
-                               lambda a, b: rows[a:b], fmt))
+    """The text of cli._blocks for a ready list of rows, one list column per
+    name; a table of no rows keeps its columns."""
+    table = [(name, [row[i] for row in rows]) for i, name in enumerate(columns)]
+    return "".join(cli._blocks("t", params, table, fmt))

@@ -64,6 +64,10 @@ class TestKinematics:
             kinematics(1.0, -1.0, PotentialStep())
         with pytest.raises(ValueError):
             PotentialStep(w_abs=-0.1)
+        # the message shows the two values it compares in full
+        with pytest.raises(ValueError, match=r"^energy 1\.0000001 below mass "
+                                             r"1\.0000002: "):
+            kinematics(1.0000001, 1.0000002, PotentialStep())
 
     @pytest.mark.parametrize("field", ["v0", "w_abs", "w_phase"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
