@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         blocks, code = args.func(args)
         try:
             with (contextlib.nullcontext(sys.stdout) if args.output is None
-                  else open(args.output, "w", newline="")) as fh:
+                  else open(args.output, "w", encoding="utf-8", newline="")) as fh:
                 fh.writelines(blocks)
                 fh.flush()
         except OSError as exc:

@@ -143,7 +143,8 @@ class QSpinor:
         v = np.asarray(vec, dtype=float)
         if v.shape != (16,):
             raise ValueError("expected 16 real coordinates")
-        return cls([Quaternion.from_coeffs(*v[4 * a : 4 * a + 4]) for a in range(4)])
+        x = v.tolist()
+        return cls([Quaternion.from_coeffs(*x[4 * a : 4 * a + 4]) for a in range(4)])
 
     def __repr__(self):
         return "QSpinor(%s)" % (", ".join(repr(q) for q in self.comp),)
@@ -168,17 +169,21 @@ def apply_matrix(mat, psi: QSpinor) -> QSpinor:
     """Apply a 4x4 complex matrix to a spinor by left multiplication.
 
     Matrix entries act on the left of each quaternion component, which matters:
-    a complex entry c sends u + jw to c*u + j*conj(c)*w.
+    a complex entry c sends u + jw to c*u + j*conj(c)*w. Each row sums its
+    nonzero terms' u and w parts as complex numbers, the same operations in
+    the same order as summing the quaternions c * q, which is the test
+    oracle (tests/oracles.apply_matrix_by_quaternions).
     """
     import numpy as np
 
     out = []
     for row in np.asarray(mat, dtype=complex).tolist():
-        acc = Quaternion()
+        u = w = 0j
         for c, q in zip(row, psi.comp):
             if c != 0:
-                acc = acc + c * q
-        out.append(acc)
+                u = u + c * q.u
+                w = w + c.conjugate() * q.w
+        out.append(Quaternion(u, w))
     return QSpinor(out)
 
 
@@ -255,7 +260,10 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
     i.e. the equation-of-motion defect of the plane-wave ansatz with the
     right-multiplications by -iE and iQ folded in. Left multiplication by j is
     antilinear over left-acting complex scalars, so the map is assembled over
-    the reals.
+    the reals. Each Kronecker product of 4x4 blocks is written as one
+    broadcast multiply, the elementwise products np.kron forms, so every
+    entry (the sign of each zero included) equals the np.kron form that is
+    the test oracle (tests/oracles.realify_by_kron).
     """
     import numpy as np
 
@@ -267,12 +275,15 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
         c = complex(c)
         return c.real * eye4 + c.imag * r_i
 
+    def kron(a, b):
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
     w0 = complex(pot.w0)
     v1, v2, v3 = pot.v0, w0.imag, w0.real
-    op = np.kron(eye4, right_mult(-1j * energy))
-    op += np.kron(mats.alpha[2].real, right_mult(1j * momentum))
-    op += np.kron(mats.beta.real, mass * l_i)
-    op += np.kron(eye4, v1 * l_i + v2 * l_j + v3 * l_k)
+    op = kron(eye4, right_mult(-1j * energy))
+    op += kron(mats.alpha[2].real, right_mult(1j * momentum))
+    op += kron(mats.beta.real, mass * l_i)
+    op += kron(eye4, v1 * l_i + v2 * l_j + v3 * l_k)
     return op
 
 
@@ -281,13 +292,14 @@ def nullspace_oracle(energy: float, momentum: complex, mass: float, pot,
     """Orthonormal basis of the numerical nullspace of the stationary operator.
 
     Singular vectors whose singular value falls below tol times the largest
-    one are kept. An empty list signals that (energy, momentum) is not on a
-    dispersion branch. Every returned spinor satisfies the equation of motion
-    to better than 1e-12 by construction; the caller is expected to check that
-    independently (and the test suite does).
+    one are kept, for a tol inside (0, 1); any other tol (nan, inf, 1.0)
+    raises ValueError. An empty list signals that (energy, momentum) is not
+    on a dispersion branch. Every returned spinor satisfies the equation of
+    motion to better than 1e-12 by construction; the caller is expected to
+    check that independently (and the test suite does).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1), got %r" % (tol,))
     import numpy as np
 
     op = realify_stationary_operator(energy, momentum, mass, pot)

@@ -9,7 +9,10 @@ are the ground truth the tests freeze expected values from. The spectrum
 composition oracle takes the package's step and bag modules as arguments and
 builds each level through kinematics, a placeholder BagLevel, normalize and
 dataclasses.replace; its wavefunction oracle solves the level's mode
-coefficients again instead of reading them off the level.
+coefficients again instead of reading them off the level. The realified
+operator and apply_matrix oracles take the package's dirac module as an
+argument and keep its earlier forms: np.kron of the 4x4 blocks, and a row
+sum of Quaternion terms c * q.
 """
 
 from __future__ import annotations
@@ -249,3 +252,33 @@ def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
         norm_const, _ = bag.normalize(wavefunction_by_solving(bag, step, level, mass, pot))
         levels.append(dataclasses.replace(level, norm_const=norm_const))
     return levels
+
+
+def realify_by_kron(dirac, energy, momentum, mass, pot):
+    """dirac.realify_stationary_operator with every block product by np.kron."""
+    mats, l_i, l_j, l_k, r_i = dirac._built()
+    eye4 = np.eye(4)
+
+    def right_mult(c):
+        c = complex(c)
+        return c.real * eye4 + c.imag * r_i
+
+    w0 = complex(pot.w0)
+    v1, v2, v3 = pot.v0, w0.imag, w0.real
+    op = np.kron(eye4, right_mult(-1j * energy))
+    op += np.kron(mats.alpha[2].real, right_mult(1j * momentum))
+    op += np.kron(mats.beta.real, mass * l_i)
+    op += np.kron(eye4, v1 * l_i + v2 * l_j + v3 * l_k)
+    return op
+
+
+def apply_matrix_by_quaternions(dirac, mat, psi):
+    """dirac.apply_matrix as a sum of Quaternion products c * q per row."""
+    out = []
+    for row in np.asarray(mat, dtype=complex).tolist():
+        acc = dirac.Quaternion()
+        for c, q in zip(row, psi.comp):
+            if c != 0:
+                acc = acc + c * q
+        out.append(acc)
+    return dirac.QSpinor(out)

@@ -690,6 +690,20 @@ class TestOutputStability:
         assert run_cli(argv + ["--output", str(target)], capsys) == (0, "", "")
         assert target.read_bytes() == out.encode()
 
+    def test_output_file_does_not_read_the_locale(self, tmp_path):
+        # -X warn_default_encoding warns at every open() that falls back to
+        # the locale's encoding, and -W error makes that warning an exit 4
+        argv = [sys.executable, "-X", "warn_default_encoding",
+                "-W", "error::EncodingWarning", "-m", "qdirac",
+                "nr-spectrum", "--w0-abs", "0.5"]
+        out = subprocess.run(argv, env=src_env(), capture_output=True)
+        assert (out.returncode, out.stderr) == (0, b"") and out.stdout
+        target = tmp_path / "nr.csv"
+        proc = subprocess.run(argv + ["--output", str(target)], env=src_env(),
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == out.stdout
+
     def test_peak_memory_does_not_grow_with_the_row_count(self):
         # 200,001 zones rows in JSON are about 50 MB of text; written whole
         # they took the process to about 240 MB. The peak is the child's

@@ -20,6 +20,7 @@ from qdirac import (
     realify_stationary_operator,
     stationary_residual,
 )
+from qdirac import dirac
 from qdirac.dirac import potential_quaternion
 
 FREE = PotentialStep()
@@ -114,6 +115,12 @@ def test_real_vector_round_trip():
     rng = np.random.default_rng(5)
     vec = rng.standard_normal(16)
     assert np.array_equal(QSpinor.from_real_vector(vec).to_real_vector(), vec)
+    # a k coordinate is negated on the way in and again on the way out; a
+    # -0.0 there, or in any other coordinate, keeps its sign bit
+    signed = np.where(np.arange(16) % 3 == 0, -0.0, vec)
+    back = QSpinor.from_real_vector(signed).to_real_vector()
+    assert back.tobytes() == signed.tobytes()
+    assert np.signbit(back).sum() == np.signbit(signed).sum() > 5
     with pytest.raises(ValueError):
         QSpinor.from_real_vector(np.zeros(15))
     with pytest.raises(ValueError):
@@ -180,6 +187,80 @@ def test_realified_operator_columns_match_quaternion_arithmetic():
         assert np.allclose(op @ e_b, want, atol=1e-13)
 
 
+def random_wells(rng, n):
+    """(energy, momentum, mass, pot) draws: zero and nonzero v0 and w_abs,
+    each branch's momentum (imaginary inside the evanescent window) and an
+    off-branch complex momentum."""
+    cases = [(2.0, principal_momentum(kinematics(2.0, 1.0, PotentialStep(
+        v0=1.0, w_abs=1.0)).mom2_minus), 1.0, PotentialStep(v0=1.0, w_abs=1.0))]
+    for k in range(n):
+        mass = float(rng.uniform(0.0, 3.0))
+        energy = mass + 0.1 + float(rng.uniform(0.0, 4.0))
+        pot = PotentialStep(
+            v0=0.0 if k % 3 == 0 else float(rng.uniform(-3.0, 3.0)),
+            w_abs=0.0 if k % 4 == 0 else float(rng.uniform(0.0, 3.0)),
+            w_phase=float(rng.uniform(-math.pi, math.pi)),
+        )
+        kin = kinematics(energy, mass, pot)
+        off = complex(rng.uniform(-4.0, 4.0), rng.uniform(-1.0, 1.0))
+        for mom in (principal_momentum(kin.mom2_minus),
+                    principal_momentum(kin.mom2_plus), off):
+            cases.append((energy, mom, mass, pot))
+    return cases
+
+
+def test_realified_operator_equals_the_kron_form_bit_for_bit():
+    cases = random_wells(np.random.default_rng(31), 40)
+    moms = [complex(c[1]) for c in cases]
+    assert any(m.real == 0.0 and m.imag > 0.0 for m in moms)
+    assert any(c[3].v0 == 0.0 for c in cases)
+    assert any(c[3].w_abs == 0.0 for c in cases)
+    negative_zeros = 0
+    for energy, mom, mass, pot in cases:
+        got = realify_stationary_operator(energy, mom, mass, pot)
+        want = oracles.realify_by_kron(dirac, energy, mom, mass, pot)
+        # tobytes tells -0.0 from 0.0; the SVD basis can turn with that sign
+        assert got.tobytes() == want.tobytes(), (energy, mom, mass, pot)
+        negative_zeros += bool(np.any((got == 0.0) & np.signbit(got)))
+    assert negative_zeros >= 10
+
+
+def signed_complex(rng):
+    """A complex number whose parts are drawn from zeros of both signs and
+    random reals, so purely real, purely imaginary and zero values occur."""
+    parts = (0.0, -0.0, 1.0, -2.5, float(rng.standard_normal()))
+    return complex(parts[rng.integers(5)], parts[rng.integers(5)])
+
+
+def hex_parts(psi):
+    return [float.hex(x) for q in psi.comp for x in (q.u.real, q.u.imag,
+                                                     q.w.real, q.w.imag)]
+
+
+def test_apply_matrix_equals_the_quaternion_sums_bit_for_bit():
+    rng = np.random.default_rng(37)
+    mats = build_matrices()
+    fixed = [mats.beta, mats.alpha[2], 1j * 0.7 * mats.beta, np.zeros((4, 4))]
+    seen = set()
+    for k in range(300):
+        if k < len(fixed):
+            mat = fixed[k]
+        else:
+            mat = np.array([[signed_complex(rng) for _ in range(4)]
+                            for _ in range(4)])
+        psi = QSpinor([Quaternion(signed_complex(rng), signed_complex(rng))
+                       for _ in range(4)])
+        got = apply_matrix(mat, psi)
+        want = oracles.apply_matrix_by_quaternions(dirac, mat, psi)
+        assert hex_parts(got) == hex_parts(want), (mat, psi)
+        for c in np.asarray(mat).ravel().tolist():
+            seen.add((c == 0, c.real == 0 and c.imag != 0,
+                      math.copysign(1.0, c.real) < 0 and c.real == 0))
+    # zero entries, purely imaginary entries and entries with a -0.0 real part
+    assert {(True, False, False), (False, True, False), (False, True, True),
+            (True, False, True)} <= seen
+
+
 def test_operator_rank_off_and_on_shell():
     pot = PotentialStep(v0=1.0, w_abs=1.0, w_phase=0.3)
     mass = 1.0
@@ -223,8 +304,13 @@ def test_nullspace_empty_off_branch():
 
 
 def test_nullspace_tol_validation():
-    with pytest.raises(ValueError):
-        nullspace_oracle(2.0, 1.0, 1.0, FREE, tol=0.0)
+    # nan once kept no vector on a dispersion branch, inf kept all 16
+    energy, mass = 2.0, 1.0
+    _, p = free_spinor(energy, mass)
+    assert len(nullspace_oracle(energy, p, mass, FREE)) == 8
+    for tol in (0.0, -1e-8, math.nan, math.inf, 1.0, 2.0):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            nullspace_oracle(energy, p, mass, FREE, tol=tol)
 
 
 def test_nullspace_nonempty_on_both_branches_100_draws():
