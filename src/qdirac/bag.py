@@ -20,7 +20,9 @@ physical energy chain, whose coefficient denominators are mode_coefficients'
 own (step._branch_denominators); quantization_residual_grid is the same chain
 over a whole array of momenta, with numpy's functions and masks in place of
 the scalar guards. Verify scans g with the array form, which only brackets the
-roots; every root it prints is the scalar quantization_residual bisected.
+roots, and with g's numerator from the same pass, which rules out the brackets
+that hold a pole (report._scan_roots); every root it prints is the scalar
+quantization_residual bisected.
 The full spinor mismatch at z = L (boundary_residual) is reported by the
 verify command rather than asserted.
 
@@ -42,8 +44,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
-from .dirac import QSpinor, _block_spinor, apply_matrix, build_matrices
+from .dirac import (QSpinor, _block_spinor, _matrix_rows, _norm, _pairs, _row_sums,
+                    build_matrices)
 from .quaternion import ZERO, Quaternion
 from .step import (_MATH, Branch, PotentialStep, SingularCoefficientsError,
                    _branch_denominators, as_branch, mode_coefficients)
@@ -175,27 +179,47 @@ class StationaryWavefunction:
 _ENDS = ("left", "right")
 
 
+@cache
+def _wall_tables() -> dict:
+    """{end: _matrix_rows table of that wall's signed beta*alpha3}, made once."""
+    mats = build_matrices()
+    ba = mats.beta @ mats.alpha[2]
+    return {end: _matrix_rows((sign * ba).tolist())
+            for end, sign in zip(_ENDS, (1.0, -1.0))}
+
+
+def _wall_rows(end):
+    if end not in _ENDS:
+        raise ValueError("end must be 'left' or 'right'")
+    return _wall_tables()[end]
+
+
 def boundary_operator(end: str):
     """The wall map psi -> +-beta*alpha3*psi*i ('left' is z=0, 'right' z=L).
 
     Both maps are involutions since (beta*alpha3)^2 = -identity; a spinor
     meets the no-flux condition at that wall exactly when it is a fixed point.
     """
-    if end not in _ENDS:
-        raise ValueError("end must be 'left' or 'right'")
-    mats = build_matrices()
-    ba = mats.beta @ mats.alpha[2]
-    sign = 1.0 if end == "left" else -1.0
+    rows = _wall_rows(end)
 
     def wall_map(psi: QSpinor) -> QSpinor:
-        return apply_matrix(sign * ba, psi).scale_right(1j)
+        return QSpinor([Quaternion(u * 1j, w * 1j)
+                        for u, w in _row_sums(rows, _pairs(psi))])
 
     return wall_map
 
 
 def boundary_residual(psi: QSpinor, end: str) -> float:
-    """Norm of the no-flux defect ||psi - wall_map(psi)|| at one wall."""
-    return (psi - boundary_operator(end)(psi)).norm()
+    """Norm of the no-flux defect ||psi - wall_map(psi)|| at one wall.
+
+    The components are carried as (u, w) pairs through the operations of
+    the QSpinor form, which is the test oracle
+    (tests/oracles.boundary_residual_by_quaternions).
+    """
+    rows = _wall_rows(end)
+    pairs = _pairs(psi)
+    return _norm([(u - mu * 1j, w - mw * 1j)
+                  for (u, w), (mu, mw) in zip(pairs, _row_sums(rows, pairs))])
 
 
 def boundary_phase(amp_ratio: float, branch) -> BoundaryPhase:
@@ -286,8 +310,8 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
 
 
 def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
-    """(g, regular, amp): g(Q) from a level's energy, through amp_ratio and
-    the boundary phase.
+    """(g, regular, amp, num): g(Q) from a level's energy, through amp_ratio
+    and the boundary phase.
 
     The one written form: quantization_residual passes floats and
     step._MATH as xp, quantization_residual_grid float64 arrays and numpy.
@@ -295,7 +319,9 @@ def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     same xp). Above the mass shell, regular is false exactly where
     mode_coefficients raises; E = m divides by zero and the callers skip it.
     amp is amp_ratio.real, nan where it is not finite. g = cot a + cot b =
-    num/den is +-inf at a pole, nan where num and den are both 0.
+    num/den is +-inf at a pole, nan where num and den are both 0. num =
+    sin(a + b), which is sin(2QL) up to rounding, is returned for the pole
+    rule of report._scan_roots.
     """
     plus = branch is Branch.PLUS
     mom2, denom_a, denom_mn = _branch_denominators(
@@ -311,7 +337,7 @@ def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     num, den = xp.sin(a + b), xp.sin(a) * xp.sin(b)
     pole = xp.where(num != 0.0, xp.copysign(math.inf, num), math.nan)
     g = xp.where(den == 0.0, pole, num / xp.where(den == 0.0, math.nan, den))
-    return g, regular, amp
+    return g, regular, amp, num
 
 
 def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
@@ -328,7 +354,7 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy < math.inf:
         return math.nan
-    g, regular, amp = _residual_chain(momentum, energy, mass, pot, length, br, _MATH)
+    g, regular, amp, _ = _residual_chain(momentum, energy, mass, pot, length, br, _MATH)
     if not regular:
         raise SingularCoefficientsError("coefficients singular at E = %r" % energy)
     if math.isnan(amp):
@@ -345,6 +371,12 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
     here. np.hypot and np.arctan2 may differ from math's in the last bit, so
     these values choose root brackets; refine a root with the scalar form.
     """
+    return _residual_grid(momenta, mass, pot, length, branch)[0]
+
+
+def _residual_grid(momenta, mass, pot, length, branch):
+    """(g, num) of _residual_chain over a float64 array, for
+    quantization_residual_grid and for report._scan_roots."""
     import numpy as np
 
     br = as_branch(branch)
@@ -355,7 +387,8 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
         energy = _energy_root(q, mass, pot, br, np)[0]
         energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0),
                           energy, np.nan)
-        return _residual_chain(q, energy, mass, pot, length, br, np)[0]
+        g, _, _, num = _residual_chain(q, energy, mass, pot, length, br, np)
+    return g, num
 
 
 def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,

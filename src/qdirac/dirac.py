@@ -12,6 +12,12 @@ linear map on the real coordinates of a spinor, and its numerical nullspace
 (via SVD) serves as the independent ground truth for every closed-form spinor
 in the package.
 
+The residuals carry each spinor component as its (u, w) complex pair through
+the operations, in the order, of the Quaternion and QSpinor arithmetic:
+_row_sums is the one row sum of a matrix on a spinor, for apply_matrix,
+dirac_residual and bag's wall maps, read from row tables made once. So every
+bit equals the object form, which the tests keep as the oracle.
+
 numpy is imported where an array is made, not with the module: the matrices
 and the realified operator's 4x4 blocks are built on first use, so the
 closed-form spinors that step and bag assemble from QSpinor and
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .quaternion import I, J, K, ONE, ZERO, Quaternion, left_matrix
+from .quaternion import I, J, K, ONE, ZERO, Quaternion, _quat_mul, left_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,6 +152,14 @@ class QSpinor:
         x = v.tolist()
         return cls([Quaternion.from_coeffs(*x[4 * a : 4 * a + 4]) for a in range(4)])
 
+    def __eq__(self, other):
+        if isinstance(other, QSpinor):
+            return self.comp == other.comp
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.comp)
+
     def __repr__(self):
         return "QSpinor(%s)" % (", ".join(repr(q) for q in self.comp),)
 
@@ -165,26 +179,59 @@ def _block_spinor(minus: bool, spin: str, chi, sigma, scale: float = 1.0) -> QSp
     return QSpinor(comp)
 
 
+def _pairs(psi: QSpinor) -> list:
+    """The (u, w) pair of each component."""
+    return [(q.u, q.w) for q in psi.comp]
+
+
+def _norm(pairs) -> float:
+    """QSpinor.norm of a spinor held as (u, w) pairs, summed the same way."""
+    return math.sqrt(sum(u.real ** 2 + u.imag ** 2 + w.real ** 2 + w.imag ** 2
+                         for u, w in pairs))
+
+
+def _matrix_rows(rows) -> tuple:
+    """The nonzero terms (k, c, conj(c)) of each row of a complex matrix
+    given as nested lists: the table _row_sums reads."""
+    return tuple(tuple((k, c, c.conjugate()) for k, c in enumerate(row) if c != 0)
+                 for row in rows)
+
+
+def _row_sums(rows, pairs) -> list:
+    """(u, w) of each row of a _matrix_rows table applied to (u, w) pairs:
+    c*u and conj(c)*w summed from 0j in column order, as apply_matrix
+    documents."""
+    out = []
+    for row in rows:
+        u = w = 0j
+        for k, c, cc in row:
+            pu, pw = pairs[k]
+            u = u + c * pu
+            w = w + cc * pw
+        out.append((u, w))
+    return out
+
+
 def apply_matrix(mat, psi: QSpinor) -> QSpinor:
     """Apply a 4x4 complex matrix to a spinor by left multiplication.
 
     Matrix entries act on the left of each quaternion component, which matters:
     a complex entry c sends u + jw to c*u + j*conj(c)*w. Each row sums its
-    nonzero terms' u and w parts as complex numbers, the same operations in
-    the same order as summing the quaternions c * q, which is the test
-    oracle (tests/oracles.apply_matrix_by_quaternions).
+    nonzero terms' u and w parts as complex numbers (_row_sums), the same
+    operations in the same order as summing the quaternions c * q, which is
+    the test oracle (tests/oracles.apply_matrix_by_quaternions).
     """
     import numpy as np
 
-    out = []
-    for row in np.asarray(mat, dtype=complex).tolist():
-        u = w = 0j
-        for c, q in zip(row, psi.comp):
-            if c != 0:
-                u = u + c * q.u
-                w = w + c.conjugate() * q.w
-        out.append(Quaternion(u, w))
-    return QSpinor(out)
+    rows = _matrix_rows(np.asarray(mat, dtype=complex).tolist())
+    return QSpinor([Quaternion(u, w) for u, w in _row_sums(rows, _pairs(psi))])
+
+
+@cache
+def _residual_tables():
+    """alpha3's _matrix_rows table and beta as nested lists, made once."""
+    mats = _built()[0]
+    return _matrix_rows(mats.alpha[2].tolist()), mats.beta.tolist()
 
 
 @dataclass(frozen=True)
@@ -224,19 +271,28 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
 
     Derivatives are taken analytically: d_z brings down i*dir*Q on the right,
     d_t brings down i*energy_sign*E on the right. The overall phase drops out
-    of the norm, so the residual is evaluated at z = t = 0.
+    of the norm, so the residual is evaluated at z = t = 0. Each component
+    is carried as its (u, w) pair through the operations, in the order, of
+    the object form psi*(i sgn E) + (alpha3 psi)*(i dir Q) + (i m beta) psi
+    + (iV1 + jV2 + kV3) psi summed as QSpinors, so every bit equals that
+    form, which is the test oracle (tests/oracles.dirac_residual_by_quaternions).
     """
-    psi = state.spinor
-    nrm = psi.norm()
+    psi = _pairs(state.spinor)
+    nrm = _norm(psi)
     if nrm == 0.0:
         raise ValueError("zero-norm spinor has no defined residual")
-    mats = _built()[0]
-    t_term = psi.scale_right(1j * state.energy_sign * state.energy)
-    z_term = apply_matrix(mats.alpha[2], psi).scale_right(1j * state.direction * state.momentum)
-    mass_term = apply_matrix(1j * mass * mats.beta, psi)
+    alpha3, beta = _residual_tables()
+    z_t = 1j * state.energy_sign * state.energy
+    z_q = 1j * state.direction * state.momentum
+    i_mass = 1j * mass
+    mass_rows = _matrix_rows([[i_mass * c for c in row] for row in beta])
     pq = potential_quaternion(pot)
-    pot_term = QSpinor([pq * q for q in psi.comp])
-    return (t_term + z_term + mass_term + pot_term).norm() / nrm
+    out = []
+    for (u, w), (au, aw), (mu, mw) in zip(psi, _row_sums(alpha3, psi),
+                                          _row_sums(mass_rows, psi)):
+        vu, vw = _quat_mul(pq.u, pq.w, u, w)
+        out.append((u * z_t + au * z_q + mu + vu, w * z_t + aw * z_q + mw + vw))
+    return _norm(out) / nrm
 
 
 def stationary_residual(psi: QSpinor, energy: float, momentum: complex,
@@ -263,8 +319,14 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
     the reals. Each Kronecker product of 4x4 blocks is written as one
     broadcast multiply, the elementwise products np.kron forms, so every
     entry (the sign of each zero included) equals the np.kron form that is
-    the test oracle (tests/oracles.realify_by_kron).
+    the test oracle (tests/oracles.realify_by_kron). A non-finite energy,
+    mass or momentum, or a negative mass, raises ValueError.
     """
+    for name, value in (("energy", energy), ("mass", mass), ("momentum", momentum)):
+        if not cmath.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+    if mass < 0:
+        raise ValueError("mass must be >= 0, got %r" % (mass,))
     import numpy as np
 
     mats, l_i, l_j, l_k, r_i = _built()

@@ -8,11 +8,14 @@ plus-branch travelling spinor, the coefficient consistency relation, the full
 spinor mismatch at the far wall) and never fail the run.
 
 The quantization section scans g(Q) on each 4096-point grid in one call to
-its array form, bag.quantization_residual_grid. Those values only bracket
-the roots; every root in the report is the scalar quantization_residual
-bisected, so the array form's last-bit differences from math never reach
-the output. The quaternion section multiplies whole arrays with
-quaternion._quat_mul, the product Quaternion itself uses.
+its array form (bag._residual_grid, which also gives g's numerator). Those
+values only bracket the roots; every root in the report is the scalar
+quantization_residual bisected, so the array form's last-bit differences
+from math never reach the output. A bracket where the numerator keeps one
+sign well away from 0 holds a pole and no root, and is not bisected
+(_scan_roots says why the roots stay the same). The quaternion section
+multiplies whole arrays with quaternion._quat_mul, the product Quaternion
+itself uses.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from functools import partial
 
 from . import _kernels
 from .bag import (
+    _residual_grid,
     boundary_residual,
     normalize,
     quantization_residual,
-    quantization_residual_grid,
     quantized_momenta,
     solve_spectrum,
     stationary_wavefunction,
@@ -84,17 +87,29 @@ def _bisect(f, lo, hi, iters=200):
 def _scan_roots(f, f_grid, q_max, n_grid=4096):
     """Bisection roots of f on (0, q_max], skipping poles and gaps.
 
-    f_grid gives f on the whole grid in one call. Its values only choose the
+    f_grid gives (f, num) on the whole grid in one call, num being the
+    numerator sin(a + b) of f = num/den. Its values only choose the
     brackets: a grid point where f is exactly 0, or a sign change between
-    two finite neighbours. Every other root is the scalar f bisected.
+    two finite neighbours that the pole rule keeps. Every other root is the
+    scalar f bisected.
+
+    The pole rule skips a cell where num keeps one sign with |num| > 1e-3 at
+    both ends: f changes sign there at a pole, and the filter after the
+    bisection would drop what it returns. num is sin(2QL) up to rounding,
+    whose zeros lie pi/(2L) apart, wider than a cell on verify's grids, so
+    such a cell holds no zero of num; |sin| is concave between its zeros, so
+    |num| stays above its smaller end value inside; and |den| =
+    |sin a sin b| <= 1, so |f| > 1e-6 throughout the cell.
     """
     import numpy as np
 
     grid = np.linspace(q_max / n_grid, q_max, n_grid)
-    vals = f_grid(grid)
+    vals, num = f_grid(grid)
     a, b = vals[:-1], vals[1:]
+    pole = ((np.sign(num[:-1]) == np.sign(num[1:]))
+            & (np.minimum(abs(num[:-1]), abs(num[1:])) > 1e-3))
     brackets = (np.isfinite(a) & np.isfinite(b)
-                & ((a == 0.0) | (np.sign(a) * np.sign(b) < 0.0)))
+                & ((a == 0.0) | ((np.sign(a) * np.sign(b) < 0.0) & ~pole)))
     roots = []
     for i in np.flatnonzero(brackets).tolist():
         if a[i] == 0.0:
@@ -344,7 +359,7 @@ def _section_quantization(n_levels=10):
         for branch in (Branch.MINUS, Branch.PLUS):
             args = dict(mass=mass, pot=pot, length=length, branch=branch)
             roots = _scan_roots(partial(quantization_residual, **args),
-                                partial(quantization_residual_grid, **args), q_max)
+                                partial(_residual_grid, **args), q_max)
             matched = []
             for q_n in expected:
                 best = min(roots, key=lambda r: abs(r - q_n)) if roots else math.inf

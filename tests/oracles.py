@@ -10,9 +10,11 @@ composition oracle takes the package's step and bag modules as arguments and
 builds each level through kinematics, a placeholder BagLevel, normalize and
 dataclasses.replace; its wavefunction oracle solves the level's mode
 coefficients again instead of reading them off the level. The realified
-operator and apply_matrix oracles take the package's dirac module as an
-argument and keep its earlier forms: np.kron of the 4x4 blocks, and a row
-sum of Quaternion terms c * q.
+operator, apply_matrix, residual and wall-residual oracles take the
+package's dirac module as an argument and keep its earlier forms: np.kron
+of the 4x4 blocks, a row sum of Quaternion terms c * q, and the residuals
+as sums of QSpinor terms. The root-scan oracle takes the report module and
+bisects every sign-change bracket with its _bisect.
 """
 
 from __future__ import annotations
@@ -282,3 +284,52 @@ def apply_matrix_by_quaternions(dirac, mat, psi):
                 acc = acc + c * q
         out.append(acc)
     return dirac.QSpinor(out)
+
+
+def dirac_residual_by_quaternions(dirac, state, pot, mass):
+    """dirac.dirac_residual as a sum of QSpinor terms: scale_right, the
+    matrices applied by apply_matrix_by_quaternions and the potential
+    quaternion's products, then QSpinor.norm."""
+    psi = state.spinor
+    nrm = psi.norm()
+    if nrm == 0.0:
+        raise ValueError("zero-norm spinor has no defined residual")
+    mats = dirac.build_matrices()
+    t_term = psi.scale_right(1j * state.energy_sign * state.energy)
+    z_term = apply_matrix_by_quaternions(dirac, mats.alpha[2], psi).scale_right(
+        1j * state.direction * state.momentum)
+    mass_term = apply_matrix_by_quaternions(dirac, 1j * mass * mats.beta, psi)
+    pq = dirac.potential_quaternion(pot)
+    pot_term = dirac.QSpinor([pq * q for q in psi.comp])
+    return (t_term + z_term + mass_term + pot_term).norm() / nrm
+
+
+def boundary_residual_by_quaternions(dirac, psi, end):
+    """bag.boundary_residual as ||psi - (+-beta*alpha3 psi)*i|| in QSpinor
+    arithmetic, the matrix formed with numpy on every call."""
+    mats = dirac.build_matrices()
+    sign = 1.0 if end == "left" else -1.0
+    mapped = apply_matrix_by_quaternions(dirac, sign * (mats.beta @ mats.alpha[2]), psi)
+    return (psi - mapped.scale_right(1j)).norm()
+
+
+def scan_roots_bisecting_every_bracket(report, f, f_grid, q_max, n_grid=4096):
+    """report._scan_roots without its pole rule: f_grid gives f alone, and
+    every sign change between finite neighbours is bisected with
+    report._bisect, the filter dropping what the poles give."""
+    grid = np.linspace(q_max / n_grid, q_max, n_grid)
+    vals = f_grid(grid)
+    a, b = vals[:-1], vals[1:]
+    brackets = (np.isfinite(a) & np.isfinite(b)
+                & ((a == 0.0) | (np.sign(a) * np.sign(b) < 0.0)))
+    roots = []
+    for i in np.flatnonzero(brackets).tolist():
+        if a[i] == 0.0:
+            roots.append(float(grid[i]))
+            continue
+        r = report._bisect(f, float(grid[i]), float(grid[i + 1]))
+        if abs(f(r)) < 1e-6:
+            roots.append(r)
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots

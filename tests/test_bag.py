@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 import oracles
-from qdirac import bag, report, step
+from qdirac import bag, dirac, report, step
 from qdirac import (
     Branch,
     NoSolutionError,
@@ -40,6 +40,19 @@ from qdirac import (
 POT = PotentialStep(w_abs=0.5)
 
 
+def signed_spinor(rng):
+    """A spinor whose parts are drawn from zeros of both signs and reals."""
+    parts = (0.0, -0.0, 1.0, -2.5)
+
+    def part():
+        if rng.integers(2):
+            return parts[rng.integers(4)]
+        return float(rng.standard_normal())
+
+    return QSpinor([Quaternion(complex(part(), part()), complex(part(), part()))
+                    for _ in range(4)])
+
+
 def random_spinor(rng):
     return QSpinor([Quaternion.from_coeffs(*rng.standard_normal(4)) for _ in range(4)])
 
@@ -61,9 +74,41 @@ class TestBoundaryMaps:
         ba = mats.beta @ mats.alpha[2]
         assert np.array_equal(ba @ ba, -np.eye(4, dtype=complex))
 
+    def test_boundary_residual_equals_the_quaternion_sums_bit_for_bit(self):
+        # random spinors with zero parts of both signs, and the standing
+        # waves at both walls, on both walls
+        rng = np.random.default_rng(59)
+        spinors = [signed_spinor(rng) for _ in range(60)]
+        spinors += [random_spinor(rng) for _ in range(20)]
+        for _ in range(4):
+            length = float(rng.uniform(0.5, 3.0))
+            pot = PotentialStep(w_abs=float(rng.uniform(0.05, 0.5)),
+                                w_phase=float(rng.uniform(-math.pi, math.pi)))
+            for branch in (Branch.MINUS, Branch.PLUS):
+                for level in solve_spectrum(1.0, pot, length, 2, branch):
+                    for spin in ("up", "down"):
+                        wf = stationary_wavefunction(level, 1.0, pot, spin)
+                        spinors += [wf.evaluate(0.0), wf.evaluate(length)]
+        assert len(spinors) >= 100
+        assert any(x == 0.0 and math.copysign(1.0, x) < 0 for psi in spinors
+                   for q in psi.comp for x in (q.u.real, q.u.imag, q.w.real, q.w.imag))
+        mats = build_matrices()
+        for psi in spinors:
+            for end, sign in (("left", 1.0), ("right", -1.0)):
+                got = boundary_residual(psi, end)
+                want = oracles.boundary_residual_by_quaternions(dirac, psi, end)
+                assert float.hex(got) == float.hex(want), (psi, end)
+                want_map = oracles.apply_matrix_by_quaternions(
+                    dirac, sign * (mats.beta @ mats.alpha[2]), psi).scale_right(1j)
+                # tobytes tells -0.0 from 0.0
+                got_map = boundary_operator(end)(psi).to_real_vector()
+                assert got_map.tobytes() == want_map.to_real_vector().tobytes()
+
     def test_end_validation(self):
         with pytest.raises(ValueError):
             boundary_operator("top")
+        with pytest.raises(ValueError):
+            boundary_residual(random_spinor(np.random.default_rng(1)), "top")
 
     def test_phase_special_values(self):
         assert boundary_phase(1.0, Branch.MINUS).phase == pytest.approx(
@@ -212,9 +257,10 @@ def nan_where_raises(g):
 
 
 def scalar_grid(g):
-    """The scan's grid values from one scalar call per point."""
+    """The scan's grid values from one scalar call per point, with a nan
+    numerator everywhere, so the pole rule skips no bracket."""
     safe = nan_where_raises(g)
-    return lambda qs: np.array([safe(q) for q in qs.tolist()])
+    return lambda qs: (np.array([safe(q) for q in qs.tolist()]), np.full(len(qs), np.nan))
 
 
 def denominator_draws(seed, n_wells=36, n_energies=8):
@@ -258,10 +304,10 @@ class TestResidualGrid:
                 want.append((True, amp if math.isfinite(amp) else math.nan))
                 sign = (pot.v0 > 0) - (pot.v0 < 0)
                 seen.add((sign, branch, mc.momentum.imag > 0))
-            got = [bag._residual_chain(1.0, e, mass, pot, 1.0, branch, step._MATH)[1:]
+            got = [bag._residual_chain(1.0, e, mass, pot, 1.0, branch, step._MATH)[1:3]
                    for e in energies]
             assert repr(got) == repr(want), (mass, pot, branch)
-            _, regular, amp = bag._residual_chain(
+            _, regular, amp, _ = bag._residual_chain(
                 np.ones(len(energies)), np.array(energies), mass, pot, 1.0, branch, np)
             assert repr(list(zip(regular.tolist(), amp.tolist()))) == repr(got)
         for sign in (-1, 0, 1):
@@ -343,10 +389,116 @@ class TestResidualGrid:
             q_max = 10.5 * math.pi / (2.0 * length)
             for branch in (Branch.MINUS, Branch.PLUS):
                 g = nan_where_raises(partial(quantization_residual, branch=branch, **args))
-                grid = partial(quantization_residual_grid, branch=branch, **args)
+                grid = partial(bag._residual_grid, branch=branch, **args)
                 scans.append((scan(g, grid, q_max), scan(g, scalar_grid(g), q_max)))
         for roots, want in scans:
             assert roots and [r.hex() for r in roots] == [r.hex() for r in want]
+
+
+def pole_rule_wells(seed, n_wells=20):
+    """Seeded (mass, pot, length) wells with a nonzero w0 phase, v0 zero,
+    positive and negative, for the root scans of both branches."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_wells):
+        length = float(rng.uniform(0.5, 2.0))
+        v0 = (0.0, float(rng.uniform(0.1, 1.5)), -float(rng.uniform(0.1, 1.5)))[i % 3]
+        q1 = math.pi / (2.0 * length)
+        pot = PotentialStep(v0=v0, w_abs=float(rng.uniform(0.05, 0.5 * q1)),
+                            w_phase=float(rng.uniform(-math.pi, math.pi)))
+        yield float(rng.uniform(0.2, 2.0)), pot, length
+
+
+class TestPoleRule:
+    """report._scan_roots skips the brackets where g's numerator keeps one
+    sign well away from 0; the roots equal those of bisecting every bracket
+    (oracles.scan_roots_bisecting_every_bracket) bit for bit."""
+
+    @staticmethod
+    def counting_bisect(monkeypatch):
+        cells = []
+        bisect = report._bisect
+
+        def counted(f, lo, hi, *args):
+            cells.append((lo, hi))
+            return bisect(f, lo, hi, *args)
+
+        monkeypatch.setattr(report, "_bisect", counted)
+        return cells
+
+    def test_verify_bisects_only_the_root_brackets(self, monkeypatch):
+        cells = self.counting_bisect(monkeypatch)
+        scan = report._scan_roots
+        scans = []
+
+        def both_scans(f, f_grid, q_max):
+            n = len(cells)
+            roots = scan(f, f_grid, q_max)
+            n_rule = len(cells) - n
+            want = oracles.scan_roots_bisecting_every_bracket(
+                report, f, partial(quantization_residual_grid, **f_grid.keywords), q_max)
+            scans.append((roots, want, n_rule, len(cells) - n - n_rule))
+            return roots
+
+        monkeypatch.setattr(report, "_scan_roots", both_scans)
+        assert report._section_quantization()["passed"]
+        assert len(scans) == 6
+        for roots, want, _, _ in scans:
+            assert len(roots) == 10
+            assert [r.hex() for r in roots] == [r.hex() for r in want]
+        assert sum(s[2] for s in scans) == 60
+        assert sum(s[3] for s in scans) == 120
+
+    def test_seeded_wells_keep_every_root(self, monkeypatch):
+        cells = self.counting_bisect(monkeypatch)
+        # the v0 != 0 wells of test_scan_roots_equal_a_scalar_scan, then 20
+        # wells with a nonzero w0 phase
+        rng = np.random.default_rng(67)
+        wells = []
+        for v0 in (0.6, -0.9, 1.3):
+            length = float(rng.uniform(0.5, 2.0))
+            mass = float(rng.uniform(0.2, 2.0))
+            wells.append((mass, PotentialStep(v0=v0, w_abs=float(rng.uniform(0.05, 1.0))),
+                          length))
+        wells += list(pole_rule_wells(71))
+        n_roots = n_rule = n_every = 0
+        for mass, pot, length in wells:
+            q_max = 10.5 * math.pi / (2.0 * length)
+            for branch in (Branch.MINUS, Branch.PLUS):
+                args = dict(mass=mass, pot=pot, length=length, branch=branch)
+                g = nan_where_raises(partial(quantization_residual, **args))
+                n = len(cells)
+                roots = report._scan_roots(g, partial(bag._residual_grid, **args), q_max)
+                n_rule += len(cells) - n
+                n = len(cells)
+                want = oracles.scan_roots_bisecting_every_bracket(
+                    report, g, partial(quantization_residual_grid, **args), q_max)
+                n_every += len(cells) - n
+                assert [r.hex() for r in roots] == [r.hex() for r in want], args
+                n_roots += len(roots)
+        assert n_roots >= 20 * 2 * 5
+        assert n_rule < n_every
+
+    def test_a_cell_with_a_root_and_a_pole_is_still_bisected(self, monkeypatch):
+        # on the grid 1, 2, ..., 8: a pole at 1.45 where |num| < 1e-3 at
+        # q = 1, a root at 3.3 beside a double pole at 3.6, and a pole at 6.45
+        # where num keeps one sign well away from 0
+        cells = self.counting_bisect(monkeypatch)
+
+        def f(q):
+            return (q - 3.3) / ((q - 3.6) ** 2 * (q - 1.45) * (q - 6.45))
+
+        def f_grid(qs):
+            num = qs - 3.3
+            num[0] = -5e-4
+            return np.array([f(q) for q in qs.tolist()]), num
+
+        roots = report._scan_roots(f, f_grid, 8.0, n_grid=8)
+        assert cells == [(1.0, 2.0), (3.0, 4.0)]
+        assert len(roots) == 1 and abs(roots[0] - 3.3) < 1e-12
+        want = oracles.scan_roots_bisecting_every_bracket(
+            report, f, lambda qs: f_grid(qs)[0], 8.0, n_grid=8)
+        assert cells[2:] == [(1.0, 2.0), (3.0, 4.0), (6.0, 7.0)]
+        assert [r.hex() for r in roots] == [r.hex() for r in want]
 
 
 class TestSpectrum:

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from qdirac import (
+    Branch,
     PlaneWaveState,
     PotentialStep,
     QSpinor,
@@ -15,10 +16,15 @@ from qdirac import (
     build_matrices,
     dirac_residual,
     kinematics,
+    nr_parameters,
+    nr_wavefunction,
     nullspace_oracle,
     principal_momentum,
     realify_stationary_operator,
+    solve_spectrum,
     stationary_residual,
+    stationary_wavefunction,
+    step_spinor,
 )
 from qdirac import dirac
 from qdirac.dirac import potential_quaternion
@@ -259,6 +265,109 @@ def test_apply_matrix_equals_the_quaternion_sums_bit_for_bit():
     # zero entries, purely imaginary entries and entries with a -0.0 real part
     assert {(True, False, False), (False, True, False), (False, True, True),
             (True, False, True)} <= seen
+
+
+def residual_states(rng):
+    """(state, pot, mass) draws for the residual oracle: random spinors with
+    zero parts of both signs on random_wells' points (evanescent imaginary
+    momenta included) in either direction and either time phase, the
+    step_spinor states of both branches and directions, the energy_sign +1
+    limit states of nr_wavefunction, and nullspace_oracle basis vectors."""
+    out = []
+    for k, (energy, mom, mass, pot) in enumerate(random_wells(rng, 40)):
+        psi = QSpinor([Quaternion(signed_complex(rng), signed_complex(rng))
+                       for _ in range(4)])
+        out.append((PlaneWaveState(psi, mom, energy, direction=(1, -1)[k % 2],
+                                   energy_sign=(-1, 1)[k // 2 % 2]), pot, mass))
+    for _ in range(8):
+        mass = float(rng.uniform(0.2, 2.0))
+        energy = mass + 0.1 + float(rng.uniform(0.0, 3.0))
+        pot = PotentialStep(v0=float(rng.uniform(-2.0, 2.0)),
+                            w_abs=float(rng.uniform(0.1, 1.5)),
+                            w_phase=float(rng.uniform(-math.pi, math.pi)))
+        for branch in (Branch.MINUS, Branch.PLUS):
+            for direction in (1, -1):
+                for spin in ("up", "down"):
+                    st = step_spinor(energy, mass, pot, branch, direction, spin)
+                    out.append((st, pot, mass))
+        mom = principal_momentum(kinematics(energy, mass, pot).mom2_minus)
+        for b in nullspace_oracle(energy, mom, mass, pot)[:2]:
+            out.append((PlaneWaveState(b, mom, energy), pot, mass))
+    for mass in (1e2, 1e3):
+        pars = nr_parameters(math.hypot(1.0, mass), mass, 0.5, 0.7)
+        pot = PotentialStep(w_abs=0.5, w_phase=0.7)
+        for branch in (Branch.MINUS, Branch.PLUS):
+            for spin in ("up", "down"):
+                out.append((nr_wavefunction(branch, spin, pars), pot, mass))
+    return out
+
+
+def test_dirac_residual_equals_the_quaternion_sums_bit_for_bit():
+    cases = residual_states(np.random.default_rng(41))
+    assert len(cases) >= 200
+    seen = set()
+    for state, pot, mass in cases:
+        got = dirac_residual(state, pot, mass)
+        want = oracles.dirac_residual_by_quaternions(dirac, state, pot, mass)
+        assert float.hex(got) == float.hex(want), (state, pot, mass)
+        mom = complex(state.momentum)
+        parts = [x for q in state.spinor.comp for x in (q.u.real, q.u.imag,
+                                                        q.w.real, q.w.imag)]
+        seen.update({("evanescent", mom.real == 0.0 and mom.imag > 0.0),
+                     ("direction", state.direction),
+                     ("energy_sign", state.energy_sign),
+                     ("-0.0", any(x == 0.0 and math.copysign(1.0, x) < 0 for x in parts))})
+    assert {("evanescent", True), ("direction", -1), ("energy_sign", 1),
+            ("-0.0", True)} <= seen
+    for zero in (Quaternion(), Quaternion(complex(-0.0, -0.0), complex(-0.0, 0.0))):
+        state = PlaneWaveState(QSpinor([zero] * 4), 1.0, 2.0)
+        for residual in (dirac_residual,
+                         lambda *a: oracles.dirac_residual_by_quaternions(dirac, *a)):
+            with pytest.raises(ValueError, match="zero-norm spinor"):
+                residual(state, FREE, 1.0)
+
+
+@pytest.mark.parametrize("energy,momentum,mass,name", [
+    (math.nan, 1.0, 1.0, "energy"),
+    (math.inf, 1.0, 1.0, "energy"),
+    (-math.inf, 1.0, 1.0, "energy"),
+    (2.0, complex(math.nan), 1.0, "momentum"),
+    (2.0, complex(1.0, math.inf), 1.0, "momentum"),
+    (2.0, math.inf, 1.0, "momentum"),
+    (2.0, 1.0, math.nan, "mass"),
+    (2.0, 1.0, math.inf, "mass"),
+    (2.0, 1.0, -1.0, "mass"),
+])
+def test_operator_rejects_non_finite_arguments_and_negative_mass(
+        energy, momentum, mass, name, monkeypatch):
+    # numpy once raised "SVD did not converge" for these, or returned no
+    # vector for mass = -1; now the argument is named before numpy is used
+    def no_numpy(*args, **kwargs):
+        raise AssertionError("numpy was called")
+
+    monkeypatch.setattr(np, "eye", no_numpy)
+    monkeypatch.setattr(np.linalg, "svd", no_numpy)
+    pot = PotentialStep(w_abs=0.5)
+    for fn in (realify_stationary_operator, nullspace_oracle):
+        with pytest.raises(ValueError, match="^%s must be" % name):
+            fn(energy, momentum, mass, pot)
+
+
+def test_spinors_compare_and_hash_by_value():
+    pot = PotentialStep(w_abs=0.5)
+    a, b = (step_spinor(2.0, 1.0, pot, "minus") for _ in range(2))
+    assert a.spinor is not b.spinor
+    assert a.spinor == b.spinor and hash(a.spinor) == hash(b.spinor)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    level = solve_spectrum(1.0, pot, 1.0, 1, "minus")[0]
+    x, y = (stationary_wavefunction(level, 1.0, pot).evaluate(0.3) for _ in range(2))
+    assert x == y and len({x, y}) == 1
+    assert x != x.scale_right(1j) and x != -x
+    # like Quaternion's, the equality is by value: -0.0 equals 0.0
+    zeros = QSpinor([Quaternion(complex(-0.0, -0.0), complex(-0.0, 0.0))] * 4)
+    assert zeros == QSpinor([Quaternion()] * 4)
+    assert hash(zeros) == hash(QSpinor([Quaternion()] * 4))
+    assert (x == x.comp) is False
 
 
 def test_operator_rank_off_and_on_shell():
