@@ -46,8 +46,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .dirac import (QSpinor, _block_spinor, _matrix_rows, _norm, _pairs, _row_sums,
-                    build_matrices)
+from .dirac import (InputError, QSpinor, _block_spinor, _level_energy, _matrix_rows,
+                    _momentum_ladder, _norm, _pairs, _require_finite, _require_mass,
+                    _require_spin, _row_sums, build_matrices)
 from .quaternion import ZERO, Quaternion
 from .step import (_MATH, Branch, PotentialStep, SingularCoefficientsError,
                    _branch_denominators, as_branch, mode_coefficients)
@@ -190,7 +191,7 @@ def _wall_tables() -> dict:
 
 def _wall_rows(end):
     if end not in _ENDS:
-        raise ValueError("end must be 'left' or 'right'")
+        raise InputError("end must be 'left' or 'right'")
     return _wall_tables()[end]
 
 
@@ -231,8 +232,7 @@ def boundary_phase(amp_ratio: float, branch) -> BoundaryPhase:
     tan is finite.
     """
     br = as_branch(branch)
-    if not math.isfinite(amp_ratio):
-        raise ValueError("amp_ratio must be finite")
+    _require_finite(amp_ratio=amp_ratio)
     return BoundaryPhase(branch=br, phase=_phase(amp_ratio, br is Branch.PLUS, _MATH))
 
 
@@ -244,14 +244,7 @@ def _phase(amp, plus, xp):
 def quantized_momenta(length: float, n_max: int) -> list:
     """The quantized wavenumbers n*pi/(2*length), n = 1..n_max, formed as
     n*pi/2/length: the same bits wherever 2*length is finite, and never 0."""
-    if not 0.0 < length < math.inf:
-        raise ValueError("length must be finite and > 0, got %r" % length)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if not math.isfinite(n_max * math.pi / 2.0 / length):
-        raise ValueError("length %r is too small: the momentum %d*pi/(2*length) "
-                         "overflows float64" % (length, n_max))
-    return [n * math.pi / 2.0 / length for n in range(1, n_max + 1)]
+    return _momentum_ladder(length, n_max, 2.0)
 
 
 def _energy_root(momentum, mass, pot, branch, xp):
@@ -295,12 +288,12 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
                          branch: Branch, level=None) -> float:
     """_energy_root at one momentum. nan where v0 = 0 and no energy carries
     it (so residual scans can skip the region); NoSolutionError where
-    v0 != 0 and none does; ValueError, naming the level if given, where the
+    v0 != 0 and none does; InputError, naming the level if given, where the
     quadratic in E^2 leaves float64 range."""
     energy, in_range = _energy_root(momentum, mass, pot, branch, _MATH)
     if not in_range:
         at = "" if level is None else "level %d at " % level
-        raise ValueError("%smomentum %r: the quadratic in E^2 leaves float64 "
+        raise InputError("%smomentum %r: the quadratic in E^2 leaves float64 "
                          "range" % (at, momentum))
     if math.isnan(energy) and pot.v0 != 0.0:
         raise NoSolutionError(
@@ -348,8 +341,7 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     where the two cotangent conditions collide. nan where the energy chain
     leaves its regime (plus branch at momentum <= w_abs with v0 = 0).
     """
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
+    _require_mass(mass)
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy < math.inf:
@@ -406,8 +398,7 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     the level exactly on the mass shell where the coefficients are singular,
     which raises.
     """
-    if not (math.isfinite(mass) and mass >= 0):
-        raise ValueError("mass must be finite and >= 0, got %r" % (mass,))
+    _require_mass(mass)
     br = as_branch(branch)
     shift = pot.w_abs if br is Branch.MINUS else -pot.w_abs
     w_factor = pot.w0 if br is Branch.MINUS else pot.w0.conjugate()
@@ -415,12 +406,12 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     for n, q_n in enumerate(quantized_momenta(length, n_max), start=1):
         eff = q_n + shift
         if pot.v0 == 0.0:
-            energy = math.hypot(eff, mass)
+            energy = _level_energy(n, eff, mass)
         else:
             energy = _energy_for_momentum(q_n, mass, pot, br, n)
         mc = mode_coefficients(energy, mass, pot, br)
         if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
-            raise ValueError("level %d at energy %r: the mode coefficients "
+            raise InputError("level %d at energy %r: the mode coefficients "
                              "overflow float64" % (n, energy))
         amp, j_chi = mc.amp_ratio.real, mc.j_chi.real
         ph = _phase(amp, br is Branch.PLUS, _MATH)
@@ -446,8 +437,7 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
     Nothing is solved and mass and pot are not read: amp_ratio, j_chi and
     w_factor are read off the level, as solved in its own well.
     """
-    if spin not in ("up", "down"):
-        raise ValueError("spin must be 'up' or 'down'")
+    _require_spin(spin)
     return StationaryWavefunction(
         branch=level.branch, spin=spin, momentum=level.momentum, phase=level.phase,
         amp_ratio=level.amp_ratio, j_chi=level.j_chi, w_factor=level.w_factor,
@@ -458,13 +448,13 @@ def _density_integral(q, length, phase, amp2, r2, wm2):
     """int_0^L of the density at the weights (amp2, r2, wm2) of
     StationaryWavefunction._weights, for normalize and solve_spectrum:
     int_0^L cos^2(Qz + s) dz = L/2 + [sin(2QL + 2s) - sin(2s)]/(4Q), and
-    sin^2 gives L/2 minus that. ValueError unless it is finite and > 0."""
+    sin^2 gives L/2 minus that. InputError unless it is finite and > 0."""
     osc_a = (math.sin(2.0 * q * length - phase) + math.sin(phase)) / (4.0 * q)
     osc_b = (math.sin(2.0 * q * length + phase) - math.sin(phase)) / (4.0 * q)
     total = amp2 * (
         0.5 * length * (1.0 + r2) * (1.0 + wm2) + (1.0 - r2) * (osc_a + wm2 * osc_b))
     if not (math.isfinite(total) and total > 0.0):
-        raise ValueError("cannot normalize: the density integrates to %r" % total)
+        raise InputError("cannot normalize: the density integrates to %r" % total)
     return total
 
 
@@ -480,7 +470,7 @@ def normalize(psi: StationaryWavefunction):
 def density_profile(psi: StationaryWavefunction, grid_points: int):
     """Sampled (z, density) arrays on a uniform grid over the well."""
     if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+        raise InputError("grid_points must be >= 2")
     import numpy as np
 
     z = np.linspace(0.0, psi.length, grid_points)

@@ -22,12 +22,14 @@ numpy is imported by the array commands (zones, density, verify) when they
 run, not with this module, so --version, bag-spectrum, nr-spectrum and the
 usage errors never load it.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments, a
-value derived from them that leaves float64 range, or an output that
-cannot be written, 3 no solution at these parameters (no level
-in the requested range, or mode coefficients singular at a level's energy),
-4 internal error. A reader that closes stdout early (`| head`) ends the run
-quietly with its usual code.
+Exit codes, by the exception behind each: 0 success, 1 verification
+failure, 2 an InputError (an invalid argument, or a value derived from the
+arguments that leaves float64 range) or an output that cannot be written
+(OSError), 3 a NoSolutionError or SingularCoefficientsError (no level in
+the requested range, or mode coefficients singular at a level's energy),
+4 any other exception, a bare ValueError included: an internal error,
+printed as `error: internal: <Type>: <message>`. A reader that closes
+stdout early (`| head`) ends the run quietly with its usual code.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import sys
 
 from . import __version__, _kernels
 from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
+from .dirac import InputError, _require_finite, _require_mass
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
 from .step import (_MATH, PotentialStep, SingularCoefficientsError, Zone,
@@ -55,10 +58,6 @@ __all__ = ["main", "build_parser"]
 MAX_ROWS = 10**6
 # rows per written block: only one block's row tuples and text exist at once
 BLOCK = 4096
-
-
-class UsageError(ValueError):
-    """Invalid flag combination caught after parsing."""
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
@@ -168,20 +167,19 @@ def _pot_from_args(args) -> PotentialStep:
 
 
 def _cmd_zones(args):
-    if args.mass < 0:
-        raise UsageError("mass must be >= 0")
+    _require_mass(args.mass)
     pot = _pot_from_args(args)
     e_min = args.mass if args.e_min is None else args.e_min
     e_max = (args.mass + 5.0) if args.e_max is None else args.e_max
     if e_min < args.mass:
-        raise UsageError("e-min %r is below the mass shell %r" % (e_min, args.mass))
+        raise InputError("e-min %r is below the mass shell %r" % (e_min, args.mass))
     if e_max < e_min:
-        raise UsageError("e-max must be >= e-min")
+        raise InputError("e-max must be >= e-min")
     if args.e_step <= 0:
-        raise UsageError("e-step must be > 0")
+        raise InputError("e-step must be > 0")
     span = (e_max - e_min) / args.e_step + 1e-9
     if not span < MAX_ROWS:
-        raise UsageError(
+        raise InputError(
             "--e-step %r over [%r, %r] gives more than %d rows"
             % (args.e_step, e_min, e_max, MAX_ROWS)
         )
@@ -191,7 +189,7 @@ def _cmd_zones(args):
     for e in (e_min, e_min + n * args.e_step):
         if not all(map(math.isfinite,
                        branch_mom2(e, args.mass, pot.v0, pot.w_abs, _MATH))):
-            raise UsageError("branch momenta at energy %r overflow float64" % e)
+            raise InputError("branch momenta at energy %r overflow float64" % e)
     import numpy as np
 
     energies = e_min + np.arange(n + 1) * args.e_step
@@ -222,13 +220,13 @@ def _cmd_bag_spectrum(args):
 
 def _cmd_density(args):
     if args.level < 1 or args.level > args.levels:
-        raise UsageError(
+        raise InputError(
             "level %d outside the computed range 1..%d" % (args.level, args.levels)
         )
     if args.grid < 2:
-        raise UsageError("grid must be >= 2 points")
+        raise InputError("grid must be >= 2 points")
     if args.grid > MAX_ROWS:
-        raise UsageError("--grid %d is over the %d-row limit" % (args.grid, MAX_ROWS))
+        raise InputError("--grid %d is over the %d-row limit" % (args.grid, MAX_ROWS))
     pot = _pot_from_args(args)
     level = solve_spectrum(args.mass, pot, args.length, args.level, args.branch)[-1]
     wf = stationary_wavefunction(level, args.mass, pot, args.spin)
@@ -243,7 +241,7 @@ def _cmd_density(args):
 
 def _cmd_nr_spectrum(args):
     if args.w0_abs <= 0:
-        raise UsageError("nr-spectrum needs w0-abs > 0 (the limit divides by it)")
+        raise InputError("nr-spectrum needs w0-abs > 0 (the limit divides by it)")
     levels = nr_quantize(args.length, args.levels, args.mass, args.w0_abs)
     names = ("index", "momentum", "eff_plus", "eff_minus", "energy_plus",
              "energy_minus", "regime_flag")
@@ -349,16 +347,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # flags that several subcommands share are checked once, here
-        for name in ("mass", "length", "e_min", "e_max", "e_step"):
-            value = getattr(args, name, None)
-            if value is not None and not math.isfinite(value):
-                flag = "--" + name.replace("_", "-")
-                raise UsageError("%s must be finite, got %r" % (flag, value))
+        _require_finite(**{"--" + name.replace("_", "-"): getattr(args, name)
+                           for name in ("mass", "length", "e_min", "e_max", "e_step")
+                           if getattr(args, name, None) is not None})
         levels = getattr(args, "levels", 1)
         if levels < 1:
-            raise UsageError("levels must be >= 1")
+            raise InputError("levels must be >= 1")
         if levels > MAX_ROWS:
-            raise UsageError(
+            raise InputError(
                 "--levels %d is over the %d-row limit" % (levels, MAX_ROWS))
         blocks, code = args.func(args)
         try:
@@ -380,10 +376,10 @@ def main(argv=None) -> int:
     except (NoSolutionError, SingularCoefficientsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Exception as exc:  # no traceback reaches the user
+    except Exception as exc:  # a bare ValueError too; no traceback reaches the user
         print("error: internal: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 4

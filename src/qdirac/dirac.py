@@ -18,6 +18,9 @@ _row_sums is the one row sum of a matrix on a spinor, for apply_matrix,
 dirac_residual and bag's wall maps, read from row tables made once. So every
 bit equals the object form, which the tests keep as the oracle.
 
+InputError and the argument checks that step, bag, nonrel and cli share
+live here, in the lowest module that checks an argument, each written once.
+
 numpy is imported where an array is made, not with the module: the matrices
 and the realified operator's 4x4 blocks are built on first use, so the
 closed-form spinors that step and bag assemble from QSpinor and
@@ -38,6 +41,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "InputError",
     "DiracMatrices",
     "QSpinor",
     "PlaneWaveState",
@@ -49,6 +53,59 @@ __all__ = [
     "realify_stationary_operator",
     "nullspace_oracle",
 ]
+
+
+class InputError(ValueError):
+    """A bad argument, or a value derived from the arguments that leaves
+    float64 range: the caller's fault (exit 2 in the CLI)."""
+
+
+def _require_finite(**values):
+    """InputError naming the first value, real or complex, that is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise InputError("%s must be finite, got %r" % (name, value))
+
+
+def _require_mass(mass):
+    if not 0.0 <= mass < math.inf:
+        raise InputError("mass must be finite and >= 0, got %r" % (mass,))
+
+
+def _require_spin(spin):
+    if spin not in ("up", "down"):
+        raise InputError("spin must be 'up' or 'down'")
+
+
+def _require_plane_wave(energy, momentum, mass):
+    """Finite energy and momentum (real or complex), finite mass >= 0: one
+    comparison chain, with the message built only on failure."""
+    if not (abs(energy) < math.inf and abs(momentum.real) < math.inf
+            and abs(momentum.imag) < math.inf and 0.0 <= mass < math.inf):
+        _require_finite(energy=energy, mass=mass, momentum=momentum)
+        _require_mass(mass)
+
+
+def _momentum_ladder(length, n_max, d):
+    """n*pi/d/length for n = 1..n_max: d = 2.0 gives the bag's n*pi/(2L), 1.0
+    the Dirichlet n*pi/L (n*pi/1.0 is exact). Never 0 or inf."""
+    if not 0.0 < length < math.inf:
+        raise InputError("length must be finite and > 0, got %r" % (length,))
+    if n_max < 1:
+        raise InputError("n_max must be >= 1")
+    if not math.isfinite(n_max * math.pi / d / length):
+        raise InputError("length %r is too small: the momentum %d*pi/%s overflows "
+                         "float64" % (length, n_max, "(2*length)" if d == 2 else "length"))
+    return [n * math.pi / d / length for n in range(1, n_max + 1)]
+
+
+def _level_energy(n, momentum, mass):
+    """hypot(momentum, mass), the energy of level n, unless it overflows."""
+    energy = math.hypot(momentum, mass)
+    if energy == math.inf:
+        raise InputError("level %d: the energy hypot(%r, %r) overflows float64"
+                         % (n, momentum, mass))
+    return energy
 
 
 @dataclass(frozen=True)
@@ -105,7 +162,7 @@ class QSpinor:
     def __init__(self, comp):
         c = tuple(comp)
         if len(c) != 4:
-            raise ValueError("QSpinor needs exactly 4 components")
+            raise InputError("QSpinor needs exactly 4 components")
         object.__setattr__(self, "comp", c)
 
     def __setattr__(self, name, value):
@@ -148,7 +205,7 @@ class QSpinor:
 
         v = np.asarray(vec, dtype=float)
         if v.shape != (16,):
-            raise ValueError("expected 16 real coordinates")
+            raise InputError("expected 16 real coordinates")
         x = v.tolist()
         return cls([Quaternion.from_coeffs(*x[4 * a : 4 * a + 4]) for a in range(4)])
 
@@ -276,7 +333,10 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     the object form psi*(i sgn E) + (alpha3 psi)*(i dir Q) + (i m beta) psi
     + (iV1 + jV2 + kV3) psi summed as QSpinors, so every bit equals that
     form, which is the test oracle (tests/oracles.dirac_residual_by_quaternions).
+    A non-finite energy, momentum or mass, or a negative mass, raises
+    InputError.
     """
+    _require_plane_wave(state.energy, state.momentum, mass)
     psi = _pairs(state.spinor)
     nrm = _norm(psi)
     if nrm == 0.0:
@@ -320,13 +380,9 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
     broadcast multiply, the elementwise products np.kron forms, so every
     entry (the sign of each zero included) equals the np.kron form that is
     the test oracle (tests/oracles.realify_by_kron). A non-finite energy,
-    mass or momentum, or a negative mass, raises ValueError.
+    mass or momentum, or a negative mass, raises InputError.
     """
-    for name, value in (("energy", energy), ("mass", mass), ("momentum", momentum)):
-        if not cmath.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
-    if mass < 0:
-        raise ValueError("mass must be >= 0, got %r" % (mass,))
+    _require_plane_wave(energy, momentum, mass)
     import numpy as np
 
     mats, l_i, l_j, l_k, r_i = _built()
@@ -355,13 +411,13 @@ def nullspace_oracle(energy: float, momentum: complex, mass: float, pot,
 
     Singular vectors whose singular value falls below tol times the largest
     one are kept, for a tol inside (0, 1); any other tol (nan, inf, 1.0)
-    raises ValueError. An empty list signals that (energy, momentum) is not
+    raises InputError. An empty list signals that (energy, momentum) is not
     on a dispersion branch. Every returned spinor satisfies the equation of
     motion to better than 1e-12 by construction; the caller is expected to
     check that independently (and the test suite does).
     """
     if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1), got %r" % (tol,))
+        raise InputError("tol must lie in (0, 1), got %r" % (tol,))
     import numpy as np
 
     op = realify_stationary_operator(energy, momentum, mass, pot)

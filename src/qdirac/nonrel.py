@@ -21,9 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dirac import PlaneWaveState, _block_spinor
+from .dirac import (InputError, PlaneWaveState, _block_spinor, _level_energy,
+                    _momentum_ladder, _require_finite, _require_mass, _require_spin)
 from .quaternion import Quaternion
-from .step import Branch, _require_finite, as_branch
+from .step import Branch, as_branch
 
 __all__ = [
     "NonRelParams",
@@ -83,30 +84,21 @@ def nr_parameters(energy: float, mass: float, w_abs: float,
                   w_phase: float = 0.0) -> NonRelParams:
     """The limiting coefficient set; w_abs = 0 is singular by design."""
     _require_finite(energy=energy, mass=mass, w_abs=w_abs)
+    _require_mass(mass)
     if w_abs <= 0:
-        raise ValueError(
+        raise InputError(
             "the limiting coefficients divide by w_abs; the w_abs = 0 "
             "problem is the ordinary complex well, not a limit of this one"
         )
     if energy <= mass:
-        raise ValueError("need energy > mass for a travelling mode")
+        raise InputError("need energy > mass for a travelling mode")
     p = math.sqrt(energy * energy - mass * mass)
     ratio = p / (energy + mass)
     return NonRelParams(
-        energy=energy,
-        mass=mass,
-        momentum=p,
-        w_abs=w_abs,
-        w_phase=w_phase,
-        mom_plus=p + w_abs,
-        mom_minus=p - w_abs,
-        amp_ratio=ratio,
-        j_chi_plus=-ratio / w_abs,
-        j_chi_minus=ratio / w_abs,
-        j_sigma_plus=-1.0 / w_abs,
-        j_sigma_minus=1.0 / w_abs,
-        regime_flag=p <= w_abs,
-    )
+        energy=energy, mass=mass, momentum=p, w_abs=w_abs, w_phase=w_phase,
+        mom_plus=p + w_abs, mom_minus=p - w_abs, amp_ratio=ratio,
+        j_chi_plus=-ratio / w_abs, j_chi_minus=ratio / w_abs,
+        j_sigma_plus=-1.0 / w_abs, j_sigma_minus=1.0 / w_abs, regime_flag=p <= w_abs)
 
 
 def nr_wavefunction(branch, spin: str, params: NonRelParams) -> PlaneWaveState:
@@ -118,8 +110,7 @@ def nr_wavefunction(branch, spin: str, params: NonRelParams) -> PlaneWaveState:
     phase (energy_sign +1).
     """
     br = as_branch(branch)
-    if spin not in ("up", "down"):
-        raise ValueError("spin must be 'up' or 'down'")
+    _require_spin(spin)
     if br is Branch.MINUS:
         j_part = Quaternion(0.0, -cmath.exp(1j * params.w_phase))
         momentum = params.mom_minus
@@ -143,36 +134,18 @@ def nr_quantize(length: float, n_max: int, mass: float,
     mass^2 with the minus branch shifted up and the plus branch shifted down.
     """
     _require_finite(length=length, mass=mass, w_abs=w_abs)
-    if length <= 0:
-        raise ValueError("length must be > 0")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if not math.isfinite(n_max * math.pi / length):
-        raise ValueError("length %r is too small: the momentum %d*pi/length "
-                         "overflows float64" % (length, n_max))
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
+    momenta = _momentum_ladder(length, n_max, 1.0)
+    _require_mass(mass)
     if w_abs < 0:
-        raise ValueError("w_abs must be >= 0")
+        raise InputError("w_abs must be >= 0")
     levels = []
-    for n in range(1, n_max + 1):
-        q_n = n * math.pi / length
+    for n, q_n in enumerate(momenta, start=1):
         eff_plus = q_n - w_abs
         eff_minus = q_n + w_abs
         # |eff_plus| <= eff_minus, so energy_minus is the level's largest value
-        energy_minus = math.hypot(eff_minus, mass)
-        if energy_minus == math.inf:
-            raise ValueError("level %d: the energy hypot(%r, %r) overflows "
-                             "float64" % (n, eff_minus, mass))
-        levels.append(
-            NonRelLevel(
-                index=n,
-                momentum=q_n,
-                eff_plus=eff_plus,
-                eff_minus=eff_minus,
-                energy_plus=math.hypot(eff_plus, mass),
-                energy_minus=energy_minus,
-                regime_flag=eff_plus <= w_abs,
-            )
-        )
+        energy_minus = _level_energy(n, eff_minus, mass)
+        levels.append(NonRelLevel(
+            index=n, momentum=q_n, eff_plus=eff_plus, eff_minus=eff_minus,
+            energy_plus=math.hypot(eff_plus, mass), energy_minus=energy_minus,
+            regime_flag=eff_plus <= w_abs))
     return levels

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .dirac import PlaneWaveState, _block_spinor
+from .dirac import (InputError, PlaneWaveState, _block_spinor, _require_finite,
+                    _require_mass, _require_spin)
 from .quaternion import Quaternion
 
 __all__ = [
@@ -63,13 +64,7 @@ def as_branch(value) -> Branch:
     try:
         return Branch(str(value).lower())
     except ValueError:
-        raise ValueError("branch must be 'minus' or 'plus', got %r" % (value,)) from None
-
-
-def _require_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+        raise InputError("branch must be 'minus' or 'plus', got %r" % (value,)) from None
 
 
 class SingularCoefficientsError(ValueError):
@@ -93,7 +88,7 @@ class PotentialStep:
     def __post_init__(self):
         _require_finite(v0=self.v0, w_abs=self.w_abs, w_phase=self.w_phase)
         if self.w_abs < 0:
-            raise ValueError("w_abs is a magnitude and must be >= 0")
+            raise InputError("w_abs is a magnitude and must be >= 0")
 
     @property
     def w0(self) -> complex:
@@ -172,36 +167,27 @@ def branch_mom2(e, mass, v0, w_abs, xp):
 
 
 def _require_on_shell(energy, mass):
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
-    if energy < mass:
-        raise ValueError("energy %r below mass %r: sub-mass-shell kinematics "
+    """Finite energy >= mass >= 0: one comparison chain on the per-level
+    path, with the message built only on failure."""
+    if not 0.0 <= mass <= energy < math.inf:
+        _require_finite(energy=energy, mass=mass)
+        _require_mass(mass)
+        raise InputError("energy %r below mass %r: sub-mass-shell kinematics "
                          "unsupported" % (energy, mass))
 
 
 def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinematics:
     """Both squared branch momenta and zone labels at one energy.
 
-    The energy must sit on or above the mass shell; below it the square-root
-    shift turns complex and nothing downstream is defined.
+    The energy must be finite and sit on or above the shell of a finite
+    mass >= 0 (InputError otherwise); below it the square-root shift turns
+    complex and nothing downstream is defined.
     """
     _require_on_shell(energy, mass)
-    p2, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
-        energy, mass, pot.v0, pot.w_abs, _MATH
-    )
-    zone_minus = _ZONES[_zone_minus(energy, mass, pot.v0, pot.w_abs, mom2_minus, _MATH)]
-    return BranchKinematics(
-        energy=energy,
-        mass=mass,
-        p2=p2,
-        q2_plus=q2_plus,
-        q2_minus=q2_minus,
-        delta=delta,
-        mom2_plus=mom2_plus,
-        mom2_minus=mom2_minus,
-        zone_minus=zone_minus,
-        zone_plus=Zone.DIFFUSION,
-    )
+    # branch_mom2's six values are BranchKinematics' fields p2 .. mom2_minus
+    mom2 = branch_mom2(energy, mass, pot.v0, pot.w_abs, _MATH)
+    zone_minus = _ZONES[_zone_minus(energy, mass, pot.v0, pot.w_abs, mom2[-1], _MATH)]
+    return BranchKinematics(energy, mass, *mom2, zone_minus, Zone.DIFFUSION)
 
 
 def evanescent_width(mass: float, v0: float, w_abs: float):
@@ -212,8 +198,7 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
     matters. The width is zero when v0 = 0 (no window for a purely
     quaternionic step) and also collapses with the mass.
     """
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
+    _require_mass(mass)
     a = abs(v0)
     e_up = math.hypot(w_abs, mass + a)
     e_low = max(mass, math.hypot(w_abs, mass - a))
@@ -301,13 +286,7 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     amp_ratio = momentum / denom_a
     j_chi = (energy - sgn * pot.v0 - mass + momentum * amp_ratio) / denom_mn
     j_sigma = (momentum + amp_ratio * (energy - sgn * pot.v0 + mass)) / denom_mn
-    return ModeCoefficients(
-        branch=br,
-        momentum=momentum,
-        amp_ratio=amp_ratio,
-        j_chi=j_chi,
-        j_sigma=j_sigma,
-    )
+    return ModeCoefficients(br, momentum, amp_ratio, j_chi, j_sigma)
 
 
 def step_spinor(energy: float, mass: float, pot: PotentialStep, branch,
@@ -322,9 +301,8 @@ def step_spinor(energy: float, mass: float, pot: PotentialStep, branch,
     """
     br = as_branch(branch)
     if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if spin not in ("up", "down"):
-        raise ValueError("spin must be 'up' or 'down'")
+        raise InputError("direction must be +1 or -1")
+    _require_spin(spin)
     mc = mode_coefficients(energy, mass, pot, br)
     amp, j_chi, j_sigma = mc.amp_ratio, mc.j_chi, mc.j_sigma
     if direction == -1:

@@ -1,4 +1,8 @@
-"""The package namespace: `qdirac` re-exports exactly each module's `__all__`."""
+"""The package surface: `qdirac` re-exports exactly each module's `__all__`,
+and every error the library raises for a bad argument is typed."""
+
+import ast
+from pathlib import Path
 
 import qdirac
 from qdirac import bag, dirac, nonrel, quaternion, report, step
@@ -42,4 +46,29 @@ def test_package_all_is_the_module_lists_joined():
 def test_no_earlier_export_is_lost():
     assert len(EXPORTED_BEFORE) == 50
     assert set(EXPORTED_BEFORE) <= set(qdirac.__all__)
-    assert set(qdirac.__all__) - set(EXPORTED_BEFORE) == {"potential_quaternion"}
+    assert set(qdirac.__all__) - set(EXPORTED_BEFORE) == {"potential_quaternion",
+                                                          "InputError"}
+
+
+# the internal faults that stay a bare ValueError (exit 4 in the CLI), by a
+# part of their message
+INTERNAL_FAULTS = {"amp_ratio is not finite at energy",
+                   "zero-norm spinor has no defined residual"}
+
+
+def test_bad_arguments_raise_input_error_not_a_bare_value_error():
+    """A new check written as `raise ValueError(...)` would reach the CLI's
+    internal-error exit; a bad argument raises InputError instead."""
+    found = []
+    for path in sorted(Path(qdirac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                source = ast.unparse(node.exc)
+                site = "%s:%d: %s" % (path.name, node.lineno, source)
+                assert any(m in source for m in INTERNAL_FAULTS), site
+                found.append(source)
+    assert len(found) == len(INTERNAL_FAULTS), found
+    assert issubclass(qdirac.InputError, ValueError)

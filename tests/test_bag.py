@@ -15,6 +15,7 @@ import oracles
 from qdirac import bag, dirac, report, step
 from qdirac import (
     Branch,
+    InputError,
     NoSolutionError,
     PotentialStep,
     QSpinor,
@@ -586,6 +587,13 @@ class TestSpectrum:
                  % re.escape(energy))
         with pytest.raises(ValueError, match=match):
             solve_spectrum(1.0, PotentialStep(w_abs=w_abs), length, 2, "minus")
+
+    def test_overflowing_energy_names_the_level(self):
+        # at v0 = 0 the energy is hypot(eff_momentum, mass), the nr-spectrum
+        # rule; it once reached the coefficients as inf ("at energy inf")
+        with pytest.raises(InputError, match=r"^level 1: the energy hypot\(1\.7e\+308, "
+                           r"1\.7e\+308\) overflows float64$"):
+            solve_spectrum(1.7e308, PotentialStep(w_abs=1.7e308), 1.0, 2, "minus")
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("v0", [0.0, 0.7])

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 
 import oracles
 from qdirac import (
+    InputError,
+    NoSolutionError,
     PotentialStep,
+    SingularCoefficientsError,
     classify_zone,
     evanescent_width,
     kinematics,
@@ -444,6 +447,27 @@ class TestExitCodes:
         assert code == 4
         assert out == texts[0] and out.count("\n") == 4
         assert err == "error: internal: RuntimeError: render failed\n"
+
+    @pytest.mark.parametrize("exc,code,line", [
+        (InputError("bad flag"), 2, "error: bad flag\n"),
+        (NoSolutionError("no level"), 3, "error: no level\n"),
+        (SingularCoefficientsError("pole"), 3, "error: pole\n"),
+        # a ValueError that is not an InputError is not the caller's fault
+        (ValueError("math domain error"), 4,
+         "error: internal: ValueError: math domain error\n"),
+        (ZeroDivisionError("float division by zero"), 4,
+         "error: internal: ZeroDivisionError: float division by zero\n"),
+    ])
+    def test_exit_code_follows_the_exception_type(self, capsys, monkeypatch, exc,
+                                                  code, line):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_spectrum", fail)
+        monkeypatch.setattr(cli, "nr_quantize", fail)
+        for command in ("bag-spectrum", "nr-spectrum"):
+            got = run_cli([command, "--w0-abs", "0.5"], capsys)
+            assert got == (code, "", line), command
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_output_write_error_mid_table_is_one_line(self, capsys):

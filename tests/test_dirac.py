@@ -8,6 +8,7 @@ import pytest
 import oracles
 from qdirac import (
     Branch,
+    InputError,
     PlaneWaveState,
     PotentialStep,
     QSpinor,
@@ -327,7 +328,7 @@ def test_dirac_residual_equals_the_quaternion_sums_bit_for_bit():
                 residual(state, FREE, 1.0)
 
 
-@pytest.mark.parametrize("energy,momentum,mass,name", [
+BAD_STATES = [
     (math.nan, 1.0, 1.0, "energy"),
     (math.inf, 1.0, 1.0, "energy"),
     (-math.inf, 1.0, 1.0, "energy"),
@@ -337,7 +338,10 @@ def test_dirac_residual_equals_the_quaternion_sums_bit_for_bit():
     (2.0, 1.0, math.nan, "mass"),
     (2.0, 1.0, math.inf, "mass"),
     (2.0, 1.0, -1.0, "mass"),
-])
+]
+
+
+@pytest.mark.parametrize("energy,momentum,mass,name", BAD_STATES)
 def test_operator_rejects_non_finite_arguments_and_negative_mass(
         energy, momentum, mass, name, monkeypatch):
     # numpy once raised "SVD did not converge" for these, or returned no
@@ -351,6 +355,17 @@ def test_operator_rejects_non_finite_arguments_and_negative_mass(
     for fn in (realify_stationary_operator, nullspace_oracle):
         with pytest.raises(ValueError, match="^%s must be" % name):
             fn(energy, momentum, mass, pot)
+
+
+@pytest.mark.parametrize("energy,momentum,mass,name", BAD_STATES)
+def test_residuals_reject_what_the_operator_rejects(energy, momentum, mass, name):
+    # both residuals once returned nan for these, and 2.0134 for mass = -1
+    psi = step_spinor(2.0, 1.0, PotentialStep(w_abs=0.5), "minus").spinor
+    pot = PotentialStep(w_abs=0.5)
+    with pytest.raises(InputError, match="^%s must be finite" % name):
+        stationary_residual(psi, energy, momentum, mass, pot)
+    with pytest.raises(InputError, match="^%s must be finite" % name):
+        dirac_residual(PlaneWaveState(psi, momentum, energy), pot, mass)
 
 
 def test_spinors_compare_and_hash_by_value():

@@ -7,6 +7,7 @@ import pytest
 
 from qdirac import (
     Branch,
+    InputError,
     nr_parameters,
     nr_quantize,
     nr_wavefunction,
@@ -32,6 +33,11 @@ class TestParameters:
             nr_parameters(2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             nr_parameters(2.0, 1.0, -0.5)
+
+    def test_negative_mass_raises(self):
+        # it once returned amp_ratio 1.732...
+        with pytest.raises(InputError, match=r"^mass must be finite and >= 0, got -1\.0$"):
+            nr_parameters(2.0, -1.0, 0.5)
 
     def test_mass_shell_raises(self):
         with pytest.raises(ValueError):

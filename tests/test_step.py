@@ -1,6 +1,7 @@
 """Step-potential kinematics, zones, coefficients, and travelling spinors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from qdirac import (
     Branch,
+    InputError,
     PotentialStep,
     Zone,
     classify_zone,
@@ -68,6 +70,25 @@ class TestKinematics:
         with pytest.raises(ValueError, match=r"^energy 1\.0000001 below mass "
                                              r"1\.0000002: "):
             kinematics(1.0000001, 1.0000002, PotentialStep())
+
+    @pytest.mark.parametrize("energy,mass,message", [
+        (math.nan, 1.0, "energy must be finite, got nan"),
+        (math.inf, 1.0, "energy must be finite, got inf"),
+        (-math.inf, 1.0, "energy must be finite, got -inf"),
+        (2.0, math.nan, "mass must be finite, got nan"),
+        (2.0, math.inf, "mass must be finite, got inf"),
+        (2.0, -1.0, "mass must be finite and >= 0, got -1.0"),
+    ])
+    def test_non_finite_energy_or_mass_raises(self, energy, mass, message):
+        # kinematics(nan, ...) once returned nan momenta labelled klein, and
+        # mode_coefficients(inf, ...) nan coefficients
+        pot = PotentialStep(v0=0.3, w_abs=0.5)
+        calls = (lambda: kinematics(energy, mass, pot),
+                 lambda: mode_coefficients(energy, mass, pot, "minus"),
+                 lambda: step_spinor(energy, mass, pot, "plus"))
+        for call in calls:
+            with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+                call()
 
     @pytest.mark.parametrize("field", ["v0", "w_abs", "w_phase"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
