@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache
 
 from .dirac import (InputError, QSpinor, _block_spinor, _level_energy, _matrix_rows,
-                    _momentum_ladder, _norm, _pairs, _require_finite, _require_mass,
-                    _require_spin, _row_sums, build_matrices)
+                    _momentum_ladder, _norm, _pairs, _record, _require_finite,
+                    _require_length, _require_mass, _require_spin, _row_sums,
+                    build_matrices)
 from .quaternion import ZERO, Quaternion
 from .step import (_MATH, Branch, PotentialStep, SingularCoefficientsError,
                    _branch_denominators, as_branch, mode_coefficients)
@@ -75,7 +76,7 @@ class NoSolutionError(ValueError):
     """No energy in the admissible range carries the requested momentum."""
 
 
-@dataclass(frozen=True)
+@_record
 class BoundaryPhase:
     """Phase offset of the standing wave fixed by the z = 0 wall.
 
@@ -87,7 +88,7 @@ class BoundaryPhase:
     phase: float
 
 
-@dataclass(frozen=True)
+@_record
 class BagLevel:
     """One quantized confined state.
 
@@ -116,7 +117,7 @@ class BagLevel:
     regime_flag: bool = False
 
 
-@dataclass(frozen=True)
+@_record
 class StationaryWavefunction:
     """Closed-form standing wave of one level; zero outside [0, length].
 
@@ -340,8 +341,15 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     Zero exactly at the quantized momenta n*pi/(2L); diverges at the poles
     where the two cotangent conditions collide. nan where the energy chain
     leaves its regime (plus branch at momentum <= w_abs with v0 = 0).
+    A negative or non-finite mass, a non-finite momentum and a length that
+    is not finite and > 0 raise InputError: one comparison chain, with the
+    message built only on failure (verify calls this in its bisections).
     """
-    _require_mass(mass)
+    if not (0.0 <= mass < math.inf and 0.0 < length < math.inf
+            and -math.inf < momentum < math.inf):
+        _require_mass(mass)
+        _require_length(length)
+        _require_finite(momentum=momentum)
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy < math.inf:
@@ -360,8 +368,10 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
 
     The same _energy_root and _residual_chain on numpy, with masks where the
     scalar form tests: every point where it returns nan or raises is nan
-    here. np.hypot and np.arctan2 may differ from math's in the last bit, so
-    these values choose root brackets; refine a root with the scalar form.
+    here, a nan momentum included; a length that is not finite and > 0
+    raises InputError, as there. np.hypot and np.arctan2 may differ from
+    math's in the last bit, so these values choose root brackets; refine a
+    root with the scalar form.
     """
     return _residual_grid(momenta, mass, pot, length, branch)[0]
 
@@ -371,6 +381,7 @@ def _residual_grid(momenta, mass, pot, length, branch):
     quantization_residual_grid and for report._scan_roots."""
     import numpy as np
 
+    _require_length(length)
     br = as_branch(branch)
     q = np.asarray(momenta, dtype=np.float64)
     # where the E^2 quadratic leaves float64 range its terms overflow to inf
@@ -417,11 +428,9 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         ph = _phase(amp, br is Branch.PLUS, _MATH)
         total = _density_integral(q_n, length, ph, 1.0, amp * amp,
                                   abs(w_factor * j_chi) ** 2)
-        levels.append(BagLevel(
-            branch=br, index=n, momentum=q_n, eff_momentum=eff, energy=energy,
-            phase=ph, norm_const=1.0 / math.sqrt(total), length=length,
-            amp_ratio=amp, j_chi=j_chi, w_factor=w_factor,
-            regime_flag=br is Branch.PLUS and q_n < pot.w_abs))
+        levels.append(BagLevel(br, n, q_n, eff, energy, ph, 1.0 / math.sqrt(total),
+                               length, amp, j_chi, w_factor,
+                               br is Branch.PLUS and q_n < pot.w_abs))
     return levels
 
 
@@ -438,10 +447,9 @@ def stationary_wavefunction(level: BagLevel, mass: float, pot: PotentialStep,
     w_factor are read off the level, as solved in its own well.
     """
     _require_spin(spin)
-    return StationaryWavefunction(
-        branch=level.branch, spin=spin, momentum=level.momentum, phase=level.phase,
-        amp_ratio=level.amp_ratio, j_chi=level.j_chi, w_factor=level.w_factor,
-        length=level.length, amplitude=level.norm_const)
+    return StationaryWavefunction(level.branch, spin, level.momentum, level.phase,
+                                  level.amp_ratio, level.j_chi, level.w_factor,
+                                  level.length, level.norm_const)
 
 
 def _density_integral(q, length, phase, amp2, r2, wm2):

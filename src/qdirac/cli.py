@@ -48,8 +48,8 @@ from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
 from .dirac import InputError, _require_finite, _require_mass
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
-from .step import (_MATH, PotentialStep, SingularCoefficientsError, Zone,
-                   _zone_minus, branch_mom2, evanescent_width)
+from .step import (PotentialStep, SingularCoefficientsError, Zone,
+                   _branch_mom2_in_range, _zone_minus, evanescent_width)
 
 __all__ = ["main", "build_parser"]
 
@@ -187,9 +187,7 @@ def _cmd_zones(args):
     # every term of branch_mom2 is largest in size at one end of the grid,
     # so finite ends mean a finite table
     for e in (e_min, e_min + n * args.e_step):
-        if not all(map(math.isfinite,
-                       branch_mom2(e, args.mass, pot.v0, pot.w_abs, _MATH))):
-            raise InputError("branch momenta at energy %r overflow float64" % e)
+        _branch_mom2_in_range(e, args.mass, pot)
     import numpy as np
 
     energies = e_min + np.arange(n + 1) * args.e_step

@@ -20,6 +20,7 @@ bit equals the object form, which the tests keep as the oracle.
 
 InputError and the argument checks that step, bag, nonrel and cli share
 live here, in the lowest module that checks an argument, each written once.
+So does _record, which declares the frozen records of all four modules.
 
 numpy is imported where an array is made, not with the module: the matrices
 and the realified operator's 4x4 blocks are built on first use, so the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -86,11 +87,15 @@ def _require_plane_wave(energy, momentum, mass):
         _require_mass(mass)
 
 
+def _require_length(length):
+    if not 0.0 < length < math.inf:
+        raise InputError("length must be finite and > 0, got %r" % (length,))
+
+
 def _momentum_ladder(length, n_max, d):
     """n*pi/d/length for n = 1..n_max: d = 2.0 gives the bag's n*pi/(2L), 1.0
     the Dirichlet n*pi/L (n*pi/1.0 is exact). Never 0 or inf."""
-    if not 0.0 < length < math.inf:
-        raise InputError("length must be finite and > 0, got %r" % (length,))
+    _require_length(length)
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     if not math.isfinite(n_max * math.pi / d / length):
@@ -108,7 +113,41 @@ def _level_energy(n, momentum, mass):
     return energy
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """dataclass(frozen=True) with an __init__ that writes each field into
+    the instance __dict__, where the dataclass's own calls object.__setattr__
+    once per field: 1.0 against 2.9 us for nine fields (timeit, Python
+    3.11, 2-core x86-64).
+
+    The __init__ is one generated def, as dataclasses makes its own, with the
+    same parameters, defaults and annotations; it ends in __post_init__ where
+    the class defines one, so replace re-runs the validation. eq, hash, repr,
+    FrozenInstanceError, fields and replace stay the dataclass's.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    flds = fields(cls)
+    namespace = {"__name__": cls.__module__}
+    params = []
+    for f in flds:
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace["_dflt_" + f.name] = f.default
+            params.append("%s=_dflt_%s" % (f.name, f.name))
+    body = ["def __init__(__self, %s):" % ", ".join(params),
+            "    __d = __self.__dict__"]
+    body += ["    __d[%r] = %s" % (f.name, f.name) for f in flds]
+    if hasattr(cls, "__post_init__"):
+        body.append("    __self.__post_init__()")
+    exec("\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class DiracMatrices:
     """The 4x4 alpha/beta representation with off-diagonal Pauli blocks.
 
@@ -242,9 +281,19 @@ def _pairs(psi: QSpinor) -> list:
 
 
 def _norm(pairs) -> float:
-    """QSpinor.norm of a spinor held as (u, w) pairs, summed the same way."""
-    return math.sqrt(sum(u.real ** 2 + u.imag ** 2 + w.real ** 2 + w.imag ** 2
-                         for u, w in pairs))
+    """QSpinor.norm of a spinor held as (u, w) pairs, summed the same way.
+    InputError where the sum of squares overflows float64: a float's ** 2
+    raises OverflowError there. x * x would give inf instead, but it rounds
+    differently from ** 2 (libm pow) for about one x in 1200 (glibc 2.36),
+    which would move residual bits."""
+    try:
+        total = sum(u.real ** 2 + u.imag ** 2 + w.real ** 2 + w.imag ** 2
+                    for u, w in pairs)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise InputError("the spinor norm overflows float64")
+    return math.sqrt(total)
 
 
 def _matrix_rows(rows) -> tuple:
@@ -291,7 +340,7 @@ def _residual_tables():
     return _matrix_rows(mats.alpha[2].tolist()), mats.beta.tolist()
 
 
-@dataclass(frozen=True)
+@_record
 class PlaneWaveState:
     """A plane wave: constant spinor amplitude times exp(i(dir*Q*z + sgn*E*t)).
 

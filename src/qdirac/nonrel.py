@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .dirac import (InputError, PlaneWaveState, _block_spinor, _level_energy,
-                    _momentum_ladder, _require_finite, _require_mass, _require_spin)
+                    _momentum_ladder, _record, _require_finite, _require_mass,
+                    _require_spin)
 from .quaternion import Quaternion
 from .step import Branch, as_branch
 
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class NonRelParams:
     """The limiting parameter set at one (energy, mass).
 
@@ -61,7 +61,7 @@ class NonRelParams:
     regime_flag: bool
 
 
-@dataclass(frozen=True)
+@_record
 class NonRelLevel:
     """One Dirichlet level, both branches side by side.
 
@@ -144,8 +144,7 @@ def nr_quantize(length: float, n_max: int, mass: float,
         eff_minus = q_n + w_abs
         # |eff_plus| <= eff_minus, so energy_minus is the level's largest value
         energy_minus = _level_energy(n, eff_minus, mass)
-        levels.append(NonRelLevel(
-            index=n, momentum=q_n, eff_plus=eff_plus, eff_minus=eff_minus,
-            energy_plus=math.hypot(eff_plus, mass), energy_minus=energy_minus,
-            regime_flag=eff_plus <= w_abs))
+        levels.append(NonRelLevel(n, q_n, eff_plus, eff_minus,
+                                  math.hypot(eff_plus, mass), energy_minus,
+                                  eff_plus <= w_abs))
     return levels

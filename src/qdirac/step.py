@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .dirac import (InputError, PlaneWaveState, _block_spinor, _require_finite,
+from .dirac import (InputError, PlaneWaveState, _block_spinor, _record, _require_finite,
                     _require_mass, _require_spin)
 from .quaternion import Quaternion
 
@@ -72,7 +71,7 @@ class SingularCoefficientsError(ValueError):
     or where a denominator of mode_coefficients vanishes exactly."""
 
 
-@dataclass(frozen=True)
+@_record
 class PotentialStep:
     """Constant quaternionic vector potential: strength v0 plus a pure part.
 
@@ -98,7 +97,7 @@ class PotentialStep:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class BranchKinematics:
     """Squared momenta and zone labels for both branches at one (E, m).
 
@@ -119,7 +118,7 @@ class BranchKinematics:
     zone_plus: Zone
 
 
-@dataclass(frozen=True)
+@_record
 class ModeCoefficients:
     """The three coefficients of one travelling mode.
 
@@ -176,16 +175,27 @@ def _require_on_shell(energy, mass):
                          "unsupported" % (energy, mass))
 
 
+def _branch_mom2_in_range(energy, mass, pot):
+    """branch_mom2 at one energy, or InputError where its terms leave float64
+    range: any overflow among them reaches mom2_plus or mom2_minus as inf or
+    nan, so those two are the ones checked."""
+    mom2 = branch_mom2(energy, mass, pot.v0, pot.w_abs, _MATH)
+    if not (abs(mom2[4]) < math.inf and abs(mom2[5]) < math.inf):
+        raise InputError("branch momenta at energy %r overflow float64" % (energy,))
+    return mom2
+
+
 def kinematics(energy: float, mass: float, pot: PotentialStep) -> BranchKinematics:
     """Both squared branch momenta and zone labels at one energy.
 
     The energy must be finite and sit on or above the shell of a finite
-    mass >= 0 (InputError otherwise); below it the square-root shift turns
+    mass >= 0, and the squared momenta must stay in float64 range
+    (InputError otherwise); below the shell the square-root shift turns
     complex and nothing downstream is defined.
     """
     _require_on_shell(energy, mass)
     # branch_mom2's six values are BranchKinematics' fields p2 .. mom2_minus
-    mom2 = branch_mom2(energy, mass, pot.v0, pot.w_abs, _MATH)
+    mom2 = _branch_mom2_in_range(energy, mass, pot)
     zone_minus = _ZONES[_zone_minus(energy, mass, pot.v0, pot.w_abs, mom2[-1], _MATH)]
     return BranchKinematics(energy, mass, *mom2, zone_minus, Zone.DIFFUSION)
 

@@ -108,6 +108,13 @@ class TestBoundaryMaps:
     def test_end_validation(self):
         with pytest.raises(ValueError):
             boundary_operator("top")
+
+    def test_residual_names_a_norm_that_overflows(self):
+        # once OverflowError from the ** 2 of the norm
+        psi = QSpinor([Quaternion(1e300, 1e300j)] * 4)
+        for end in ("left", "right"):
+            with pytest.raises(InputError, match="^the spinor norm overflows float64$"):
+                boundary_residual(psi, end)
         with pytest.raises(ValueError):
             boundary_residual(random_spinor(np.random.default_rng(1)), "top")
 
@@ -181,6 +188,30 @@ class TestQuantization:
                 n * math.pi / (2.0 * length) for n in (1, 2, 3)], length
         for length in (2.0 ** 1023, 1e308, 1.7976931348623157e308):
             assert min(quantized_momenta(length, 3)) > 0.0
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+    def test_residuals_reject_a_bad_length(self, length):
+        # nan once returned nan and -1.0 returned 7.9993, on both forms
+        pot = PotentialStep(v0=0.3, w_abs=0.5)
+        message = "^length must be finite and > 0, got %s$" % re.escape(repr(length))
+        with pytest.raises(InputError, match=message):
+            quantization_residual(1.0, 1.0, pot, length, "minus")
+        with pytest.raises(InputError, match=message):
+            quantization_residual_grid(np.array([1.0, 2.0]), 1.0, pot, length, "minus")
+
+    @pytest.mark.parametrize("momentum", [math.nan, math.inf, -math.inf])
+    def test_residual_rejects_a_non_finite_momentum(self, momentum):
+        # nan once gave "the quadratic in E^2 leaves float64 range"
+        pot = PotentialStep(v0=0.3, w_abs=0.5)
+        with pytest.raises(InputError, match="^momentum must be finite, got %s$"
+                           % re.escape(repr(momentum))):
+            quantization_residual(momentum, 1.0, pot, 1.0, "minus")
+        # the array form keeps a nan lane nan, and the other lanes as they were
+        g = quantization_residual_grid(np.array([math.nan, 1.0, 2.0]), 1.0, pot, 1.0,
+                                       "minus")
+        assert math.isnan(g[0])
+        assert g[1:].tolist() == quantization_residual_grid(
+            np.array([1.0, 2.0]), 1.0, pot, 1.0, "minus").tolist()
 
     def test_residual_zero_at_roots_large_off_roots(self):
         length = 1.0

@@ -368,6 +368,35 @@ def test_residuals_reject_what_the_operator_rejects(energy, momentum, mass, name
         dirac_residual(PlaneWaveState(psi, momentum, energy), pot, mass)
 
 
+@pytest.mark.parametrize("energy,momentum,mass", [
+    (1e308, 1e308, 1.0), (1e200, 1e200, 1.0), (2.0, 1e308, 1.0), (1e308, 1e308j, 1.0),
+    (-1e308, -1e308, 1.0), (2.0, 1.0, 1e308),
+])
+def test_residuals_name_a_norm_that_overflows(energy, momentum, mass):
+    # finite arguments whose squares overflow float64 once raised
+    # OverflowError from the ** 2 of the norm
+    pot = PotentialStep(v0=0.3, w_abs=0.5)
+    psi = step_spinor(2.0, 1.0, pot, "minus").spinor
+    message = "^the spinor norm overflows float64$"
+    with pytest.raises(InputError, match=message):
+        stationary_residual(psi, energy, momentum, mass, pot)
+    with pytest.raises(InputError, match=message):
+        dirac_residual(PlaneWaveState(psi, momentum, energy), pot, mass)
+    # a spinor whose own norm overflows, with finite parts
+    huge = QSpinor([Quaternion(1e200 + 1e200j, 1e200)] * 4)
+    with pytest.raises(InputError, match=message):
+        stationary_residual(huge, 2.0, 1.0, 1.0, pot)
+
+
+def test_residual_norm_stays_finite_up_to_the_range():
+    # sixteen parts of 2**509 square and sum to 2**1022, still finite
+    big = 2.0 ** 509
+    psi = QSpinor([Quaternion(complex(big, big), complex(big, big))] * 4)
+    assert psi.norm() == 2.0 ** 511 == dirac._norm(dirac._pairs(psi))
+    with pytest.raises(InputError, match="^the spinor norm overflows float64$"):
+        dirac._norm(dirac._pairs(psi.scale_right(2.0)))
+
+
 def test_spinors_compare_and_hash_by_value():
     pot = PotentialStep(w_abs=0.5)
     a, b = (step_spinor(2.0, 1.0, pot, "minus") for _ in range(2))

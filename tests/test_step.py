@@ -71,6 +71,29 @@ class TestKinematics:
                                              r"1\.0000002: "):
             kinematics(1.0000001, 1.0000002, PotentialStep())
 
+    @pytest.mark.parametrize("energy,pot", [
+        (1e308, PotentialStep(v0=0.3, w_abs=0.5)),
+        (1e308, PotentialStep()),
+        (1e155, PotentialStep(v0=0.3, w_abs=0.5)),
+        (2.0, PotentialStep(v0=1e200, w_abs=0.5)),
+        (2.0, PotentialStep(v0=0.3, w_abs=1e200)),
+        (2.0, PotentialStep(v0=-1.3e154, w_abs=0.5)),
+    ])
+    def test_squares_out_of_float64_range_are_rejected(self, energy, pot):
+        # (1e308, v0=0.3) once returned p2 = inf and mom2_minus = nan
+        # labelled diffusion
+        message = "^branch momenta at energy %s overflow float64$" % re.escape(
+            repr(energy))
+        with pytest.raises(InputError, match=message):
+            kinematics(energy, 1.0, pot)
+        with pytest.raises(InputError, match=message):
+            classify_zone(energy, 1.0, pot)
+
+    def test_squares_in_float64_range_stay_finite(self):
+        kin = kinematics(1e150, 1.0, PotentialStep(v0=1e3, w_abs=1e3))
+        assert all(map(math.isfinite, (kin.p2, kin.q2_plus, kin.q2_minus, kin.delta,
+                                       kin.mom2_plus, kin.mom2_minus)))
+
     @pytest.mark.parametrize("energy,mass,message", [
         (math.nan, 1.0, "energy must be finite, got nan"),
         (math.inf, 1.0, "energy must be finite, got inf"),
