@@ -341,15 +341,16 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     Zero exactly at the quantized momenta n*pi/(2L); diverges at the poles
     where the two cotangent conditions collide. nan where the energy chain
     leaves its regime (plus branch at momentum <= w_abs with v0 = 0).
-    A negative or non-finite mass, a non-finite momentum and a length that
-    is not finite and > 0 raise InputError: one comparison chain, with the
+    A negative or non-finite mass, and a momentum or length that is not
+    finite and > 0, raise InputError: one comparison chain, with the
     message built only on failure (verify calls this in its bisections).
+    So does a momentum whose mode coefficients overflow float64.
     """
     if not (0.0 <= mass < math.inf and 0.0 < length < math.inf
-            and -math.inf < momentum < math.inf):
+            and 0.0 < momentum < math.inf):
         _require_mass(mass)
         _require_length(length)
-        _require_finite(momentum=momentum)
+        raise InputError("momentum must be finite and > 0, got %r" % (momentum,))
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy < math.inf:
@@ -358,7 +359,9 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     if not regular:
         raise SingularCoefficientsError("coefficients singular at E = %r" % energy)
     if math.isnan(amp):
-        raise ValueError("amp_ratio is not finite at energy %r" % energy)
+        # regular and mass < energy < inf: only float64 overflow is left
+        raise InputError("momentum %r: the mode coefficients overflow float64"
+                         % (momentum,))
     return g
 
 
@@ -368,10 +371,10 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
 
     The same _energy_root and _residual_chain on numpy, with masks where the
     scalar form tests: every point where it returns nan or raises is nan
-    here, a nan momentum included; a length that is not finite and > 0
-    raises InputError, as there. np.hypot and np.arctan2 may differ from
-    math's in the last bit, so these values choose root brackets; refine a
-    root with the scalar form.
+    here, a momentum that is nan or <= 0 included; a length that is not
+    finite and > 0 raises InputError, as there. np.hypot and np.arctan2 may
+    differ from math's in the last bit, so these values choose root
+    brackets; refine a root with the scalar form.
     """
     return _residual_grid(momenta, mass, pot, length, branch)[0]
 
@@ -388,8 +391,8 @@ def _residual_grid(momenta, mass, pot, length, branch):
     # and inf - inf; the masks turn those lanes into nan
     with np.errstate(over="ignore", invalid="ignore"):
         energy = _energy_root(q, mass, pot, br, np)[0]
-        energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0),
-                          energy, np.nan)
+        energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0)
+                          & (q > 0.0), energy, np.nan)
         g, _, _, num = _residual_chain(q, energy, mass, pot, length, br, np)
     return g, num
 

@@ -10,13 +10,17 @@ separator, floats by %.17g) or as a single JSON object with stable key order
 (floats by repr; non-finite floats are NaN/Infinity, as json writes them).
 Each table command states its table once, as ordered (name, cells) pairs:
 numpy arrays for zones and density, lists read off the level objects for
-the spectra, and a str or float for a value every row shares. _blocks alone
-cuts a table into blocks of BLOCK (4096) rows, each rendered column by
-column through one %-template, so memory does not grow with the row
-count. Every check runs before the first block is written; a write
-error mid-table leaves the blocks already written. Repeated runs with
-identical flags produce byte-identical output; nothing here reads the
-clock, the locale, or the environment.
+the spectra, and a str or float for a value every row shares (zones'
+zone_plus and width columns, bag-spectrum's branch). _blocks alone cuts a
+table into blocks of BLOCK (4096) rows and lays each block out once: it
+reads every column's slice a single time for its piece of one %-template,
+and zips only the values of the columns that are not literal into the
+block's printed rows. _render takes those rows and the pieces and only
+writes text, so memory does not grow with the row count. Every check runs
+before the first block is written; a write error mid-table leaves the
+blocks already written. Repeated runs with identical flags produce
+byte-identical output; nothing here reads the clock, the locale, or the
+environment.
 
 numpy is imported by the array commands (zones, density, verify) when they
 run, not with this module, so --version, bag-spectrum, nr-spectrum and the
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -73,22 +76,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _column(cells: tuple, as_json: bool):
+def _column(cells, as_json: bool):
     """One column's piece of a block's row template and the values it takes.
 
-    The piece follows the exact type of the cells; values is None when the
-    block's cells print as one text, which is then literal. A column of
-    any other type, or of mixed types, goes through the per-cell encoder
-    (json.dumps or _csv_cell) and takes "%s".
+    cells is one block's slice of a column, a list, or the str or float
+    that every row of the table shares. The piece follows the exact type
+    of the cells; values is None when the piece is literal: a shared value,
+    or a block whose cells print as one text. A column of any other type,
+    or of mixed types, goes through the per-cell encoder (json.dumps or
+    _csv_cell) and takes "%s".
     """
     encode = json.dumps if as_json else _csv_cell
+    if isinstance(cells, (str, float)):
+        return encode(cells).replace("%", "%%"), None
     kinds = set(map(type, cells))
     kind = kinds.pop() if len(kinds) == 1 else None
-    first = cells[0]
     # equal cells of one type print alike, except floats 0.0 and -0.0
-    if kind in (float, int, bool, str) and cells.count(first) == len(cells) and (
-            first != 0.0 or len(set(map(repr, cells))) == 1):
-        return encode(first).replace("%", "%%"), None
+    if kind in (float, int, bool, str) and cells.count(cells[0]) == len(cells) and (
+            cells[0] != 0.0 or len(set(map(repr, cells))) == 1):
+        return encode(cells[0]).replace("%", "%%"), None
     if kind is float:
         if not as_json:
             return "%.17g", cells
@@ -107,25 +113,19 @@ def _column(cells: tuple, as_json: bool):
     return "%s", list(map(encode, cells))
 
 
-def _render(command: str, params: dict, columns: list, rows: list,
+def _render(command: str, params: dict, columns: list, rows: list, pieces: list,
             fmt: str, first: bool = True, last: bool = True) -> str:
-    """One block of the table as CSV or JSON text, built column by column.
+    """One block of the table as CSV or JSON text.
 
-    Each column contributes one piece (see _column) to a single %-template,
-    and every row is that template applied to its values. The first block
-    carries the CSV header or the JSON head, the last one the JSON tail; a
-    table of no rows is one block that is both.
+    pieces holds each column's piece of one %-template (see _column), and
+    rows one tuple per printed row of the block: the values of its
+    non-literal columns, () where every column is literal. Every row is
+    the template applied to its tuple. The first block carries the CSV
+    header or the JSON head, the last one the JSON tail; a table of no
+    rows is one block that is both.
     """
-    as_json = fmt == "json"
-    pieces, values = [], []
-    for cells in zip(*rows):
-        piece, col = _column(cells, as_json)
-        pieces.append(piece)
-        if col is not None:
-            values.append(col)
-    body = zip(*values) if values else itertools.repeat((), len(rows))
-    if not as_json:
-        text = "".join(map((",".join(pieces) + "\n").__mod__, body))
+    if fmt != "json":
+        text = "".join(map((",".join(pieces) + "\n").__mod__, rows))
         return ",".join(columns) + "\n" + text if first else text
     if first:
         # rows is the last key, so the head ends in its empty list "[]\n}"
@@ -134,8 +134,7 @@ def _render(command: str, params: dict, columns: list, rows: list,
         if not rows:
             return head + "[]\n}\n"
     template = "    [\n      " + ",\n      ".join(pieces) + "\n    ]"
-    text = (head + "[\n" if first else ",\n") + ",\n".join(
-        map(template.__mod__, body))
+    text = (head + "[\n" if first else ",\n") + ",\n".join(map(template.__mod__, rows))
     return text + "\n  ]\n}\n" if last else text
 
 
@@ -144,16 +143,24 @@ def _blocks(command: str, params: dict, table, fmt: str):
 
     table is an ordered sequence of (name, cells) pairs. cells is a numpy
     array, a list, or a str or float that every row shares; the first
-    column's length is the row count. Only one block's rows exist at once.
+    column that is not shared gives the row count. Each block reads every
+    column once: _column turns its slice into a template piece, and only
+    the values of the non-literal columns are zipped into the block's rows.
     """
     names = [name for name, _ in table]
-    n = len(table[0][1])
+    n = next(len(cells) for _, cells in table if not isinstance(cells, (str, float)))
     for a in range(0, max(n, 1), BLOCK):
         b = min(a + BLOCK, n)
-        cols = [itertools.repeat(cells, b - a) if isinstance(cells, (str, float))
-                else cells[a:b] if isinstance(cells, list) else cells[a:b].tolist()
-                for _, cells in table]
-        yield _render(command, params, names, list(zip(*cols)), fmt, a == 0, b == n)
+        pieces, values = [], []
+        for _, cells in table:
+            piece, col = _column(
+                cells if isinstance(cells, (str, float)) else cells[a:b]
+                if isinstance(cells, list) else cells[a:b].tolist(), fmt == "json")
+            pieces.append(piece)
+            if col is not None:
+                values.append(col)
+        rows = list(zip(*values)) if values else [()] * (b - a)
+        yield _render(command, params, names, rows, pieces, fmt, a == 0, b == n)
 
 
 def _params(args) -> dict:
@@ -211,7 +218,8 @@ def _cmd_bag_spectrum(args):
     levels = solve_spectrum(args.mass, pot, args.length, args.levels, args.branch)
     names = ("index", "momentum", "eff_momentum", "energy", "phase", "norm_const",
              "regime_flag")
-    table = [("branch", [lvl.branch.value for lvl in levels]),
+    # one solve is one branch: every level shares it
+    table = [("branch", levels[0].branch.value),
              *((name, [getattr(lvl, name) for lvl in levels]) for name in names)]
     return _blocks("bag-spectrum", _params(args), table, args.format), 0
 

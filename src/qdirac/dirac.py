@@ -207,6 +207,10 @@ class QSpinor:
     def __setattr__(self, name, value):
         raise AttributeError("QSpinor is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refused __setattr__
+        return type(self), (self.comp,)
+
     def __getitem__(self, idx):
         return self.comp[idx]
 

@@ -57,6 +57,10 @@ class Quaternion:
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refused __setattr__
+        return type(self), (self.u, self.w)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -68,9 +68,9 @@ def _max(vals):
     return float(max(vals)) if vals else 0.0
 
 
-def _bisect(f, lo, hi, iters=200):
+def _bisect(f, lo, hi):
     flo = f(lo)
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -156,9 +156,10 @@ def _section_matrix_algebra():
     return {"kind": "assert", "passed": all(checks.values()), "checks": checks}
 
 
-def _section_quaternion_algebra(n=10000):
+def _section_quaternion_algebra():
     import numpy as np
 
+    n = 10000
     rng = _rng()
     u1, w1, u2, w2, u3, w3 = (
         rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)
@@ -204,7 +205,8 @@ def _draw_point(rng, mass, span):
     return pot, float(rng.uniform(e_up + 0.1, e_up + span))
 
 
-def _section_oracle_residuals(n_draws=25):
+def _section_oracle_residuals():
+    n_draws = 25
     rng = _rng()
     mass = 1.0
     oracle_res = []
@@ -262,11 +264,12 @@ def _spin_up_nullvector(basis):
     return QSpinor([Quaternion(q.u / scale, q.w / scale) for q in psi.comp])
 
 
-def _section_plus_branch(n_draws=10):
+def _section_plus_branch():
     """The travelling plus-branch form does not solve the equation of motion;
     quantify the failure and measure what the true solution looks like."""
     import numpy as np
 
+    n_draws = 10
     rng = _rng()
     mass = 1.0
     printed_res = []
@@ -315,7 +318,8 @@ def _section_plus_branch(n_draws=10):
     }
 
 
-def _section_consistency(n_draws=8):
+def _section_consistency():
+    n_draws = 8
     rng = _rng()
     mass = 1.0
     samples = []
@@ -344,7 +348,8 @@ def _section_consistency(n_draws=8):
     }
 
 
-def _section_quantization(n_levels=10):
+def _section_quantization():
+    n_levels = 10
     rng = _rng()
     mass = 1.0
     configs = []
@@ -382,7 +387,8 @@ def _section_quantization(n_levels=10):
     }
 
 
-def _section_boundary(n_draws=6, n_levels=4):
+def _section_boundary():
+    n_draws, n_levels = 6, 4
     rng = _rng()
     z0_res = []
     g_at_roots = []
@@ -498,9 +504,10 @@ def _section_normalization():
     }
 
 
-def _section_window(n_draws=4, e_step=1e-3):
+def _section_window():
     import numpy as np
 
+    n_draws, e_step = 4, 1e-3
     rng = _rng()
     samples = []
     all_ok = True

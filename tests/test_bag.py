@@ -203,7 +203,7 @@ class TestQuantization:
     def test_residual_rejects_a_non_finite_momentum(self, momentum):
         # nan once gave "the quadratic in E^2 leaves float64 range"
         pot = PotentialStep(v0=0.3, w_abs=0.5)
-        with pytest.raises(InputError, match="^momentum must be finite, got %s$"
+        with pytest.raises(InputError, match="^momentum must be finite and > 0, got %s$"
                            % re.escape(repr(momentum))):
             quantization_residual(momentum, 1.0, pot, 1.0, "minus")
         # the array form keeps a nan lane nan, and the other lanes as they were
@@ -212,6 +212,28 @@ class TestQuantization:
         assert math.isnan(g[0])
         assert g[1:].tolist() == quantization_residual_grid(
             np.array([1.0, 2.0]), 1.0, pot, 1.0, "minus").tolist()
+
+    @pytest.mark.parametrize("v0", [0.0, 0.3])
+    def test_residual_has_one_momentum_domain_at_every_v0(self, v0):
+        # -1.0 once returned 7.9993 at v0 = 0.3 and nan at v0 = 0, and 0.0
+        # returned -0.0 at v0 = 0.3 and raised SingularCoefficientsError at 0
+        pot = PotentialStep(v0=v0, w_abs=0.5)
+        for momentum in (-1.0, -0.0, 0.0, -5e-324):
+            with pytest.raises(InputError, match="^momentum must be finite and > 0, "
+                               "got %s$" % re.escape(repr(momentum))):
+                quantization_residual(momentum, 1.0, pot, 1.0, "minus")
+        g = quantization_residual_grid(np.array([-1.0, -0.0, 0.0, 1.0]), 1.0, pot,
+                                       1.0, "minus")
+        assert np.isnan(g[:3]).all()
+        assert g[3] == quantization_residual(1.0, 1.0, pot, 1.0, "minus")
+
+    @pytest.mark.parametrize("v0", [0.0, 0.3])
+    def test_residual_out_of_float64_range_is_an_input_error(self, v0):
+        # at v0 = 0 this once raised the bare "amp_ratio is not finite"
+        # ValueError, an internal fault (exit 4) in the CLI
+        pot = PotentialStep(v0=v0, w_abs=0.5)
+        with pytest.raises(InputError, match="^momentum 1e[+]300: "):
+            quantization_residual(1e300, 1.0, pot, 1.0, "minus")
 
     def test_residual_zero_at_roots_large_off_roots(self):
         length = 1.0

@@ -29,7 +29,7 @@ from qdirac import (
     solve_spectrum,
 )
 from qdirac import cli
-from qdirac.cli import _render, main
+from qdirac.cli import main
 
 ZONES_ARGS = [
     "zones", "--mass", "1", "--v0", "1", "--w0-abs", "1",
@@ -817,7 +817,7 @@ class TestRenderer:
             columns, params, rows = random_table(rng)
             for fmt in ("csv", "json"):
                 expected = oracles.render_reference("t", params, columns, rows, fmt)
-                assert _render("t", params, columns, rows, fmt) == expected, (
+                assert write_blocks(params, columns, rows, fmt) == expected, (
                     i, fmt, rows)
 
     @pytest.mark.parametrize("block", [1, 2, 7, 4096])
@@ -869,6 +869,61 @@ class TestRenderer:
         params = {"levels": n_rows}
         expected = oracles.render_reference("t", params, list(cols), rows, fmt)
         assert "".join(cli._blocks("t", params, table, fmt)) == expected
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_TABLES = [case for case in json.loads((GOLDEN / "MANIFEST.json").read_text())[
+    "cases"] if case["exit_code"] == 0 and case["name"] != "verify"]
+
+
+def recorded_renders(monkeypatch):
+    """Blocks of 3 rows, with the rows and the text of each _render call."""
+    monkeypatch.setattr(cli, "BLOCK", 3)
+    render, calls = cli._render, []
+
+    def recording(*args):
+        calls.append((args[3], render(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "_render", recording)
+    return calls
+
+
+class TestRenderContract:
+    """_render's fourth positional argument is the block's list of printed
+    rows, one tuple each, which the per-layer row count of the benchmark
+    reads with len()."""
+
+    @pytest.mark.parametrize("case", GOLDEN_TABLES, ids=lambda c: c["name"])
+    def test_each_block_hands_one_row_per_printed_row(self, capsys, monkeypatch,
+                                                      case):
+        calls = recorded_renders(monkeypatch)
+        code, out, _ = run_cli(case["argv"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / (case["name"] + ".out")).read_text()
+        assert "".join(text for _, text in calls) == out
+        if "json" in case["argv"]:
+            n_rows = len(json.loads(out)["rows"])
+        else:
+            n_rows = out.count("\n") - 1
+        assert [len(rows) for rows, _ in calls] == [
+            min(3, n_rows - a) for a in range(0, n_rows, 3)]
+        for rows, _ in calls:
+            assert type(rows) is list and all(type(r) is tuple for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["bag-spectrum", "--w0-abs", "0.5", "--levels", "1"],
+        ["nr-spectrum", "--w0-abs", "0.5", "--levels", "4", "--format", "json"],
+        ["zones", "--e-max", "1", "--e-step", "0.5"],
+    ])
+    def test_a_block_of_literal_columns_gets_one_empty_row_each(
+            self, capsys, monkeypatch, argv):
+        # a one-row block prints every column as literal text, so its rows
+        # carry no values, yet there is still one entry for the one row
+        calls = recorded_renders(monkeypatch)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.endswith(calls[-1][1])
+        assert calls[-1][0] == [()]
 
 
 def write_blocks(params, columns, rows, fmt):

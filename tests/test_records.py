@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import qdirac
-from qdirac import (BagLevel, BoundaryPhase, BranchKinematics, DiracMatrices, InputError,
-                    ModeCoefficients, NonRelLevel, NonRelParams, PlaneWaveState,
-                    PotentialStep, StationaryWavefunction)
+from qdirac import (ZERO, BagLevel, BoundaryPhase, BranchKinematics, DiracMatrices,
+                    InputError, ModeCoefficients, NonRelLevel, NonRelParams,
+                    PlaneWaveState, PotentialStep, QSpinor, Quaternion,
+                    StationaryWavefunction)
 
 REQUIRED = object()
 
@@ -175,14 +176,35 @@ def test_library_records_round_trip():
     assert {type(r) for r in built} == set(RECORDS) - {DiracMatrices}
     for record in built:
         fields = [getattr(record, f.name) for f in dataclasses.fields(record)]
-        clones = [type(record)(*fields), dataclasses.replace(record)]
-        if not isinstance(record, PlaneWaveState):  # a Quaternion does not pickle
-            clones.append(pickle.loads(pickle.dumps(record)))
+        clones = [type(record)(*fields), dataclasses.replace(record),
+                  pickle.loads(pickle.dumps(record))]
         for clone in clones:
             assert clone == record and hash(clone) == hash(record)
             assert repr(clone) == repr(record)
     mats = qdirac.build_matrices()
     assert repr(copy.copy(mats)) == repr(mats)
+
+
+def coefficient_bits(value):
+    quaternions = value.comp if isinstance(value, QSpinor) else (value,)
+    return [x.hex() for q in quaternions for x in q.coeffs()]
+
+
+@pytest.mark.parametrize("value", [
+    Quaternion(1.0, 2j),
+    Quaternion(complex(-0.0, 5e-324), complex(1e308, -0.0)),
+    QSpinor([Quaternion(1.0, 2j), Quaternion(-3j), ZERO, Quaternion(0j, -0.5)]),
+], ids=["quaternion", "signed_zeros", "spinor"])
+def test_quaternions_and_spinors_copy_and_pickle(value):
+    # the slot state was restored through the __setattr__ both classes
+    # refuse, so copy.copy raised "Quaternion is immutable"
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value
+        assert coefficient_bits(clone) == coefficient_bits(value)
+        assert not hasattr(clone, "__dict__")
+        with pytest.raises(AttributeError, match="is immutable$"):
+            clone.u = 0j
 
 
 def decorator_name(node):
