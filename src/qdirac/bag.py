@@ -35,13 +35,12 @@ the BagLevel carries them with its w_factor, so stationary_wavefunction solves
 nothing and reads nothing of the well. _phase is the one phase formula. The
 spinor (evaluate) serves the wall checks and is the tests' density oracle.
 
-solve_spectrum, stationary_wavefunction and normalize use math and cmath
-only; numpy is imported by the array functions when they are called.
+solve_spectrum, stationary_wavefunction and normalize use math only;
+numpy is imported by the array functions when they are called.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import replace
 from functools import cache
@@ -344,13 +343,17 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     A negative or non-finite mass, and a momentum or length that is not
     finite and > 0, raise InputError: one comparison chain, with the
     message built only on failure (verify calls this in its bisections).
-    So does a momentum whose mode coefficients overflow float64.
+    So does a momentum whose mode coefficients overflow float64, or whose
+    phase 2*momentum*length does.
     """
     if not (0.0 <= mass < math.inf and 0.0 < length < math.inf
-            and 0.0 < momentum < math.inf):
+            and 0.0 < momentum < math.inf and 2.0 * (momentum * length) < math.inf):
         _require_mass(mass)
         _require_length(length)
-        raise InputError("momentum must be finite and > 0, got %r" % (momentum,))
+        if not 0.0 < momentum < math.inf:
+            raise InputError("momentum must be finite and > 0, got %r" % (momentum,))
+        raise InputError("momentum %r, length %r: the phase 2*momentum*length "
+                         "overflows float64" % (momentum, length))
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy < math.inf:
@@ -423,10 +426,10 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
             energy = _level_energy(n, eff, mass)
         else:
             energy = _energy_for_momentum(q_n, mass, pot, br, n)
-        mc = mode_coefficients(energy, mass, pot, br)
-        if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
-            raise InputError("level %d at energy %r: the mode coefficients "
-                             "overflow float64" % (n, energy))
+        try:
+            mc = mode_coefficients(energy, mass, pot, br)
+        except InputError as exc:
+            raise InputError("level %d at %s" % (n, exc)) from None
         amp, j_chi = mc.amp_ratio.real, mc.j_chi.real
         ph = _phase(amp, br is Branch.PLUS, _MATH)
         total = _density_integral(q_n, length, ph, 1.0, amp * amp,

@@ -11,12 +11,14 @@ separator, floats by %.17g) or as a single JSON object with stable key order
 Each table command states its table once, as ordered (name, cells) pairs:
 numpy arrays for zones and density, lists read off the level objects for
 the spectra, and a str or float for a value every row shares (zones'
-zone_plus and width columns, bag-spectrum's branch). _blocks alone cuts a
-table into blocks of BLOCK (4096) rows and lays each block out once: it
-reads every column's slice a single time for its piece of one %-template,
-and zips only the values of the columns that are not literal into the
-block's printed rows. _render takes those rows and the pieces and only
-writes text, so memory does not grow with the row count. Every check runs
+zone_plus and width columns, bag-spectrum's branch). _blocks lays a table
+out once: _column reads each whole column once for its piece of one
+%-template and the per-cell map its cells need (a float array by its dtype,
+a list by one scan of its types), and _blocks builds the row template, the
+CSV header or JSON head, the separator and the tail. It alone cuts the
+table into blocks of BLOCK (4096) rows: a block only slices, maps and zips
+the columns that are not shared into its printed rows, and _render joins
+them into text, so memory does not grow with the row count. Every check runs
 before the first block is written; a write error mid-table leaves the
 blocks already written. Repeated runs with identical flags produce
 byte-identical output; nothing here reads the clock, the locale, or the
@@ -77,65 +79,46 @@ def _csv_cell(value) -> str:
 
 
 def _column(cells, as_json: bool):
-    """One column's piece of a block's row template and the values it takes.
+    """One column's piece of the row template and the per-cell map, None
+    where the cells are the values as they are.
 
-    cells is one block's slice of a column, a list, or the str or float
-    that every row of the table shares. The piece follows the exact type
-    of the cells; values is None when the piece is literal: a shared value,
-    or a block whose cells print as one text. A column of any other type,
-    or of mixed types, goes through the per-cell encoder (json.dumps or
-    _csv_cell) and takes "%s".
+    cells is the whole column: a numpy array, a list, or the str or float
+    that every row shares, whose piece is literal text. A float array takes
+    its kind from its dtype; a list or any other array is scanned for the
+    types of its cells once. A column of any other type, or of mixed types,
+    goes through the per-cell encoder (json.dumps or _csv_cell) and takes
+    "%s".
     """
     encode = json.dumps if as_json else _csv_cell
     if isinstance(cells, (str, float)):
         return encode(cells).replace("%", "%%"), None
-    kinds = set(map(type, cells))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    # equal cells of one type print alike, except floats 0.0 and -0.0
-    if kind in (float, int, bool, str) and cells.count(cells[0]) == len(cells) and (
-            cells[0] != 0.0 or len(set(map(repr, cells))) == 1):
-        return encode(cells[0]).replace("%", "%%"), None
+    if isinstance(cells, list) or cells.dtype.kind != "f":
+        kinds = set(map(type, cells))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        # json spells nan and inf its own way; any of them makes the sum
+        # non-finite
+        finite = kind is float and as_json and math.isfinite(sum(cells))
+    else:
+        import numpy as np
+
+        kind, finite = float, as_json and np.isfinite(cells).all()
+    if kind is float and not as_json:
+        return "%.17g", None
     if kind is float:
-        if not as_json:
-            return "%.17g", cells
-        # any nan or inf cell makes the sum non-finite; json spells those
-        if math.isfinite(sum(cells)):
-            return "%r", cells
-    elif kind is int:
-        return "%d", cells
-    elif kind is bool:
-        return "%s", list(map(_BOOL_TEXT.__getitem__, cells))
-    elif kind is str:
-        if not as_json:
-            return "%s", cells
-        text = {s: json.dumps(s) for s in set(cells)}
-        return "%s", list(map(text.__getitem__, cells))
-    return "%s", list(map(encode, cells))
+        return ("%r", None) if finite else ("%s", encode)
+    if kind is int:
+        return "%d", None
+    if kind is bool:
+        return "%s", _BOOL_TEXT.__getitem__
+    if kind is str and as_json:
+        return "%s", {s: json.dumps(s) for s in set(cells)}.__getitem__
+    return "%s", None if kind is str else encode
 
 
-def _render(command: str, params: dict, columns: list, rows: list, pieces: list,
-            fmt: str, first: bool = True, last: bool = True) -> str:
-    """One block of the table as CSV or JSON text.
-
-    pieces holds each column's piece of one %-template (see _column), and
-    rows one tuple per printed row of the block: the values of its
-    non-literal columns, () where every column is literal. Every row is
-    the template applied to its tuple. The first block carries the CSV
-    header or the JSON head, the last one the JSON tail; a table of no
-    rows is one block that is both.
-    """
-    if fmt != "json":
-        text = "".join(map((",".join(pieces) + "\n").__mod__, rows))
-        return ",".join(columns) + "\n" + text if first else text
-    if first:
-        # rows is the last key, so the head ends in its empty list "[]\n}"
-        head = json.dumps({"command": command, "params": params,
-                           "columns": columns, "rows": []}, indent=2)[:-4]
-        if not rows:
-            return head + "[]\n}\n"
-    template = "    [\n      " + ",\n      ".join(pieces) + "\n    ]"
-    text = (head + "[\n" if first else ",\n") + ",\n".join(map(template.__mod__, rows))
-    return text + "\n  ]\n}\n" if last else text
+def _render(head: str, template: str, sep: str, rows: list, tail: str) -> str:
+    """One block's text: head, the row template applied to each of rows (one
+    tuple per printed row) joined by sep, and tail."""
+    return head + sep.join(map(template.__mod__, rows)) + tail
 
 
 def _blocks(command: str, params: dict, table, fmt: str):
@@ -143,24 +126,36 @@ def _blocks(command: str, params: dict, table, fmt: str):
 
     table is an ordered sequence of (name, cells) pairs. cells is a numpy
     array, a list, or a str or float that every row shares; the first
-    column that is not shared gives the row count. Each block reads every
-    column once: _column turns its slice into a template piece, and only
-    the values of the non-literal columns are zipped into the block's rows.
+    column that is not shared gives the row count. The layout is decided
+    once per table: _column gives each column's piece and map, and the row
+    template, the CSV header or JSON head, the separator and the tail are
+    built here. A block only slices, maps and zips the columns that are not
+    shared into its rows; the first block carries the head, the later ones
+    the separator, and the last one the tail.
     """
+    as_json = fmt == "json"
     names = [name for name, _ in table]
-    n = next(len(cells) for _, cells in table if not isinstance(cells, (str, float)))
+    pieces, casts = zip(*(_column(cells, as_json) for _, cells in table))
+    columns = [(cells, cast) for (_, cells), cast in zip(table, casts)
+               if not isinstance(cells, (str, float))]
+    n = len(columns[0][0])
+    if as_json:
+        # rows is the last key: the head ends in the "[" of its empty list
+        head = json.dumps({"command": command, "params": params, "columns": names,
+                           "rows": []}, indent=2)[:-3]
+        template = "\n    [\n      " + ",\n      ".join(pieces) + "\n    ]"
+        sep, tail = ",", "\n  ]\n}\n" if n else "]\n}\n"
+    else:
+        head, template = ",".join(names) + "\n", ",".join(pieces) + "\n"
+        sep = tail = ""
     for a in range(0, max(n, 1), BLOCK):
         b = min(a + BLOCK, n)
-        pieces, values = [], []
-        for _, cells in table:
-            piece, col = _column(
-                cells if isinstance(cells, (str, float)) else cells[a:b]
-                if isinstance(cells, list) else cells[a:b].tolist(), fmt == "json")
-            pieces.append(piece)
-            if col is not None:
-                values.append(col)
-        rows = list(zip(*values)) if values else [()] * (b - a)
-        yield _render(command, params, names, rows, pieces, fmt, a == 0, b == n)
+        values = []
+        for cells, cast in columns:
+            part = cells[a:b] if isinstance(cells, list) else cells[a:b].tolist()
+            values.append(part if cast is None else map(cast, part))
+        yield _render(head if a == 0 else sep, template, sep, list(zip(*values)),
+                      tail if b == n else "")
 
 
 def _params(args) -> dict:

@@ -82,8 +82,12 @@ class NonRelLevel:
 
 def nr_parameters(energy: float, mass: float, w_abs: float,
                   w_phase: float = 0.0) -> NonRelParams:
-    """The limiting coefficient set; w_abs = 0 is singular by design."""
-    _require_finite(energy=energy, mass=mass, w_abs=w_abs)
+    """The limiting coefficient set; w_abs = 0 is singular by design.
+
+    Every field is finite: where E^2 or 1/w_abs leaves float64 range,
+    InputError.
+    """
+    _require_finite(energy=energy, mass=mass, w_abs=w_abs, w_phase=w_phase)
     _require_mass(mass)
     if w_abs <= 0:
         raise InputError(
@@ -93,6 +97,10 @@ def nr_parameters(energy: float, mass: float, w_abs: float,
     if energy <= mass:
         raise InputError("need energy > mass for a travelling mode")
     p = math.sqrt(energy * energy - mass * mass)
+    # ratio = p/(E + m) < 1, so 1/w_abs bounds the largest coefficient
+    if not (p < math.inf and 1.0 / w_abs < math.inf):
+        raise InputError("energy %r, mass %r, w_abs %r: the limiting coefficients "
+                         "leave float64 range" % (energy, mass, w_abs))
     ratio = p / (energy + mass)
     return NonRelParams(
         energy=energy, mass=mass, momentum=p, w_abs=w_abs, w_phase=w_phase,

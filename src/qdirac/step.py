@@ -19,6 +19,7 @@ depends on v0 only through |v0|.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from types import SimpleNamespace
@@ -206,11 +207,19 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
     E_up = hypot(w_abs, mass + |v0|) and E_low = max(mass, hypot(w_abs,
     mass - |v0|)); the squared branch momenta are even in v0, so only |v0|
     matters. The width is zero when v0 = 0 (no window for a purely
-    quaternionic step) and also collapses with the mass.
+    quaternionic step) and also collapses with the mass. A v0 or w_abs
+    that is not finite, or an edge that leaves float64 range, raises
+    InputError.
     """
     _require_mass(mass)
     a = abs(v0)
     e_up = math.hypot(w_abs, mass + a)
+    # e_up bounds the other two, and hypot is inf or nan where an argument is
+    if not e_up < math.inf:
+        _require_finite(v0=v0, w_abs=w_abs)
+        raise InputError("the evanescent window edge hypot(w_abs, mass + |v0|) "
+                         "overflows float64 at mass %r, v0 %r, w_abs %r"
+                         % (mass, v0, w_abs))
     e_low = max(mass, math.hypot(w_abs, mass - a))
     return e_low, e_up, e_up - e_low
 
@@ -274,7 +283,8 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     delta/(E - m) term that is singular at E = m. Exact zeros of either
     denominator (the resonant case where one branch momentum collides with
     the other complex-limit momentum) raise SingularCoefficientsError rather
-    than divide. _branch_denominators, shared with bag, forms both.
+    than divide. _branch_denominators, shared with bag, forms both. Where
+    the momentum or a coefficient leaves float64 range, InputError.
     """
     br = as_branch(branch)
     if energy == mass:
@@ -296,6 +306,12 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     amp_ratio = momentum / denom_a
     j_chi = (energy - sgn * pot.v0 - mass + momentum * amp_ratio) / denom_mn
     j_sigma = (momentum + amp_ratio * (energy - sgn * pot.v0 + mass)) / denom_mn
+    # an overflow in the momentum or a denominator makes one of these four
+    # inf or nan, and one in amp_ratio reaches j_chi and j_sigma
+    if not (abs(denom_a) < math.inf and abs(denom_mn) < math.inf
+            and cmath.isfinite(j_chi) and cmath.isfinite(j_sigma)):
+        raise InputError("energy %r: the mode coefficients overflow float64"
+                         % (energy,))
     return ModeCoefficients(br, momentum, amp_ratio, j_chi, j_sigma)
 
 

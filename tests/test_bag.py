@@ -214,6 +214,18 @@ class TestQuantization:
             np.array([1.0, 2.0]), 1.0, pot, 1.0, "minus").tolist()
 
     @pytest.mark.parametrize("v0", [0.0, 0.3])
+    def test_residual_phase_out_of_float64_range_is_an_input_error(self, v0):
+        # 2*momentum*length = inf once reached math.sin: a bare ValueError
+        with pytest.raises(InputError, match=r"^momentum 1\.0, length 1e\+308: the "
+                           r"phase 2\*momentum\*length overflows float64$"):
+            quantization_residual(1.0, 0.0, PotentialStep(v0=v0, w_abs=1.0), 1e308,
+                                  "minus")
+        # the array form gives nan there, as it does wherever the scalar raises
+        g = quantization_residual_grid(np.array([1.0]), 0.0,
+                                       PotentialStep(v0=v0, w_abs=1.0), 1e308, "minus")
+        assert math.isnan(g[0])
+
+    @pytest.mark.parametrize("v0", [0.0, 0.3])
     def test_residual_has_one_momentum_domain_at_every_v0(self, v0):
         # -1.0 once returned 7.9993 at v0 = 0.3 and nan at v0 = 0, and 0.0
         # returned -0.0 at v0 = 0.3 and raised SingularCoefficientsError at 0

@@ -810,14 +810,20 @@ def random_table(rng):
 
 class TestRenderer:
     def test_tables_equal_the_cell_by_cell_oracle(self):
-        """Seeded tables of every cell kind, in both formats, byte-equal to
-        the per-cell renderer that the column templates replaced."""
+        """The seeded tables with every all-float column handed over as a
+        float64 array, as zones and density hand theirs, non-finite cells
+        included: a column whose kind comes from its dtype prints as its
+        list does."""
         rng = random.Random(20261018)
         for i in range(320):
             columns, params, rows = random_table(rng)
+            table = [(name, [row[j] for row in rows]) for j, name in enumerate(columns)]
+            table = [(name, np.array(cells, dtype=np.float64)
+                      if all(type(c) is float for c in cells) else cells)
+                     for name, cells in table]
             for fmt in ("csv", "json"):
                 expected = oracles.render_reference("t", params, columns, rows, fmt)
-                assert write_blocks(params, columns, rows, fmt) == expected, (
+                assert "".join(cli._blocks("t", params, table, fmt)) == expected, (
                     i, fmt, rows)
 
     @pytest.mark.parametrize("block", [1, 2, 7, 4096])
@@ -911,19 +917,29 @@ class TestRenderContract:
         for rows, _ in calls:
             assert type(rows) is list and all(type(r) is tuple for r in rows)
 
-    @pytest.mark.parametrize("argv", [
-        ["bag-spectrum", "--w0-abs", "0.5", "--levels", "1"],
-        ["nr-spectrum", "--w0-abs", "0.5", "--levels", "4", "--format", "json"],
-        ["zones", "--e-max", "1", "--e-step", "0.5"],
-    ])
-    def test_a_block_of_literal_columns_gets_one_empty_row_each(
-            self, capsys, monkeypatch, argv):
-        # a one-row block prints every column as literal text, so its rows
-        # carry no values, yet there is still one entry for the one row
-        calls = recorded_renders(monkeypatch)
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0 and out.endswith(calls[-1][1])
-        assert calls[-1][0] == [()]
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", GOLDEN_TABLES, ids=lambda c: c["name"])
+    def test_each_column_is_laid_out_once_per_table(self, capsys, monkeypatch, case,
+                                                    fmt):
+        # in blocks of 3 rows, _column still sees each column once, whole
+        monkeypatch.setattr(cli, "BLOCK", 3)
+        blocks, column, tables, seen = cli._blocks, cli._column, [], []
+
+        def recording_blocks(command, params, table, fmt):
+            tables.append(list(table))
+            return blocks(command, params, table, fmt)
+
+        def recording_column(cells, as_json):
+            seen.append(cells)
+            return column(cells, as_json)
+
+        monkeypatch.setattr(cli, "_blocks", recording_blocks)
+        monkeypatch.setattr(cli, "_column", recording_column)
+        code, out, _ = run_cli(case["argv"] + ["--format", fmt], capsys)
+        assert code == 0 and out
+        (table,) = tables
+        assert len(seen) == len(table)
+        assert all(got is cells for got, (_, cells) in zip(seen, table))
 
 
 def write_blocks(params, columns, rows, fmt):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
@@ -52,6 +53,18 @@ class TestParameters:
         args[field] = value
         with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (field, value)):
             nr_parameters(**args)
+
+    @pytest.mark.parametrize("energy,w_abs", [(1e200, 0.5), (2.0, 5e-324)])
+    def test_coefficients_out_of_float64_range_are_rejected(self, energy, w_abs):
+        # (1e200, 0.5) once returned momentum = amp_ratio = inf: E*E overflows
+        message = ("energy %r, mass 1.0, w_abs %r: the limiting coefficients leave "
+                   "float64 range" % (energy, w_abs))
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            nr_parameters(energy, 1.0, w_abs)
+
+    def test_non_finite_phase_is_rejected(self):
+        with pytest.raises(InputError, match="^w_phase must be finite, got nan$"):
+            nr_parameters(2.0, 1.0, 0.5, math.nan)
 
     def test_regime_flag_tracks_slow_momentum(self):
         slow = nr_parameters(math.hypot(0.2, 1.0), 1.0, 0.5)

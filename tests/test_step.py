@@ -163,6 +163,18 @@ class TestZones:
         assert up == math.sqrt(5.0)
         assert width == up - 1.0
 
+    @pytest.mark.parametrize("v0,w_abs,message", [
+        # (inf, 0) once returned (inf, inf, nan) and (nan, 0) (1.0, nan, nan)
+        (math.inf, 0.0, "v0 must be finite, got inf"),
+        (math.nan, 0.0, "v0 must be finite, got nan"),
+        (0.0, -math.inf, "w_abs must be finite, got -inf"),
+        (1e308, 1e308, "the evanescent window edge hypot(w_abs, mass + |v0|) "
+                       "overflows float64 at mass 1e+308, v0 1e+308, w_abs 1e+308"),
+    ])
+    def test_window_edges_out_of_float64_range_are_rejected(self, v0, w_abs, message):
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            evanescent_width(1e308 if v0 == 1e308 else 1.0, v0, w_abs)
+
     def test_window_is_even_in_v0(self):
         assert evanescent_width(1.0, -3.0, 0.5) == evanescent_width(1.0, 3.0, 0.5)
 
@@ -266,6 +278,20 @@ class TestCoefficients:
         assert mode_coefficients(2.0, 1.0, pot, Branch.PLUS).branch is Branch.PLUS
         with pytest.raises(ValueError):
             mode_coefficients(2.0, 1.0, pot, "sideways")
+
+    @pytest.mark.parametrize("energy,branch", [(1e200, "minus"), (1e155, "plus")])
+    def test_coefficients_out_of_float64_range_are_rejected(self, energy, branch):
+        # (1e200, minus) once returned momentum nanj, (1e155, plus) inf + 0j,
+        # and the spinor and the consistency residual built on them nan
+        pot = PotentialStep(v0=0.3, w_abs=0.5)
+        message = "^energy %s: the mode coefficients overflow float64$" % re.escape(
+            repr(energy))
+        with pytest.raises(InputError, match=message):
+            mode_coefficients(energy, 1.0, pot, branch)
+        with pytest.raises(InputError, match=message):
+            step_spinor(energy, 1.0, pot, branch)
+        with pytest.raises(InputError, match=message):
+            consistency_residual(energy, 1.0, pot)
 
     def test_evanescent_coefficients_are_complex(self):
         pot = PotentialStep(v0=1.0, w_abs=1.0)
