@@ -3,7 +3,10 @@
 Subcommands: zones (branch kinematics over an energy grid), bag-spectrum
 (confined levels of one branch), density (spatial density of one confined
 level, split into complex and quaternionic parts), nr-spectrum (the
-non-relativistic limit levels), verify (the self-check report).
+non-relativistic limit levels), verify (the self-check report). Flags and
+subcommands are declared once: each flag in _FLAGS, and each subcommand in
+_COMMANDS with its help, its handler and its flags, whose order fixes the
+key order of a JSON table's params.
 
 Output goes to stdout or --output as CSV (header line first, comma
 separator, floats by %.17g) or as a single JSON object with stable key order
@@ -158,6 +161,32 @@ def _blocks(command: str, params: dict, table, fmt: str):
                       tail if b == n else "")
 
 
+# every flag, declared once: its add_argument keywords
+_FLAGS = {
+    "--mass": dict(type=float, default=1.0, help="rest mass (default 1)"),
+    "--v0": dict(type=float, default=0.0,
+                 help="electrostatic-like strength (default 0)"),
+    "--w0-abs": dict(type=float, default=0.0,
+                     help="magnitude of the pure-quaternionic part (default 0)"),
+    "--w0-phase": dict(type=float, default=0.0,
+                       help="phase of the pure-quaternionic part (default 0)"),
+    "--e-min": dict(type=float, default=None, help="grid start (default: the mass)"),
+    "--e-max": dict(type=float, default=None, help="grid end (default: mass + 5)"),
+    "--e-step": dict(type=float, default=0.01, help="grid spacing (default 0.01)"),
+    "--length": dict(type=float, default=1.0, help="well width (default 1)"),
+    "--levels": dict(type=int, default=5, help="number of levels (default 5)"),
+    "--level": dict(type=int, default=1,
+                    help="which level to sample, 1-based (default 1)"),
+    "--branch": dict(choices=("minus", "plus"), default="minus"),
+    "--spin": dict(choices=("up", "down"), default="up"),
+    "--grid": dict(type=int, default=201,
+                   help="sample points across the well (default 201)"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="table format (default csv)"),
+    "--output": dict(default=None, help="write to this file instead of stdout"),
+}
+
+
 def _params(args) -> dict:
     """The flags that describe a table, in the parser's order."""
     return {k: v for k, v in vars(args).items()
@@ -256,24 +285,20 @@ def _cmd_verify(args):
     return [text], (0 if report_passed(report) else 1)
 
 
-def _add_pot_flags(p, v0=True, phase=True):
-    p.add_argument("--mass", type=float, default=1.0, help="rest mass (default 1)")
-    if v0:
-        p.add_argument("--v0", type=float, default=0.0,
-                       help="electrostatic-like strength (default 0)")
-    p.add_argument("--w0-abs", type=float, default=0.0,
-                   help="magnitude of the pure-quaternionic part (default 0)")
-    if phase:
-        p.add_argument("--w0-phase", type=float, default=0.0,
-                       help="phase of the pure-quaternionic part (default 0)")
-
-
-def _add_output_flags(p, formats=True):
-    if formats:
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="table format (default csv)")
-    p.add_argument("--output", default=None,
-                   help="write to this file instead of stdout")
+# each subcommand: its help, its handler and its flags, in the order that
+# fixes the key order of a JSON table's params
+_COMMANDS = (
+    ("zones", "branch kinematics over an energy grid", _cmd_zones,
+     "--mass --v0 --w0-abs --w0-phase --e-min --e-max --e-step --format --output"),
+    ("bag-spectrum", "confined levels of one branch", _cmd_bag_spectrum,
+     "--mass --v0 --w0-abs --w0-phase --length --levels --branch --format --output"),
+    ("density", "density profile of one confined level", _cmd_density,
+     "--mass --v0 --w0-abs --w0-phase --length --levels --level --branch --spin "
+     "--grid --format --output"),
+    ("nr-spectrum", "non-relativistic limit levels", _cmd_nr_spectrum,
+     "--mass --w0-abs --length --levels --format --output"),
+    ("verify", "run the self-check report (JSON)", _cmd_verify, "--output"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,53 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zones", help="branch kinematics over an energy grid")
-    _add_pot_flags(p)
-    p.add_argument("--e-min", type=float, default=None,
-                   help="grid start (default: the mass)")
-    p.add_argument("--e-max", type=float, default=None,
-                   help="grid end (default: mass + 5)")
-    p.add_argument("--e-step", type=float, default=0.01,
-                   help="grid spacing (default 0.01)")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_zones)
-
-    p = sub.add_parser("bag-spectrum", help="confined levels of one branch")
-    _add_pot_flags(p)
-    p.add_argument("--length", type=float, default=1.0, help="well width (default 1)")
-    p.add_argument("--levels", type=int, default=5,
-                   help="number of levels (default 5)")
-    p.add_argument("--branch", choices=("minus", "plus"), default="minus")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_bag_spectrum)
-
-    p = sub.add_parser("density", help="density profile of one confined level")
-    _add_pot_flags(p)
-    p.add_argument("--length", type=float, default=1.0, help="well width (default 1)")
-    p.add_argument("--levels", type=int, default=5,
-                   help="number of levels to solve (default 5)")
-    p.add_argument("--level", type=int, default=1,
-                   help="which level to sample, 1-based (default 1)")
-    p.add_argument("--branch", choices=("minus", "plus"), default="minus")
-    p.add_argument("--spin", choices=("up", "down"), default="up")
-    p.add_argument("--grid", type=int, default=201,
-                   help="sample points across the well (default 201)")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("nr-spectrum", help="non-relativistic limit levels")
-    _add_pot_flags(p, v0=False, phase=False)
-    p.add_argument("--length", type=float, default=1.0, help="well width (default 1)")
-    p.add_argument("--levels", type=int, default=5,
-                   help="number of levels (default 5)")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_nr_spectrum)
-
-    p = sub.add_parser("verify", help="run the self-check report (JSON)")
-    _add_output_flags(p, formats=False)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, summary, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -384,7 +367,3 @@ def main(argv=None) -> int:
         print("error: internal: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -386,14 +386,14 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     the object form psi*(i sgn E) + (alpha3 psi)*(i dir Q) + (i m beta) psi
     + (iV1 + jV2 + kV3) psi summed as QSpinors, so every bit equals that
     form, which is the test oracle (tests/oracles.dirac_residual_by_quaternions).
-    A non-finite energy, momentum or mass, or a negative mass, raises
-    InputError.
+    A non-finite energy, momentum or mass, a negative mass, or a spinor of
+    zero norm raises InputError.
     """
     _require_plane_wave(state.energy, state.momentum, mass)
     psi = _pairs(state.spinor)
     nrm = _norm(psi)
     if nrm == 0.0:
-        raise ValueError("zero-norm spinor has no defined residual")
+        raise InputError("zero-norm spinor has no defined residual")
     alpha3, beta = _residual_tables()
     z_t = 1j * state.energy_sign * state.energy
     z_q = 1j * state.direction * state.momentum

@@ -208,8 +208,8 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
     mass - |v0|)); the squared branch momenta are even in v0, so only |v0|
     matters. The width is zero when v0 = 0 (no window for a purely
     quaternionic step) and also collapses with the mass. A v0 or w_abs
-    that is not finite, or an edge that leaves float64 range, raises
-    InputError.
+    that is not finite, a negative w_abs, or an edge that leaves float64
+    range raises InputError.
     """
     _require_mass(mass)
     a = abs(v0)
@@ -220,6 +220,8 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
         raise InputError("the evanescent window edge hypot(w_abs, mass + |v0|) "
                          "overflows float64 at mass %r, v0 %r, w_abs %r"
                          % (mass, v0, w_abs))
+    if w_abs < 0:
+        raise InputError("w_abs is a magnitude and must be >= 0")
     e_low = max(mass, math.hypot(w_abs, mass - a))
     return e_low, e_up, e_up - e_low
 

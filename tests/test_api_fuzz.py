@@ -85,10 +85,12 @@ def test_kinematics(energy, mass, v0, w_abs):
 @example(1.0, math.inf, 0.0)
 @example(1.0, math.nan, 0.0)
 @example(1e308, 1e308, 0.0)
+@example(1.0, 0.5, -1.0)
 def test_evanescent_width(mass, v0, w_abs):
     edges = call(evanescent_width, mass, v0, w_abs)
     if edges is not None:
         e_low, e_up, width = edges
+        assert not w_abs < 0
         assert finite(e_low, e_up, width)
         assert mass <= e_low <= e_up and width == e_up - e_low
 

@@ -567,6 +567,25 @@ class TestPoleRule:
         assert [r.hex() for r in roots] == [r.hex() for r in want]
 
 
+class TestExactZeros:
+    def test_grid_zeros_and_a_midpoint_zero_are_roots(self, monkeypatch):
+        # on the grid 1, 2, ..., 8, f is exactly 0 at the grid point 3, at the
+        # last grid point 8, and at 5.5, the first midpoint that bisecting
+        # (5, 6) tries; bisecting on past it would not end on 5.5 exactly
+        cells = TestPoleRule.counting_bisect(monkeypatch)
+
+        def f(q):
+            return (q - 3.0) * (q - 5.5) * (q - 8.0)
+
+        def f_grid(qs):
+            vals = np.array([f(q) for q in qs.tolist()])
+            return vals, vals
+
+        roots = report._scan_roots(f, f_grid, 8.0, n_grid=8)
+        assert cells == [(5.0, 6.0)]
+        assert [r.hex() for r in roots] == [q.hex() for q in (3.0, 5.5, 8.0)]
+
+
 class TestSpectrum:
     def test_frozen_minus_levels(self):
         levels = solve_spectrum(1.0, POT, 1.0, 3, Branch.MINUS)

@@ -1,6 +1,7 @@
 """Dirac matrices, spinor plumbing, and the realified nullspace oracle."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -326,6 +327,16 @@ def test_dirac_residual_equals_the_quaternion_sums_bit_for_bit():
                          lambda *a: oracles.dirac_residual_by_quaternions(dirac, *a)):
             with pytest.raises(ValueError, match="zero-norm spinor"):
                 residual(state, FREE, 1.0)
+
+
+def test_a_zero_spinor_is_an_input_error():
+    # a caller's zero spinor is a bad argument, not an internal fault (exit 4)
+    zero = QSpinor([Quaternion()] * 4)
+    for residual in (partial(stationary_residual, zero, 2.0, 1.0, 1.0,
+                             PotentialStep(w_abs=0.5)),
+                     partial(dirac_residual, PlaneWaveState(zero, 1.0, 2.0), FREE, 1.0)):
+        with pytest.raises(InputError, match="^zero-norm spinor has no defined residual$"):
+            residual()
 
 
 BAD_STATES = [

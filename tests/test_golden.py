@@ -9,13 +9,17 @@ last bits of the tables depend on the platform's libm.
 
 import hashlib
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from qdirac import __version__
 from qdirac.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 
 
@@ -63,3 +67,64 @@ def test_large_run_digest(case, capsys):
 def test_corpus_files_match_manifest():
     on_disk = {p.stem for p in GOLDEN.glob("*.out")}
     assert on_disk == {c["name"] for c in MANIFEST["cases"]}
+
+
+def _pythons():
+    """(pyenv root, its CPython 3.10-3.13 interpreters); ~/.pyenv where no
+    pyenv is on PATH."""
+    try:
+        root = subprocess.run(["pyenv", "root"], capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        root = os.path.expanduser("~/.pyenv")
+    return root, sorted(Path(root).glob("versions/3.1[0-3]*/bin/python"))
+
+
+PYENV_ROOT, PYTHONS = _pythons()
+
+# run in each interpreter: every case on stdin through qdirac.cli.main, in
+# process, against its golden exit code, stderr and stdout (or sha256)
+NUMPY_FREE_CHILD = """\
+import contextlib, hashlib, io, json, sys
+from qdirac.cli import main
+cases = json.load(sys.stdin)
+for case in cases:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+    got = [code, err.getvalue(), out.getvalue()]
+    if "sha256" in case:
+        got[2] = hashlib.sha256(got[2].encode()).hexdigest()
+    assert got == case["want"], (case["argv"], got[:2], case["want"][:2])
+assert 'numpy' not in sys.modules, 'numpy was imported'
+print(len(cases))
+"""
+
+
+NO_PYTHON = pytest.param(None, marks=pytest.mark.skip(
+    reason="no CPython 3.10-3.13 under %s/versions" % PYENV_ROOT))
+
+
+@pytest.mark.parametrize("python", PYTHONS or [NO_PYTHON], ids=lambda p: p and p.parts[-3])
+def test_numpy_free_commands_match_golden_on_every_python(python):
+    """bag-spectrum, nr-spectrum and --version print the golden bytes on
+    every CPython the package supports, and never import numpy."""
+    cases = [{"argv": ["--version"], "want": [0, "", __version__ + "\n"]}]
+    for case in MANIFEST["cases"] + MANIFEST["digests"]:
+        if case["argv"][0] not in ("bag-spectrum", "nr-spectrum"):
+            continue
+        if "sha256" in case:
+            cases.append({"argv": case["argv"], "sha256": True,
+                          "want": [0, "", case["sha256"]]})
+        else:
+            out = (GOLDEN / (case["name"] + ".out")).read_bytes().decode()
+            cases.append({"argv": case["argv"],
+                          "want": [case["exit_code"], case["stderr"], out]})
+    assert len(cases) == 17
+    proc = subprocess.run([str(python), "-c", NUMPY_FREE_CHILD],
+                          input=json.dumps(cases), capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0 and proc.stdout == "17\n", proc.stderr

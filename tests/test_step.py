@@ -175,6 +175,13 @@ class TestZones:
         with pytest.raises(InputError, match="^%s$" % re.escape(message)):
             evanescent_width(1e308 if v0 == 1e308 else 1.0, v0, w_abs)
 
+    def test_negative_w_abs_is_rejected(self):
+        # once the window of |w_abs|; PotentialStep and nr_quantize refuse it too
+        for w_abs in (-1.0, -5e-324):
+            with pytest.raises(InputError, match="^w_abs is a magnitude and must be >= 0$"):
+                evanescent_width(1.0, 0.5, w_abs)
+        assert evanescent_width(1.0, 0.5, -0.0) == evanescent_width(1.0, 0.5, 0.0)
+
     def test_window_is_even_in_v0(self):
         assert evanescent_width(1.0, -3.0, 0.5) == evanescent_width(1.0, 3.0, 0.5)
 
