@@ -93,7 +93,8 @@ class BagLevel:
 
     momentum is the quantized wavenumber n*pi/(2L); eff_momentum is the
     shifted momentum (momentum + w_abs on the minus branch, - w_abs on the
-    plus branch) whose square enters the energy. regime_flag marks plus-branch
+    plus branch) whose square enters the energy (one root per branch of
+    bag._energy_root, continuous in v0). regime_flag marks plus-branch
     levels with momentum < w_abs, where the closed-form energy still follows
     from the squared shifted momentum but the travelling-mode decomposition
     behind the coefficients leaves its stated regime. amp_ratio (which fixes
@@ -256,10 +257,12 @@ def _energy_root(momentum, mass, pot, branch, xp):
     With v0 = 0, p = momentum +- w_abs per branch, and p <= 0 has no energy.
     With v0 != 0, X = E^2 and r = Q^2 - v0^2 + m^2 - w^2, mom2 = Q^2 reads
     -+2*sqrt(X v0^2 + (X - m^2) w^2) = r - X and squares to
-    X^2 - 2*half_b*X + c = 0. E^2 is its smallest root with X > m^2 that
-    keeps the unsquared sign (X >= r minus, X <= r plus). half_b =
-    Q^2 + v0^2 + m^2 + w^2 >= 0, so the small root c/big does not cancel.
-    in_range is false where disc overflows or big underflows to 0.
+    X^2 - 2*half_b*X + c = 0, half_b = r + 2(v0^2 + w^2). Its larger root
+    big is > r and > m^2, so the minus branch (X >= r) takes big and the
+    plus branch (X <= r) the smaller root c/big, which does not cancel: nan
+    where that fails X > m^2 or X <= r (on the minus branch the mask only
+    guards rounding). At v0 = 0 the roots are (Q +- w)^2 + m^2, the hypot
+    forms. in_range is false where disc overflows or big underflows to 0.
     """
     minus = branch is Branch.MINUS
     if pot.v0 == 0.0:
@@ -274,13 +277,8 @@ def _energy_root(momentum, mass, pot, branch, xp):
     big = half_b + xp.sqrt(xp.where(disc >= 0.0, disc, math.nan))
     in_range = (abs(disc) < math.inf) & (big != 0.0)
     big = xp.where(in_range, big, math.nan)
-    small = c / big
-    lo, hi = xp.where(small < big, small, big), xp.where(small < big, big, small)
-
-    def admissible(x):
-        return (x > m2) & ((x >= r) if minus else (x <= r))
-
-    x = xp.where(admissible(lo), lo, xp.where(admissible(hi), hi, math.nan))
+    x = big if minus else c / big
+    x = xp.where((x > m2) & ((x >= r) if minus else (x <= r)), x, math.nan)
     return xp.sqrt(x), in_range
 
 
@@ -288,8 +286,8 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
                          branch: Branch, level=None) -> float:
     """_energy_root at one momentum. nan where v0 = 0 and no energy carries
     it (so residual scans can skip the region); NoSolutionError where
-    v0 != 0 and none does; InputError, naming the level if given, where the
-    quadratic in E^2 leaves float64 range."""
+    v0 != 0 and none does (plus branch only); InputError, naming the level
+    if given, where the quadratic in E^2 leaves float64 range."""
     energy, in_range = _energy_root(momentum, mass, pot, branch, _MATH)
     if not in_range:
         at = "" if level is None else "level %d at " % level
@@ -406,9 +404,10 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
 
     With v0 = 0 the energy is closed-form: E_n^2 = eff_momentum^2 + mass^2
     with eff_momentum = Q_n + w_abs (minus) or Q_n - w_abs (plus). With
-    v0 != 0 it is a root of the quadratic in E^2 of _energy_for_momentum;
-    eff_momentum is still reported as the shifted wavenumber and the closed
-    form is checked by the verify command as a diagnostic, not assumed here.
+    v0 != 0 it is the root of _energy_root's quadratic in E^2 that meets
+    that form at v0 = 0 (the larger on the minus branch, the smaller on the
+    plus branch); eff_momentum is still reported as the shifted wavenumber
+    and the closed form is checked by verify as a diagnostic.
     Each level's one mode_coefficients call gives the amp_ratio and j_chi it
     carries, its phase and, with its w_factor, its norm_const.
     Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts

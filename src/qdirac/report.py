@@ -206,11 +206,14 @@ def _draw_point(rng, mass, span):
 
 
 def _section_oracle_residuals():
+    """(section, plus_points): plus_points holds each draw's plus-branch
+    (pot, energy, momentum, nullspace basis), for _section_plus_branch."""
     n_draws = 25
     rng = _rng()
     mass = 1.0
     oracle_res = []
     minus_res = []
+    plus_points = []
     empty_offbranch = 0
     for _ in range(n_draws):
         pot, energy = _draw_point(rng, mass, 4.0)
@@ -225,6 +228,8 @@ def _section_oracle_residuals():
                 minus_res.append(
                     stationary_residual(st.spinor, energy, complex(mom), mass, pot)
                 )
+            else:
+                plus_points.append((pot, energy, mom, basis))
             off = nullspace_oracle(energy, mom + 0.1, mass, pot)
             empty_offbranch += int(len(off) == 0)
     passed = (
@@ -240,7 +245,7 @@ def _section_oracle_residuals():
         "minus_closed_form_max_residual": _max(minus_res),
         "off_branch_nullspaces_empty": int(empty_offbranch),
         "off_branch_nullspaces_expected": 2 * n_draws,
-    }
+    }, plus_points
 
 
 def _spin_up_nullvector(basis):
@@ -264,26 +269,21 @@ def _spin_up_nullvector(basis):
     return QSpinor([Quaternion(q.u / scale, q.w / scale) for q in psi.comp])
 
 
-def _section_plus_branch():
+def _section_plus_branch(points):
     """The travelling plus-branch form does not solve the equation of motion;
-    quantify the failure and measure what the true solution looks like."""
+    quantify the failure and measure what the true solution looks like, at
+    the oracle section's (pot, energy, momentum, basis) points."""
     import numpy as np
 
-    n_draws = 10
-    rng = _rng()
     mass = 1.0
     printed_res = []
     deficits = []
     phase_defects = []
     w_ratio_defects = []
     u_ratio_defects = []
-    for _ in range(n_draws):
-        pot, energy = _draw_point(rng, mass, 4.0)
-        kin = kinematics(energy, mass, pot)
-        mom = principal_momentum(kin.mom2_plus)
+    for pot, energy, mom, basis in points:
         st = step_spinor(energy, mass, pot, Branch.PLUS)
         printed_res.append(stationary_residual(st.spinor, energy, mom, mass, pot))
-        basis = nullspace_oracle(energy, mom, mass, pot)
         v = st.spinor.to_real_vector()
         v = v / np.linalg.norm(v)
         proj2 = sum(float(np.dot(v, b.to_real_vector())) ** 2 for b in basis)
@@ -308,7 +308,7 @@ def _section_plus_branch():
             "parts in the ratio amp_ratio and the two complex parts in the "
             "ratio j_sigma/j_chi (both measured below)"
         ),
-        "draws": n_draws,
+        "draws": len(points),
         "printed_form_residual_min": float(min(printed_res)),
         "printed_form_residual_max": float(max(printed_res)),
         "printed_form_projection_deficit_max": float(max(deficits)),
@@ -641,8 +641,8 @@ def build_report() -> dict:
     sections["matrix_algebra"] = _section_matrix_algebra()
     sections["quaternion_algebra"] = _section_quaternion_algebra()
     sections["realified_operator"] = _section_realified_operator()
-    sections["oracle_residuals"] = _section_oracle_residuals()
-    sections["plus_branch_disagreement"] = _section_plus_branch()
+    sections["oracle_residuals"], plus_points = _section_oracle_residuals()
+    sections["plus_branch_disagreement"] = _section_plus_branch(plus_points[:10])
     sections["consistency_relation"] = _section_consistency()
     sections["quantization_roots"] = _section_quantization()
     sections["boundary_conditions"] = _section_boundary()

@@ -695,15 +695,17 @@ class TestSpectrum:
         assert all(math.isfinite(l.norm_const) and l.norm_const > 0 for l in levels)
 
     def test_v0_inversion_matches_bisection_oracle(self):
-        # oracle: first sign change of mom2(E) - Q^2 on a fine scan above the
-        # mass shell, refined by plain bisection; no sign change means no level
+        # oracle: last sign change of mom2(E) - Q^2 on a fine scan above the
+        # mass shell, refined by plain bisection; no sign change means no
+        # level. Where the minus branch changes sign twice, the level is the
+        # rising root, the one that meets hypot(Q + w_abs, m) at v0 = 0
         def mom2(e, m, v0, w_abs, branch):
             root = math.sqrt(e * e * v0 * v0 + (e * e - m * m) * w_abs * w_abs)
             sign = -1.0 if branch is Branch.MINUS else 1.0
             return e * e + v0 * v0 - m * m + w_abs * w_abs + sign * 2.0 * root
 
         rng = np.random.default_rng(59)
-        solved = 0
+        solved = two_roots = 0
         for i in range(120):
             m = float(rng.uniform(0.0, 2.0))
             v0 = float(rng.uniform(-2.0, 2.0))
@@ -729,11 +731,56 @@ class TestSpectrum:
                 with pytest.raises(NoSolutionError):
                     bag._energy_for_momentum(q, m, pot, branch)
                 continue
-            want = oracles.bisect(defect, *brackets[0], tol=1e-15)
+            two_roots += len(brackets) > 1
+            want = oracles.bisect(defect, *brackets[-1], tol=1e-15)
             got = bag._energy_for_momentum(q, m, pot, branch)
             assert got == pytest.approx(want, rel=1e-12), (m, v0, w_abs, q, branch)
             solved += 1
         assert 40 < solved < 120
+        assert two_roots > 0
+
+    @pytest.mark.parametrize("w_abs", [3.0, 0.5])
+    @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
+    @pytest.mark.parametrize("v0", [1e-300, -1e-300, 1e-12, -1e-12])
+    def test_energies_are_continuous_through_v0_zero(self, v0, branch, w_abs):
+        # each branch takes one root of the E^2 quadratic, the one that meets
+        # hypot(Q -+ w_abs, m) at v0 = 0; at w_abs = 3 minus-branch level 1
+        # has both roots on the minus sign (1.744 and 4.679)
+        flat = solve_spectrum(1.0, PotentialStep(w_abs=w_abs), 1.0, 8, branch)
+        pot = PotentialStep(v0=v0, w_abs=w_abs)
+        if flat[0].regime_flag:
+            # plus branch, Q_1 < w_abs: no energy carries Q_1 once v0 != 0
+            with pytest.raises(NoSolutionError):
+                solve_spectrum(1.0, pot, 1.0, 8, branch)
+            flat = [level for level in flat if not level.regime_flag]
+            energies = [bag._energy_for_momentum(level.momentum, 1.0, pot, branch)
+                        for level in flat]
+        else:
+            energies = [level.energy for level in solve_spectrum(1.0, pot, 1.0, 8, branch)]
+        assert len(energies) == len(flat) > 0
+        for level, energy in zip(flat, energies):
+            assert energy == pytest.approx(level.energy, rel=1e-12), level.index
+
+    def test_minus_branch_energy_always_exists_and_solves_the_unsquared_relation(self):
+        # the larger root of the E^2 quadratic keeps the minus sign for every
+        # well, so the minus branch never lacks a level; its mom2_minus meets
+        # Q^2 to tol relative to E^2 + v0^2 + m^2 + w^2, the size of its
+        # terms. tol covers disc = half_b^2 - c, which cancels where v0^2 and
+        # (w*Q)^2 are small against half_b^2 (5e-14 at worst on these draws)
+        tol = 1e-12
+        rng = np.random.default_rng(97)
+        for i in range(120):
+            mass = float(rng.uniform(0.0, 3.0))
+            v0 = (float(rng.uniform(0.01, 4.0)), 1e-300, 1e-12)[i % 3] * (1.0, -1.0)[i % 2]
+            w_abs = float(rng.uniform(0.0, 4.0))
+            momenta = rng.uniform(0.01, 8.0, 256)
+            energy, in_range = bag._energy_root(
+                momenta, mass, PotentialStep(v0=v0, w_abs=w_abs), Branch.MINUS, np)
+            assert in_range.all() and np.isfinite(energy).all(), (mass, v0, w_abs)
+            mom2_minus = step.branch_mom2(energy, mass, v0, w_abs, np)[5]
+            scale = energy * energy + v0 * v0 + mass * mass + w_abs * w_abs
+            assert np.max(np.abs(mom2_minus - momenta * momenta) / scale) < tol, (
+                mass, v0, w_abs)
 
 
     def test_energy_root_is_the_same_bits_for_floats_and_arrays(self):
