@@ -26,14 +26,14 @@ quantization_residual bisected.
 The full spinor mismatch at z = L (boundary_residual) is reported by the
 verify command rather than asserted.
 
-Energies, norms and densities are closed-form: at v0 != 0 the energy is a root
-of a quadratic in E^2, _density_integral (the one written norm integral)
-integrates the cos^2/sin^2(Qz -+ phase/2) density exactly (Alberto, Fiolhais &
-Gil, Eur. J. Phys. 17 (1996) 19), and density_split evaluates that form on
-whole arrays. solve_spectrum solves each level's mode coefficients once and
-the BagLevel carries them with its w_factor, so stationary_wavefunction solves
-nothing and reads nothing of the well. _phase is the one phase formula. The
-spinor (evaluate) serves the wall checks and is the tests' density oracle.
+Energies, norms and densities are closed-form: the energy is a root of a
+quadratic in E^2 (a hypot at v0 = 0), _density_integral (the one written norm
+integral) integrates the cos^2/sin^2(Qz -+ phase/2) density exactly (Alberto,
+Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19), and density_split evaluates that
+form on whole arrays. solve_spectrum solves each level's mode coefficients once
+and the BagLevel carries them with its w_factor, so stationary_wavefunction
+solves nothing and reads nothing of the well. _phase is the one phase formula.
+The spinor (evaluate) serves the wall checks and is the tests' density oracle.
 
 solve_spectrum, stationary_wavefunction and normalize use math only;
 numpy is imported by the array functions when they are called.
@@ -45,7 +45,7 @@ import math
 from dataclasses import replace
 from functools import cache
 
-from .dirac import (InputError, QSpinor, _block_spinor, _level_energy, _matrix_rows,
+from .dirac import (InputError, QSpinor, _block_spinor, _matrix_rows,
                     _momentum_ladder, _norm, _pairs, _record, _require_finite,
                     _require_length, _require_mass, _require_spin, _row_sums,
                     build_matrices)
@@ -254,20 +254,21 @@ def _energy_root(momentum, mass, pot, branch, xp):
 
     The one written form: _energy_for_momentum passes a float and
     step._MATH as xp, quantization_residual_grid a float64 array and numpy.
-    With v0 = 0, p = momentum +- w_abs per branch, and p <= 0 has no energy.
-    With v0 != 0, X = E^2 and r = Q^2 - v0^2 + m^2 - w^2, mom2 = Q^2 reads
+    X = E^2 and r = Q^2 - v0^2 + m^2 - w^2: mom2 = Q^2 reads
     -+2*sqrt(X v0^2 + (X - m^2) w^2) = r - X and squares to
     X^2 - 2*half_b*X + c = 0, half_b = r + 2(v0^2 + w^2). Its larger root
     big is > r and > m^2, so the minus branch (X >= r) takes big and the
     plus branch (X <= r) the smaller root c/big, which does not cancel: nan
     where that fails X > m^2 or X <= r (on the minus branch the mask only
-    guards rounding). At v0 = 0 the roots are (Q +- w)^2 + m^2, the hypot
-    forms. in_range is false where disc overflows or big underflows to 0.
+    guards rounding). in_range is false where disc overflows or big
+    underflows to 0. v0 = 0, decided here alone, is the degenerate case
+    hypot(Q +- w_abs, m): an energy at every momentum, the regime band
+    Q < w_abs of the plus branch included, out of range where it overflows.
     """
     minus = branch is Branch.MINUS
     if pot.v0 == 0.0:
-        p = momentum + pot.w_abs if minus else momentum - pot.w_abs
-        return xp.hypot(xp.where(p > 0.0, p, math.nan), mass), True
+        energy = xp.hypot(momentum + pot.w_abs if minus else momentum - pot.w_abs, mass)
+        return energy, energy < math.inf
     m2 = mass * mass
     w2 = pot.w_abs * pot.w_abs
     r = momentum * momentum - pot.v0 * pot.v0 + m2 - w2
@@ -284,19 +285,13 @@ def _energy_root(momentum, mass, pot, branch, xp):
 
 def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
                          branch: Branch, level=None) -> float:
-    """_energy_root at one momentum. nan where v0 = 0 and no energy carries
-    it (so residual scans can skip the region); NoSolutionError where
-    v0 != 0 and none does (plus branch only); InputError, naming the level
-    if given, where the quadratic in E^2 leaves float64 range."""
+    """_energy_root at one momentum, nan where no energy carries it;
+    InputError, naming the level if given, where it leaves float64 range."""
     energy, in_range = _energy_root(momentum, mass, pot, branch, _MATH)
     if not in_range:
         at = "" if level is None else "level %d at " % level
         raise InputError("%smomentum %r: the quadratic in E^2 leaves float64 "
                          "range" % (at, momentum))
-    if math.isnan(energy) and pot.v0 != 0.0:
-        raise NoSolutionError(
-            "no energy above the mass %g carries momentum %g on the %s branch"
-            % (mass, momentum, branch.value))
     return energy
 
 
@@ -336,13 +331,13 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     """The z = L antisymmetry defect g(Q) of the standing-wave family.
 
     Zero exactly at the quantized momenta n*pi/(2L); diverges at the poles
-    where the two cotangent conditions collide. nan where the energy chain
-    leaves its regime (plus branch at momentum <= w_abs with v0 = 0).
+    where the two cotangent conditions collide. nan where no energy above
+    the mass carries the momentum, at every v0 (see _energy_root).
     A negative or non-finite mass, and a momentum or length that is not
     finite and > 0, raise InputError: one comparison chain, with the
     message built only on failure (verify calls this in its bisections).
-    So does a momentum whose mode coefficients overflow float64, or whose
-    phase 2*momentum*length does.
+    So does a momentum whose energy or mode coefficients overflow float64,
+    or whose phase 2*momentum*length does.
     """
     if not (0.0 <= mass < math.inf and 0.0 < length < math.inf
             and 0.0 < momentum < math.inf and 2.0 * (momentum * length) < math.inf):
@@ -402,12 +397,11 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
                    branch) -> list:
     """All confined levels of one branch up to n_max.
 
-    With v0 = 0 the energy is closed-form: E_n^2 = eff_momentum^2 + mass^2
-    with eff_momentum = Q_n + w_abs (minus) or Q_n - w_abs (plus). With
-    v0 != 0 it is the root of _energy_root's quadratic in E^2 that meets
-    that form at v0 = 0 (the larger on the minus branch, the smaller on the
-    plus branch); eff_momentum is still reported as the shifted wavenumber
-    and the closed form is checked by verify as a diagnostic.
+    Each energy is _energy_for_momentum's root of the quadratic in E^2,
+    closed-form at v0 = 0: E_n^2 = eff_momentum^2 + mass^2, where
+    eff_momentum = Q_n + w_abs (minus) or Q_n - w_abs (plus) is the shifted
+    wavenumber reported at every v0 and checked by verify as a diagnostic.
+    A level that no energy carries raises NoSolutionError.
     Each level's one mode_coefficients call gives the amp_ratio and j_chi it
     carries, its phase and, with its w_factor, its norm_const.
     Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
@@ -420,11 +414,11 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     w_factor = pot.w0 if br is Branch.MINUS else pot.w0.conjugate()
     levels = []
     for n, q_n in enumerate(quantized_momenta(length, n_max), start=1):
-        eff = q_n + shift
-        if pot.v0 == 0.0:
-            energy = _level_energy(n, eff, mass)
-        else:
-            energy = _energy_for_momentum(q_n, mass, pot, br, n)
+        energy = _energy_for_momentum(q_n, mass, pot, br, n)
+        if math.isnan(energy):
+            raise NoSolutionError(
+                "no energy above the mass %g carries momentum %g on the %s branch"
+                % (mass, q_n, br.value))
         try:
             mc = mode_coefficients(energy, mass, pot, br)
         except InputError as exc:
@@ -433,8 +427,8 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         ph = _phase(amp, br is Branch.PLUS, _MATH)
         total = _density_integral(q_n, length, ph, 1.0, amp * amp,
                                   abs(w_factor * j_chi) ** 2)
-        levels.append(BagLevel(br, n, q_n, eff, energy, ph, 1.0 / math.sqrt(total),
-                               length, amp, j_chi, w_factor,
+        levels.append(BagLevel(br, n, q_n, q_n + shift, energy, ph,
+                               1.0 / math.sqrt(total), length, amp, j_chi, w_factor,
                                br is Branch.PLUS and q_n < pot.w_abs))
     return levels
 

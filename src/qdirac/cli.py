@@ -61,8 +61,8 @@ from .step import (PotentialStep, SingularCoefficientsError, Zone,
 
 __all__ = ["main", "build_parser"]
 
-# largest table (zones or density rows, --levels); checked before anything
-# is allocated
+# largest table (zones or density rows) and most levels solved (--levels, or
+# density's --level); checked before anything is allocated
 MAX_ROWS = 10**6
 # rows per written block: only one block's row tuples and text exist at once
 BLOCK = 4096
@@ -337,9 +337,11 @@ def main(argv=None) -> int:
         levels = getattr(args, "levels", 1)
         if levels < 1:
             raise InputError("levels must be >= 1")
-        if levels > MAX_ROWS:
-            raise InputError(
-                "--levels %d is over the %d-row limit" % (levels, MAX_ROWS))
+        # density solves levels 1..--level, the spectra 1..--levels
+        flag, solved = (("--level", args.level) if hasattr(args, "level")
+                        else ("--levels", levels))
+        if solved > MAX_ROWS:
+            raise InputError("%s %d is over the %d-row limit" % (flag, solved, MAX_ROWS))
         blocks, code = args.func(args)
         try:
             with (contextlib.nullcontext(sys.stdout) if args.output is None

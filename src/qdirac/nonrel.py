@@ -145,7 +145,7 @@ def nr_quantize(length: float, n_max: int, mass: float,
     momenta = _momentum_ladder(length, n_max, 1.0)
     _require_mass(mass)
     if w_abs < 0:
-        raise InputError("w_abs must be >= 0")
+        raise InputError("w_abs is a magnitude and must be >= 0")
     levels = []
     for n, q_n in enumerate(momenta, start=1):
         eff_plus = q_n - w_abs

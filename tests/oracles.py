@@ -240,6 +240,10 @@ def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
             energy = math.hypot(eff, mass)
         else:
             energy = bag._energy_for_momentum(q_n, mass, pot, br, n)
+        if math.isnan(energy):
+            raise bag.NoSolutionError(
+                "no energy above the mass %g carries momentum %g on the %s branch"
+                % (mass, q_n, br.value))
         mc = mode_coefficients_via_kinematics(step, energy, mass, pot, br)
         if not all(map(cmath.isfinite, (mc.amp_ratio, mc.j_chi, mc.j_sigma))):
             raise ValueError("level %d at energy %r: the mode coefficients "

@@ -71,3 +71,36 @@ def test_bad_arguments_raise_input_error_not_a_bare_value_error():
                 found.append(source)
     assert len(found) == len(INTERNAL_FAULTS), found
     assert issubclass(qdirac.InputError, ValueError)
+
+
+def _v0_zero_comparisons(tree):
+    """(function, line) of each comparison of a `v0` name or attribute with
+    the number 0, by the innermost function that holds it."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            v0 = any(getattr(s, "id", getattr(s, "attr", None)) == "v0" for s in sides)
+            zero = any(isinstance(s, ast.Constant) and type(s.value) in (int, float)
+                       and s.value == 0 for s in sides)
+            if v0 and zero:
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_energy_root_decides_v0_zero():
+    """v0 = 0 is one case of bag._energy_root; a second test of it elsewhere
+    could decide the limit another way, as solve_spectrum and
+    _energy_for_momentum once did."""
+    found = []
+    for path in sorted(Path(qdirac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, func, line) for func, line in _v0_zero_comparisons(tree)]
+    assert [site[:2] for site in found] == [("bag.py", "_energy_root")], found

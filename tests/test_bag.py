@@ -268,8 +268,17 @@ class TestQuantization:
             )
             assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_plus_branch_below_shift_is_nan(self):
-        assert math.isnan(quantization_residual(0.3, 1.0, POT, 1.0, Branch.PLUS))
+    def test_plus_branch_below_shift_is_finite(self):
+        # at v0 = 0 a plus-branch momentum below w_abs has the closed-form
+        # energy hypot(Q - w_abs, m), as solve_spectrum's regime levels do
+        assert math.isfinite(quantization_residual(0.3, 1.0, POT, 1.0, Branch.PLUS))
+        pot = PotentialStep(w_abs=2.0)
+        level = solve_spectrum(1.0, pot, 1.0, 1, Branch.PLUS)[0]
+        assert level.regime_flag
+        g = quantization_residual(level.momentum, 1.0, pot, 1.0, Branch.PLUS)
+        assert abs(g) <= 1e-12
+        # Q = w_abs puts the energy on the mass shell
+        assert math.isnan(quantization_residual(0.5, 1.0, POT, 1.0, Branch.PLUS))
 
     def test_bisection_recovers_all_roots(self):
         rng = np.random.default_rng(53)
@@ -311,6 +320,32 @@ def residual_draws(seed, n_wells=24, n_grid=512):
         yield mass, pot, length, (Branch.MINUS, Branch.PLUS)[i % 2], momenta
     # v0 = w_abs = 0 is resonant at every momentum
     yield 1.0, PotentialStep(), 1.0, Branch.MINUS, np.linspace(0.1, 10.0, 64)
+
+
+def lane_outcomes(mass, pot, length, branch, momenta):
+    """The kinds of scalar outcome over momenta, each checked against its
+    lane of quantization_residual_grid: a nan lane where the scalar form is
+    nan or raises InputError or SingularCoefficientsError, the same value
+    to 1e-10 elsewhere. Any other exception, NoSolutionError included,
+    propagates."""
+    seen = set()
+    got = quantization_residual_grid(momenta, mass, pot, length, branch)
+    for q, g_arr in zip(momenta.tolist(), got.tolist()):
+        try:
+            g = quantization_residual(q, mass, pot, length, branch)
+        except (InputError, SingularCoefficientsError) as exc:
+            seen.add(type(exc))
+            assert math.isnan(g_arr), (q, exc)
+            continue
+        assert math.isfinite(g_arr) == math.isfinite(g), (q, g, g_arr)
+        if math.isfinite(g):
+            seen.add("finite")
+            assert (g_arr < 0.0) == (g < 0.0), (q, g, g_arr)
+            assert abs(g_arr - g) <= 1e-10 * max(1.0, abs(g)), (q, g, g_arr)
+        else:
+            seen.add("nan" if math.isnan(g) else "inf")
+            assert math.isnan(g_arr) if math.isnan(g) else g_arr == g
+    return seen
 
 
 def nan_where_raises(g):
@@ -403,23 +438,21 @@ class TestResidualGrid:
     def test_array_form_matches_scalar(self):
         seen = set()
         for mass, pot, length, branch, momenta in residual_draws(61):
-            got = quantization_residual_grid(momenta, mass, pot, length, branch)
-            for q, g_arr in zip(momenta.tolist(), got.tolist()):
-                try:
-                    g = quantization_residual(q, mass, pot, length, branch)
-                except (NoSolutionError, SingularCoefficientsError) as exc:
-                    seen.add(type(exc))
-                    assert math.isnan(g_arr), (q, exc)
-                    continue
-                assert math.isfinite(g_arr) == math.isfinite(g), (q, g, g_arr)
-                if math.isfinite(g):
-                    seen.add("finite")
-                    assert (g_arr < 0.0) == (g < 0.0), (q, g, g_arr)
-                    assert abs(g_arr - g) <= 1e-10 * max(1.0, abs(g)), (q, g, g_arr)
-                else:
-                    seen.add("nan" if math.isnan(g) else "inf")
-                    assert math.isnan(g_arr) if math.isnan(g) else g_arr == g
-        assert {"finite", "nan", NoSolutionError, SingularCoefficientsError} <= seen
+            seen |= lane_outcomes(mass, pot, length, branch, momenta)
+        assert {"finite", "nan", SingularCoefficientsError} <= seen
+
+    @pytest.mark.parametrize("v0", [0.0, 1e-300, -1e-300, 0.7])
+    def test_each_lane_has_the_scalar_outcome(self, v0):
+        # the plus-branch regime band Q <= w_abs, a level inside it (pi/2)
+        # and a lane whose energy overflows float64, on both branches: nan
+        # or InputError in the scalar form is a nan lane, at every v0
+        band = np.append(np.linspace(0.05, 2.0, 40), math.pi / 2.0)
+        seen = set()
+        for branch in (Branch.MINUS, Branch.PLUS):
+            seen |= lane_outcomes(1.0, PotentialStep(v0=v0, w_abs=2.0), 1.0, branch, band)
+            seen |= lane_outcomes(1.0, PotentialStep(v0=v0, w_abs=1e308), 1e-10, branch,
+                                  np.array([1e308]))
+        assert {"finite", "nan", InputError} <= seen
 
     @pytest.mark.parametrize("w_abs", [0.5, 1e300])
     def test_out_of_range_lanes_are_nan_without_warnings(self, w_abs):
@@ -673,10 +706,11 @@ class TestSpectrum:
             solve_spectrum(1.0, PotentialStep(w_abs=w_abs), length, 2, "minus")
 
     def test_overflowing_energy_names_the_level(self):
-        # at v0 = 0 the energy is hypot(eff_momentum, mass), the nr-spectrum
-        # rule; it once reached the coefficients as inf ("at energy inf")
-        with pytest.raises(InputError, match=r"^level 1: the energy hypot\(1\.7e\+308, "
-                           r"1\.7e\+308\) overflows float64$"):
+        # at v0 = 0 the energy hypot(eff_momentum, mass) is the quadratic's
+        # degenerate root, out of range as the quadratic is at v0 != 0; it
+        # once reached the coefficients as inf ("at energy inf")
+        with pytest.raises(InputError, match=r"^level 1 at momentum 1\.5707963267948966: "
+                           r"the quadratic in E\^2 leaves float64 range$"):
             solve_spectrum(1.7e308, PotentialStep(w_abs=1.7e308), 1.0, 2, "minus")
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
@@ -728,8 +762,7 @@ class TestSpectrum:
             ]
             pot = PotentialStep(v0=v0, w_abs=w_abs)
             if not brackets:
-                with pytest.raises(NoSolutionError):
-                    bag._energy_for_momentum(q, m, pot, branch)
+                assert math.isnan(bag._energy_for_momentum(q, m, pot, branch))
                 continue
             two_roots += len(brackets) > 1
             want = oracles.bisect(defect, *brackets[-1], tol=1e-15)
@@ -797,9 +830,8 @@ class TestSpectrum:
                 energies, in_range = bag._energy_root(momenta, mass, pot, branch, np)
                 assert in_range.all()
                 for q, e_arr in zip(momenta.tolist(), energies.tolist()):
-                    try:
-                        e = bag._energy_for_momentum(q, mass, pot, branch)
-                    except NoSolutionError:
+                    e = bag._energy_for_momentum(q, mass, pot, branch)
+                    if math.isnan(e):
                         seen.add("none")
                         assert math.isnan(e_arr), (q, mass, pot, branch)
                         continue

@@ -266,7 +266,7 @@ class TestExitCodes:
             (["zones", "--e-min", "1", "--e-max", over, "--e-step", "1"], "--e-step"),
             (["density", "--w0-abs", "0.5", "--grid", over], "--grid"),
             (["bag-spectrum", "--w0-abs", "0.5", "--levels", over], "--levels"),
-            (["density", "--w0-abs", "0.5", "--levels", over], "--levels"),
+            (["density", "--w0-abs", "0.5", "--levels", over, "--level", over], "--level"),
             (["nr-spectrum", "--w0-abs", "0.5", "--levels", over], "--levels"),
         ):
             code, out, err = run_cli(argv, capsys)
@@ -286,13 +286,17 @@ class TestExitCodes:
             ["zones", "--e-min", "1", "--e-max", "4", "--e-step", "1"], capsys
         )
         assert code == 2
-        for argv, rows in ((["bag-spectrum"], 3), (["nr-spectrum"], 3),
-                           (["density", "--grid", "3"], 3)):
+        for argv, flag in ((["bag-spectrum"], "--levels"), (["nr-spectrum"], "--levels"),
+                           (["density", "--grid", "3", "--levels", "4"], "--level")):
             argv = argv + ["--w0-abs", "0.5"]
-            code, out, _ = run_cli(argv + ["--levels", "3"], capsys)
-            assert code == 0 and len(out.splitlines()) == 1 + rows, argv
-            code, _, err = run_cli(argv + ["--levels", "4"], capsys)
-            assert code == 2 and err.startswith("error: --levels"), argv
+            code, out, _ = run_cli(argv + [flag, "3"], capsys)
+            assert code == 0 and len(out.splitlines()) == 1 + 3, argv
+            code, _, err = run_cli(argv + [flag, "4"], capsys)
+            assert code == 2 and err.startswith("error: %s 4 " % flag), argv
+        # density solves --level levels, whatever --levels allows
+        code, out, _ = run_cli(["density", "--w0-abs", "0.5", "--levels", "4",
+                                "--level", "1", "--grid", "3"], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 3
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

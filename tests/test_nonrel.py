@@ -197,7 +197,8 @@ class TestQuantize:
             nr_quantize(1.0, 0, 1.0, 0.5)
         with pytest.raises(ValueError):
             nr_quantize(1.0, 3, -1.0, 0.5)
-        with pytest.raises(ValueError):
+        # the message PotentialStep and evanescent_width give for the rule
+        with pytest.raises(InputError, match="^w_abs is a magnitude and must be >= 0$"):
             nr_quantize(1.0, 3, 1.0, -0.5)
         with pytest.raises(ValueError, match=r"^length 1e-310 is too small: the "
                            r"momentum 2\*pi/length overflows float64$"):
