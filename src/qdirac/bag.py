@@ -284,14 +284,13 @@ def _energy_root(momentum, mass, pot, branch, xp):
 
 
 def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
-                         branch: Branch, level=None) -> float:
+                         branch: Branch) -> float:
     """_energy_root at one momentum, nan where no energy carries it;
-    InputError, naming the level if given, where it leaves float64 range."""
+    InputError where it leaves float64 range."""
     energy, in_range = _energy_root(momentum, mass, pot, branch, _MATH)
     if not in_range:
-        at = "" if level is None else "level %d at " % level
-        raise InputError("%smomentum %r: the quadratic in E^2 leaves float64 "
-                         "range" % (at, momentum))
+        raise InputError("momentum %r: the quadratic in E^2 leaves float64 "
+                         "range" % (momentum,))
     return energy
 
 
@@ -349,13 +348,13 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
                          "overflows float64" % (momentum, length))
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
-    if not mass < energy < math.inf:
+    if not mass < energy:
         return math.nan
     g, regular, amp, _ = _residual_chain(momentum, energy, mass, pot, length, br, _MATH)
     if not regular:
         raise SingularCoefficientsError("coefficients singular at E = %r" % energy)
     if math.isnan(amp):
-        # regular and mass < energy < inf: only float64 overflow is left
+        # regular and mass < energy: only float64 overflow is left
         raise InputError("momentum %r: the mode coefficients overflow float64"
                          % (momentum,))
     return g
@@ -401,7 +400,8 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     closed-form at v0 = 0: E_n^2 = eff_momentum^2 + mass^2, where
     eff_momentum = Q_n + w_abs (minus) or Q_n - w_abs (plus) is the shifted
     wavenumber reported at every v0 and checked by verify as a diagnostic.
-    A level that no energy carries raises NoSolutionError.
+    A level that no energy carries raises NoSolutionError, and an InputError
+    from a level's energy or coefficients gets the prefix "level N at ".
     Each level's one mode_coefficients call gives the amp_ratio and j_chi it
     carries, its phase and, with its w_factor, its norm_const.
     Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
@@ -414,12 +414,12 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     w_factor = pot.w0 if br is Branch.MINUS else pot.w0.conjugate()
     levels = []
     for n, q_n in enumerate(quantized_momenta(length, n_max), start=1):
-        energy = _energy_for_momentum(q_n, mass, pot, br, n)
-        if math.isnan(energy):
-            raise NoSolutionError(
-                "no energy above the mass %g carries momentum %g on the %s branch"
-                % (mass, q_n, br.value))
         try:
+            energy = _energy_for_momentum(q_n, mass, pot, br)
+            if math.isnan(energy):
+                raise NoSolutionError(
+                    "no energy above the mass %g carries momentum %g on the %s branch"
+                    % (mass, q_n, br.value))
             mc = mode_coefficients(energy, mass, pot, br)
         except InputError as exc:
             raise InputError("level %d at %s" % (n, exc)) from None

@@ -73,6 +73,11 @@ def _require_mass(mass):
         raise InputError("mass must be finite and >= 0, got %r" % (mass,))
 
 
+def _require_magnitude(w_abs):
+    if w_abs < 0:
+        raise InputError("w_abs is a magnitude and must be >= 0")
+
+
 def _require_spin(spin):
     if spin not in ("up", "down"):
         raise InputError("spin must be 'up' or 'down'")
@@ -102,15 +107,6 @@ def _momentum_ladder(length, n_max, d):
         raise InputError("length %r is too small: the momentum %d*pi/%s overflows "
                          "float64" % (length, n_max, "(2*length)" if d == 2 else "length"))
     return [n * math.pi / d / length for n in range(1, n_max + 1)]
-
-
-def _level_energy(n, momentum, mass):
-    """hypot(momentum, mass), the energy of level n, unless it overflows."""
-    energy = math.hypot(momentum, mass)
-    if energy == math.inf:
-        raise InputError("level %d: the energy hypot(%r, %r) overflows float64"
-                         % (n, momentum, mass))
-    return energy
 
 
 def _record(cls):

@@ -5,8 +5,10 @@ In this limit the travelling momenta collapse to p +- w_abs, the spinor
 amplitudes freeze (they no longer depend on energy or on the magnitude of the
 quaternionic potential, only on its phase), and the Dirichlet conditions on
 the scalar superposition factor quantize the momentum at n*pi/L -- twice the
-confined relativistic spacing. The limiting formulas divide by w_abs, so a
-vanishing quaternionic potential is a hard error here, not a smooth limit.
+confined relativistic spacing. The limiting coefficients divide by w_abs, so
+nr_parameters raises InputError at w_abs = 0 (the ordinary complex well, not
+a smooth limit); nr_quantize accepts it, with equal branch energies, and the
+CLI refuses nr-spectrum --w0-abs 0.
 
 The stated regime of the limiting formulas is p > w_abs; outside it the
 fields are reported verbatim (the minus momentum may come out negative) with
@@ -20,8 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .dirac import (InputError, PlaneWaveState, _block_spinor, _level_energy,
-                    _momentum_ladder, _record, _require_finite, _require_mass,
+from .dirac import (InputError, PlaneWaveState, _block_spinor, _momentum_ladder,
+                    _record, _require_finite, _require_magnitude, _require_mass,
                     _require_spin)
 from .quaternion import Quaternion
 from .step import Branch, as_branch
@@ -144,14 +146,16 @@ def nr_quantize(length: float, n_max: int, mass: float,
     _require_finite(length=length, mass=mass, w_abs=w_abs)
     momenta = _momentum_ladder(length, n_max, 1.0)
     _require_mass(mass)
-    if w_abs < 0:
-        raise InputError("w_abs is a magnitude and must be >= 0")
+    _require_magnitude(w_abs)
     levels = []
     for n, q_n in enumerate(momenta, start=1):
         eff_plus = q_n - w_abs
         eff_minus = q_n + w_abs
         # |eff_plus| <= eff_minus, so energy_minus is the level's largest value
-        energy_minus = _level_energy(n, eff_minus, mass)
+        energy_minus = math.hypot(eff_minus, mass)
+        if energy_minus == math.inf:
+            raise InputError("level %d: the energy hypot(%r, %r) overflows float64"
+                             % (n, eff_minus, mass))
         levels.append(NonRelLevel(n, q_n, eff_plus, eff_minus,
                                   math.hypot(eff_plus, mass), energy_minus,
                                   eff_plus <= w_abs))

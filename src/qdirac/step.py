@@ -25,7 +25,7 @@ import math
 from types import SimpleNamespace
 
 from .dirac import (InputError, PlaneWaveState, _block_spinor, _record, _require_finite,
-                    _require_mass, _require_spin)
+                    _require_magnitude, _require_mass, _require_spin)
 from .quaternion import Quaternion
 
 __all__ = [
@@ -87,8 +87,7 @@ class PotentialStep:
 
     def __post_init__(self):
         _require_finite(v0=self.v0, w_abs=self.w_abs, w_phase=self.w_phase)
-        if self.w_abs < 0:
-            raise InputError("w_abs is a magnitude and must be >= 0")
+        _require_magnitude(self.w_abs)
 
     @property
     def w0(self) -> complex:
@@ -220,8 +219,7 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
         raise InputError("the evanescent window edge hypot(w_abs, mass + |v0|) "
                          "overflows float64 at mass %r, v0 %r, w_abs %r"
                          % (mass, v0, w_abs))
-    if w_abs < 0:
-        raise InputError("w_abs is a magnitude and must be >= 0")
+    _require_magnitude(w_abs)
     e_low = max(mass, math.hypot(w_abs, mass - a))
     return e_low, e_up, e_up - e_low
 

@@ -239,7 +239,10 @@ def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
         if pot.v0 == 0.0:
             energy = math.hypot(eff, mass)
         else:
-            energy = bag._energy_for_momentum(q_n, mass, pot, br, n)
+            try:
+                energy = bag._energy_for_momentum(q_n, mass, pot, br)
+            except bag.InputError as exc:
+                raise bag.InputError("level %d at %s" % (n, exc)) from None
         if math.isnan(energy):
             raise bag.NoSolutionError(
                 "no energy above the mass %g carries momentum %g on the %s branch"

@@ -73,6 +73,25 @@ def test_bad_arguments_raise_input_error_not_a_bare_value_error():
     assert issubclass(qdirac.InputError, ValueError)
 
 
+def test_each_raise_message_is_written_once():
+    """A message raised from two sites is a check written twice, which can
+    drift apart; the shared checks of dirac give each one a single home.
+    The message is the literal first argument, or the left operand of %."""
+    sites = {}
+    for path in sorted(Path(qdirac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            msg = node.exc.args[0]
+            if isinstance(msg, ast.BinOp) and isinstance(msg.op, ast.Mod):
+                msg = msg.left
+            if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+                sites.setdefault(msg.value, []).append("%s:%d" % (path.name, node.lineno))
+    assert sites
+    assert {m: s for m, s in sites.items() if len(s) > 1} == {}
+
+
 def _v0_zero_comparisons(tree):
     """(function, line) of each comparison of a `v0` name or attribute with
     the number 0, by the innermost function that holds it."""
