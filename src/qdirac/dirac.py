@@ -10,13 +10,16 @@ multiply on the *right*. Because the potential quaternion involves j, the
 stationary problem is not complex-hermitian; it is handled as a 16x16 real
 linear map on the real coordinates of a spinor, and its numerical nullspace
 (via SVD) serves as the independent ground truth for every closed-form spinor
-in the package.
+in the package. _operator_stack builds it for a stack of points at once and
+_nullspace_stack decomposes that stack in one SVD call; the public
+realify_stationary_operator and nullspace_oracle are their n = 1 case.
 
 The residuals carry each spinor component as its (u, w) complex pair through
 the operations, in the order, of the Quaternion and QSpinor arithmetic:
 _row_sums is the one row sum of a matrix on a spinor, for apply_matrix,
-dirac_residual and bag's wall maps, read from row tables made once. So every
-bit equals the object form, which the tests keep as the oracle.
+dirac_residual and bag's wall maps, read from row tables made once (the
+i*m*beta table once per mass, 0.0 and -0.0 apart). So every bit equals the
+object form, which the tests keep as the oracle.
 
 InputError and the argument checks that step, bag, nonrel and cli share
 live here, in the lowest module that checks an argument, each written once.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 from .quaternion import I, J, K, ONE, ZERO, Quaternion, _quat_mul, left_matrix
@@ -334,10 +337,16 @@ def apply_matrix(mat, psi: QSpinor) -> QSpinor:
 
 
 @cache
-def _residual_tables():
-    """alpha3's _matrix_rows table and beta as nested lists, made once."""
-    mats = _built()[0]
-    return _matrix_rows(mats.alpha[2].tolist()), mats.beta.tolist()
+def _alpha3_rows():
+    """alpha3's _matrix_rows table, made once."""
+    return _matrix_rows(_built()[0].alpha[2].tolist())
+
+
+@lru_cache(maxsize=16)
+def _mass_rows(mass, sign):
+    """i*mass*beta's _matrix_rows table, made once per mass; sign, the
+    copysign of mass, keeps 0.0 and -0.0 (equal keys) apart."""
+    return _matrix_rows([[1j * mass * c for c in row] for row in _built()[0].beta.tolist()])
 
 
 @_record
@@ -390,11 +399,10 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     nrm = _norm(psi)
     if nrm == 0.0:
         raise InputError("zero-norm spinor has no defined residual")
-    alpha3, beta = _residual_tables()
+    alpha3 = _alpha3_rows()
     z_t = 1j * state.energy_sign * state.energy
     z_q = 1j * state.direction * state.momentum
-    i_mass = 1j * mass
-    mass_rows = _matrix_rows([[i_mass * c for c in row] for row in beta])
+    mass_rows = _mass_rows(float(mass), math.copysign(1.0, mass))
     pq = potential_quaternion(pot)
     out = []
     for (u, w), (au, aw), (mu, mw) in zip(psi, _row_sums(alpha3, psi),
@@ -414,6 +422,39 @@ def stationary_residual(psi: QSpinor, energy: float, momentum: complex,
     return dirac_residual(PlaneWaveState(psi, momentum, energy), pot, mass)
 
 
+def _operator_stack(points) -> np.ndarray:
+    """realify_stationary_operator of each (energy, momentum, mass, pot) in
+    points as one (n, 16, 16) array, every point checked before numpy is
+    used. Each Kronecker product of 4x4 blocks is one broadcast multiply of
+    the products np.kron forms, so every entry (the sign of each zero too)
+    equals the test oracle tests/oracles.realify_by_kron."""
+    for energy, momentum, mass, _ in points:
+        _require_plane_wave(energy, momentum, mass)
+    import numpy as np
+
+    mats, l_i, l_j, l_k, r_i = _built()
+    eye4 = np.eye(4)
+    energies, momenta, masses, pots = zip(*points)
+    w0 = np.array([p.w0 for p in pots], dtype=complex)[:, None, None]
+    v1 = np.array([p.v0 for p in pots], dtype=float)[:, None, None]
+
+    def right_mult(cs):
+        c = np.array(cs, dtype=complex)[:, None, None]
+        return c.real * eye4 + c.imag * r_i
+
+    def kron(a, b):
+        return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, 16, 16)
+
+    with np.errstate(over="ignore"):
+        op = kron(eye4, right_mult([-1j * e for e in energies]))
+        op += kron(mats.alpha[2].real, right_mult([1j * q for q in momenta]))
+        op += kron(mats.beta.real, np.array(masses, dtype=float)[:, None, None] * l_i)
+        op += kron(eye4, v1 * l_i + w0.imag * l_j + w0.real * l_k)
+    if not np.isfinite(op).all():
+        raise InputError("the realified operator overflows float64")
+    return op
+
+
 def realify_stationary_operator(energy: float, momentum: complex, mass: float,
                                 pot) -> np.ndarray:
     """The stationary plane-wave operator as a 16x16 real matrix.
@@ -425,33 +466,23 @@ def realify_stationary_operator(energy: float, momentum: complex, mass: float,
     i.e. the equation-of-motion defect of the plane-wave ansatz with the
     right-multiplications by -iE and iQ folded in. Left multiplication by j is
     antilinear over left-acting complex scalars, so the map is assembled over
-    the reals. Each Kronecker product of 4x4 blocks is written as one
-    broadcast multiply, the elementwise products np.kron forms, so every
-    entry (the sign of each zero included) equals the np.kron form that is
-    the test oracle (tests/oracles.realify_by_kron). A non-finite energy,
-    mass or momentum, or a negative mass, raises InputError.
+    the reals. It is the one-point case of the stack _operator_stack builds.
+    A non-finite energy, mass or momentum, a negative mass, or an entry that
+    overflows float64 raises InputError.
     """
-    _require_plane_wave(energy, momentum, mass)
+    return _operator_stack([(energy, momentum, mass, pot)])[0]
+
+
+def _nullspace_stack(points, tol: float = 1e-8) -> list:
+    """nullspace_oracle of each (energy, momentum, mass, pot) in points, from
+    one np.linalg.svd call on their _operator_stack."""
+    if not 0 < tol < 1:
+        raise InputError("tol must lie in (0, 1), got %r" % (tol,))
     import numpy as np
 
-    mats, l_i, l_j, l_k, r_i = _built()
-    eye4 = np.eye(4)
-
-    def right_mult(c):
-        """Real 4x4 matrix of right multiplication by the complex scalar c."""
-        c = complex(c)
-        return c.real * eye4 + c.imag * r_i
-
-    def kron(a, b):
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
-
-    w0 = complex(pot.w0)
-    v1, v2, v3 = pot.v0, w0.imag, w0.real
-    op = kron(eye4, right_mult(-1j * energy))
-    op += kron(mats.alpha[2].real, right_mult(1j * momentum))
-    op += kron(mats.beta.real, mass * l_i)
-    op += kron(eye4, v1 * l_i + v2 * l_j + v3 * l_k)
-    return op
+    _, svals, vt = np.linalg.svd(_operator_stack(points))
+    return [[QSpinor.from_real_vector(row) for row in v[s < tol * s[0]]]
+            for s, v in zip(svals, vt)]
 
 
 def nullspace_oracle(energy: float, momentum: complex, mass: float, pot,
@@ -463,17 +494,7 @@ def nullspace_oracle(energy: float, momentum: complex, mass: float, pot,
     raises InputError. An empty list signals that (energy, momentum) is not
     on a dispersion branch. Every returned spinor satisfies the equation of
     motion to better than 1e-12 by construction; the caller is expected to
-    check that independently (and the test suite does).
+    check that independently (and the test suite does). It is the one-point
+    case of _nullspace_stack, which decomposes a stack in one SVD call.
     """
-    if not 0 < tol < 1:
-        raise InputError("tol must lie in (0, 1), got %r" % (tol,))
-    import numpy as np
-
-    op = realify_stationary_operator(energy, momentum, mass, pot)
-    _, svals, vt = np.linalg.svd(op)
-    cutoff = tol * svals[0]
-    out = []
-    for s, row in zip(svals, vt):
-        if s < cutoff:
-            out.append(QSpinor.from_real_vector(row))
-    return out
+    return _nullspace_stack([(energy, momentum, mass, pot)], tol)[0]

@@ -15,7 +15,9 @@ from math never reach the output. A bracket where the numerator keeps one
 sign well away from 0 holds a pole and no root, and is not bisected
 (_scan_roots says why the roots stay the same). The quaternion section
 multiplies whole arrays with quaternion._quat_mul, the product Quaternion
-itself uses.
+itself uses. The oracle section stacks its 100 operators, on and off the
+branches, and decomposes them in one SVD call (dirac._nullspace_stack); the
+realified-operator section takes its six ranks in one matrix_rank call.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .bag import (
 )
 from .dirac import (
     QSpinor,
+    _nullspace_stack,
+    _operator_stack,
     build_matrices,
-    nullspace_oracle,
-    realify_stationary_operator,
     stationary_residual,
 )
 from .nonrel import nr_parameters, nr_quantize
@@ -211,27 +213,24 @@ def _section_oracle_residuals():
     n_draws = 25
     rng = _rng()
     mass = 1.0
-    oracle_res = []
-    minus_res = []
-    plus_points = []
-    empty_offbranch = 0
+    oracle_res, minus_res, plus_points, branches, points = [], [], [], [], []
     for _ in range(n_draws):
         pot, energy = _draw_point(rng, mass, 4.0)
         kin = kinematics(energy, mass, pot)
         for branch, mom2 in ((Branch.MINUS, kin.mom2_minus), (Branch.PLUS, kin.mom2_plus)):
-            mom = principal_momentum(mom2)
-            basis = nullspace_oracle(energy, mom, mass, pot)
-            for psi in basis:
-                oracle_res.append(stationary_residual(psi, energy, mom, mass, pot))
-            if branch is Branch.MINUS:
-                st = step_spinor(energy, mass, pot, branch)
-                minus_res.append(
-                    stationary_residual(st.spinor, energy, complex(mom), mass, pot)
-                )
-            else:
-                plus_points.append((pot, energy, mom, basis))
-            off = nullspace_oracle(energy, mom + 0.1, mass, pot)
-            empty_offbranch += int(len(off) == 0)
+            branches.append(branch)
+            points.append((energy, principal_momentum(mom2), mass, pot))
+    # one SVD call for the on-branch points and the off-branch ones at mom + 0.1
+    bases = _nullspace_stack(points + [(e, q + 0.1, m, p) for e, q, m, p in points])
+    for branch, (energy, mom, _, pot), basis in zip(branches, points, bases):
+        for psi in basis:
+            oracle_res.append(stationary_residual(psi, energy, mom, mass, pot))
+        if branch is Branch.MINUS:
+            st = step_spinor(energy, mass, pot, branch)
+            minus_res.append(stationary_residual(st.spinor, energy, complex(mom), mass, pot))
+        else:
+            plus_points.append((pot, energy, mom, basis))
+    empty_offbranch = sum(len(off) == 0 for off in bases[len(points):])
     passed = (
         _max(oracle_res) < 1e-12
         and _max(minus_res) < 1e-10
@@ -615,17 +614,14 @@ def _section_realified_operator():
     rng = _rng()
     mass = 1.0
     pot = PotentialStep(v0=1.0, w_abs=1.0, w_phase=0.3)
-    full_rank = 0
     trials = 5
-    for _ in range(trials):
-        energy = float(rng.uniform(1.5, 5.0))
-        mom = float(rng.uniform(0.3, 4.0))
-        op = realify_stationary_operator(energy, mom, mass, pot)
-        full_rank += int(np.linalg.matrix_rank(op, tol=1e-8) == 16)
-    kin = kinematics(3.0, mass, pot)
-    mom_on = principal_momentum(kin.mom2_minus)
-    op_on = realify_stationary_operator(3.0, mom_on, mass, pot)
-    deficiency = 16 - int(np.linalg.matrix_rank(op_on, tol=1e-8))
+    # energy, then momentum, drawn per trial
+    points = [(float(rng.uniform(1.5, 5.0)), float(rng.uniform(0.3, 4.0)), mass, pot)
+              for _ in range(trials)]
+    points.append((3.0, principal_momentum(kinematics(3.0, mass, pot).mom2_minus), mass, pot))
+    ranks = np.linalg.matrix_rank(_operator_stack(points), tol=1e-8)
+    full_rank = int(np.sum(ranks[:trials] == 16))
+    deficiency = 16 - int(ranks[trials])
     passed = full_rank == trials and deficiency >= 2
     return {
         "kind": "assert",

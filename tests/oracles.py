@@ -10,11 +10,12 @@ composition oracle takes the package's step and bag modules as arguments and
 builds each level through kinematics, a placeholder BagLevel, normalize and
 dataclasses.replace; its wavefunction oracle solves the level's mode
 coefficients again instead of reading them off the level. The realified
-operator, apply_matrix, residual and wall-residual oracles take the
-package's dirac module as an argument and keep its earlier forms: np.kron
-of the 4x4 blocks, a row sum of Quaternion terms c * q, and the residuals
-as sums of QSpinor terms. The root-scan oracle takes the report module and
-bisects every sign-change bracket with its _bisect.
+operator, nullspace, apply_matrix, residual and wall-residual oracles take
+the package's dirac module as an argument and keep its earlier forms:
+np.kron of the 4x4 blocks, one SVD call per operator, a row sum of
+Quaternion terms c * q, and the residuals as sums of QSpinor terms. The
+root-scan oracle takes the report module and bisects every sign-change
+bracket with its _bisect.
 """
 
 from __future__ import annotations
@@ -279,6 +280,14 @@ def realify_by_kron(dirac, energy, momentum, mass, pot):
     op += np.kron(mats.beta.real, mass * l_i)
     op += np.kron(eye4, v1 * l_i + v2 * l_j + v3 * l_k)
     return op
+
+
+def nullspace_by_one_svd(dirac, energy, momentum, mass, pot, tol=1e-8):
+    """dirac.nullspace_oracle as one np.linalg.svd of one 16x16 operator,
+    each right singular vector kept below tol times the largest value."""
+    _, svals, vt = np.linalg.svd(realify_by_kron(dirac, energy, momentum, mass, pot))
+    return [dirac.QSpinor.from_real_vector(row)
+            for s, row in zip(svals, vt) if s < tol * svals[0]]
 
 
 def apply_matrix_by_quaternions(dirac, mat, psi):

@@ -16,6 +16,7 @@ from qdirac import (
     Quaternion,
     apply_matrix,
     build_matrices,
+    build_report,
     dirac_residual,
     kinematics,
     nr_parameters,
@@ -23,6 +24,7 @@ from qdirac import (
     nullspace_oracle,
     principal_momentum,
     realify_stationary_operator,
+    report_passed,
     solve_spectrum,
     stationary_residual,
     stationary_wavefunction,
@@ -217,20 +219,77 @@ def random_wells(rng, n):
     return cases
 
 
-def test_realified_operator_equals_the_kron_form_bit_for_bit():
+def stack_cases():
+    """random_wells plus massless points on both branches: real and
+    evanescent momenta, v0 = 0, w_abs = 0 and mass 0.0 all occur."""
     cases = random_wells(np.random.default_rng(31), 40)
+    for energy, _, _, pot in cases[1::12]:
+        kin = kinematics(energy, 0.0, pot)
+        cases += [(energy, principal_momentum(m2), 0.0, pot)
+                  for m2 in (kin.mom2_minus, kin.mom2_plus)]
     moms = [complex(c[1]) for c in cases]
     assert any(m.real == 0.0 and m.imag > 0.0 for m in moms)
+    assert any(m.imag == 0.0 for m in moms)
+    assert any(c[2] == 0.0 for c in cases)
     assert any(c[3].v0 == 0.0 for c in cases)
     assert any(c[3].w_abs == 0.0 for c in cases)
+    return cases
+
+
+def test_realified_operator_equals_the_kron_form_bit_for_bit():
+    cases = stack_cases()
+    stack = dirac._operator_stack(cases)
+    assert stack.shape == (len(cases), 16, 16)
     negative_zeros = 0
-    for energy, mom, mass, pot in cases:
-        got = realify_stationary_operator(energy, mom, mass, pot)
-        want = oracles.realify_by_kron(dirac, energy, mom, mass, pot)
+    for op, case in zip(stack, cases):
+        want = oracles.realify_by_kron(dirac, *case)
         # tobytes tells -0.0 from 0.0; the SVD basis can turn with that sign
-        assert got.tobytes() == want.tobytes(), (energy, mom, mass, pot)
-        negative_zeros += bool(np.any((got == 0.0) & np.signbit(got)))
+        assert op.tobytes() == want.tobytes(), case
+        assert realify_stationary_operator(*case).tobytes() == want.tobytes(), case
+        negative_zeros += bool(np.any((op == 0.0) & np.signbit(op)))
     assert negative_zeros >= 10
+
+
+def real_hex(basis):
+    return [[float.hex(x) for x in psi.to_real_vector()] for psi in basis]
+
+
+def test_nullspace_stack_equals_each_basis_bit_for_bit():
+    cases = stack_cases()
+    bases = dirac._nullspace_stack(cases)
+    assert len(bases) == len(cases)
+    assert any(bases) and not all(bases)
+    for basis, case in zip(bases, cases):
+        assert real_hex(basis) == real_hex(nullspace_oracle(*case)), case
+        assert real_hex(basis) == real_hex(oracles.nullspace_by_one_svd(dirac, *case)), case
+
+
+@pytest.mark.parametrize("energy,momentum,mass,pot", [
+    (1e308, 1e308, 1e308, PotentialStep(w_abs=0.5)),
+    (1e308, 1e308, 1.0, PotentialStep(v0=1e308, w_abs=1e308)),
+    (1.7e308, 1.7e308, 1.7e308, PotentialStep(v0=1.7e308)),
+])
+def test_an_operator_that_overflows_is_an_input_error(energy, momentum, mass, pot):
+    # finite arguments whose operator entries overflow once gave a
+    # RuntimeWarning and then "SVD did not converge" (exit 4 in the CLI)
+    for fn in (realify_stationary_operator, nullspace_oracle):
+        with pytest.raises(InputError, match="^the realified operator overflows float64$"):
+            fn(energy, momentum, mass, pot)
+
+
+def test_verify_decomposes_its_operators_in_few_svd_calls(monkeypatch):
+    # one stacked call for the oracle section's 100 operators and one per
+    # plus-branch nullvector (10); one call per operator would make 110
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert report_passed(build_report())
+    assert 0 < len(calls) <= 11
 
 
 def signed_complex(rng):
@@ -327,6 +386,18 @@ def test_dirac_residual_equals_the_quaternion_sums_bit_for_bit():
                          lambda *a: oracles.dirac_residual_by_quaternions(dirac, *a)):
             with pytest.raises(ValueError, match="zero-norm spinor"):
                 residual(state, FREE, 1.0)
+
+
+def test_dirac_residual_keeps_a_mass_table_per_signed_mass():
+    # the table is cached per mass; 0.0 == -0.0, so each zero has its own key
+    dirac._mass_rows.cache_clear()
+    cases = residual_states(np.random.default_rng(47))[::10]
+    for mass in (0.0, -0.0, 1.0, 0.0):
+        for state, pot, _ in cases:
+            got = dirac_residual(state, pot, mass)
+            want = oracles.dirac_residual_by_quaternions(dirac, state, pot, mass)
+            assert float.hex(got) == float.hex(want), (state, pot, mass)
+    assert dirac._mass_rows.cache_info().currsize == 3
 
 
 def test_a_zero_spinor_is_an_input_error():
