@@ -45,13 +45,13 @@ import math
 from dataclasses import replace
 from functools import cache
 
-from .dirac import (InputError, QSpinor, _block_spinor, _matrix_rows,
-                    _momentum_ladder, _norm, _pairs, _record, _require_finite,
-                    _require_length, _require_mass, _require_spin, _row_sums,
-                    build_matrices)
+from .dirac import (InputError, NoSolutionError, QSpinor, SingularCoefficientsError,
+                    _block_spinor, _matrix_rows, _momentum_ladder, _norm, _pairs,
+                    _record, _require_count, _require_finite, _require_length,
+                    _require_mass, _require_spin, _row_sums, build_matrices)
 from .quaternion import ZERO, Quaternion
-from .step import (_MATH, Branch, PotentialStep, SingularCoefficientsError,
-                   _branch_denominators, as_branch, mode_coefficients)
+from .step import (_MATH, Branch, PotentialStep, _branch_denominators, as_branch,
+                   mode_coefficients)
 
 __all__ = [
     "NoSolutionError",
@@ -69,10 +69,6 @@ __all__ = [
     "normalize",
     "density_profile",
 ]
-
-
-class NoSolutionError(ValueError):
-    """No energy in the admissible range carries the requested momentum."""
 
 
 @_record
@@ -475,9 +471,8 @@ def normalize(psi: StationaryWavefunction):
 
 
 def density_profile(psi: StationaryWavefunction, grid_points: int):
-    """Sampled (z, density) arrays on a uniform grid over the well."""
-    if grid_points < 2:
-        raise InputError("grid_points must be >= 2")
+    """(z, density) arrays on a uniform grid of grid_points, an int >= 2."""
+    _require_count("grid_points", grid_points, 2)
     import numpy as np
 
     z = np.linspace(0.0, psi.length, grid_points)

@@ -52,12 +52,12 @@ import re
 import sys
 
 from . import __version__, _kernels
-from .bag import NoSolutionError, solve_spectrum, stationary_wavefunction
-from .dirac import InputError, _require_finite, _require_mass
+from .bag import solve_spectrum, stationary_wavefunction
+from .dirac import (InputError, NoSolutionError, SingularCoefficientsError,
+                    _require_finite, _require_mass)
 from .nonrel import nr_quantize
 from .report import build_report, report_passed
-from .step import (PotentialStep, SingularCoefficientsError, Zone,
-                   _branch_mom2_in_range, _zone_minus, evanescent_width)
+from .step import PotentialStep, Zone, _branch_mom2_in_range, _zone_minus, evanescent_width
 
 __all__ = ["main", "build_parser"]
 

@@ -17,13 +17,15 @@ realify_stationary_operator and nullspace_oracle are their n = 1 case.
 The residuals carry each spinor component as its (u, w) complex pair through
 the operations, in the order, of the Quaternion and QSpinor arithmetic:
 _row_sums is the one row sum of a matrix on a spinor, for apply_matrix,
-dirac_residual and bag's wall maps, read from row tables made once (the
-i*m*beta table once per mass, 0.0 and -0.0 apart). So every bit equals the
-object form, which the tests keep as the oracle.
+dirac_residual and bag's wall maps, read from row tables made once;
+dirac_residual forms the i*m*beta term from beta's diagonal inline. So every
+bit of each norm equals the object form, which the tests keep as the oracle.
 
-InputError and the argument checks that step, bag, nonrel and cli share
-live here, in the lowest module that checks an argument, each written once.
-So does _record, which declares the frozen records of all four modules.
+InputError, NoSolutionError and SingularCoefficientsError (bag and step
+re-export the last two) and the argument checks that step, bag, nonrel and
+cli share live here, in the lowest module that checks an argument, each
+written once. So does _record, which declares the frozen records of all
+four modules.
 
 numpy is imported where an array is made, not with the module: the matrices
 and the realified operator's 4x4 blocks are built on first use, so the
@@ -35,8 +37,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 from dataclasses import MISSING, dataclass, fields
-from functools import cache, lru_cache
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .quaternion import I, J, K, ONE, ZERO, Quaternion, _quat_mul, left_matrix
@@ -62,6 +66,15 @@ __all__ = [
 class InputError(ValueError):
     """A bad argument, or a value derived from the arguments that leaves
     float64 range: the caller's fault (exit 2 in the CLI)."""
+
+
+class NoSolutionError(ValueError):
+    """No energy in the admissible range carries the requested momentum."""
+
+
+class SingularCoefficientsError(ValueError):
+    """The mode coefficients divide by zero at this energy: on the mass shell,
+    or where a denominator of mode_coefficients vanishes exactly."""
 
 
 def _require_finite(**values):
@@ -100,12 +113,25 @@ def _require_length(length):
         raise InputError("length must be finite and > 0, got %r" % (length,))
 
 
+def _require_count(name, value, least):
+    """value as an int from least to sys.maxsize, or InputError naming it: a
+    float such as 3.0 is no count, and 10**400 would overflow float64 in n*pi."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError("%s must be an int, got %r" % (name, value)) from None
+    if value < least:
+        raise InputError("%s must be >= %d" % (name, least))
+    if value > sys.maxsize:
+        raise InputError("%s must be at most sys.maxsize" % name)
+    return value
+
+
 def _momentum_ladder(length, n_max, d):
     """n*pi/d/length for n = 1..n_max: d = 2.0 gives the bag's n*pi/(2L), 1.0
     the Dirichlet n*pi/L (n*pi/1.0 is exact). Never 0 or inf."""
     _require_length(length)
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
+    n_max = _require_count("n_max", n_max, 1)
     if not math.isfinite(n_max * math.pi / d / length):
         raise InputError("length %r is too small: the momentum %d*pi/%s overflows "
                          "float64" % (length, n_max, "(2*length)" if d == 2 else "length"))
@@ -337,16 +363,10 @@ def apply_matrix(mat, psi: QSpinor) -> QSpinor:
 
 
 @cache
-def _alpha3_rows():
-    """alpha3's _matrix_rows table, made once."""
-    return _matrix_rows(_built()[0].alpha[2].tolist())
-
-
-@lru_cache(maxsize=16)
-def _mass_rows(mass, sign):
-    """i*mass*beta's _matrix_rows table, made once per mass; sign, the
-    copysign of mass, keeps 0.0 and -0.0 (equal keys) apart."""
-    return _matrix_rows([[1j * mass * c for c in row] for row in _built()[0].beta.tolist()])
+def _residual_tables():
+    """alpha3's _matrix_rows table and beta's diagonal, made once."""
+    mats = _built()[0]
+    return _matrix_rows(mats.alpha[2].tolist()), mats.beta.diagonal().tolist()
 
 
 @_record
@@ -389,8 +409,8 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     of the norm, so the residual is evaluated at z = t = 0. Each component
     is carried as its (u, w) pair through the operations, in the order, of
     the object form psi*(i sgn E) + (alpha3 psi)*(i dir Q) + (i m beta) psi
-    + (iV1 + jV2 + kV3) psi summed as QSpinors, so every bit equals that
-    form, which is the test oracle (tests/oracles.dirac_residual_by_quaternions).
+    + (iV1 + jV2 + kV3) psi summed as QSpinors, so every bit of the norm equals
+    that form's, the test oracle (tests/oracles.dirac_residual_by_quaternions).
     A non-finite energy, momentum or mass, a negative mass, or a spinor of
     zero norm raises InputError.
     """
@@ -399,16 +419,16 @@ def dirac_residual(state: PlaneWaveState, pot, mass: float) -> float:
     nrm = _norm(psi)
     if nrm == 0.0:
         raise InputError("zero-norm spinor has no defined residual")
-    alpha3 = _alpha3_rows()
+    alpha3, beta = _residual_tables()
     z_t = 1j * state.energy_sign * state.energy
     z_q = 1j * state.direction * state.momentum
-    mass_rows = _mass_rows(float(mass), math.copysign(1.0, mass))
     pq = potential_quaternion(pot)
     out = []
-    for (u, w), (au, aw), (mu, mw) in zip(psi, _row_sums(alpha3, psi),
-                                          _row_sums(mass_rows, psi)):
+    for (u, w), (au, aw), b in zip(psi, _row_sums(alpha3, psi), beta):
+        c = 1j * mass * b
         vu, vw = _quat_mul(pq.u, pq.w, u, w)
-        out.append((u * z_t + au * z_q + mu + vu, w * z_t + aw * z_q + mw + vw))
+        out.append((u * z_t + au * z_q + c * u + vu,
+                    w * z_t + aw * z_q + c.conjugate() * w + vw))
     return _norm(out) / nrm
 
 
@@ -425,9 +445,9 @@ def stationary_residual(psi: QSpinor, energy: float, momentum: complex,
 def _operator_stack(points) -> np.ndarray:
     """realify_stationary_operator of each (energy, momentum, mass, pot) in
     points as one (n, 16, 16) array, every point checked before numpy is
-    used. Each Kronecker product of 4x4 blocks is one broadcast multiply of
-    the products np.kron forms, so every entry (the sign of each zero too)
-    equals the test oracle tests/oracles.realify_by_kron."""
+    used. Each Kronecker product of a 4x4 block with the stack is one
+    np.kron call, so every entry (the sign of each zero too) equals the test
+    oracle tests/oracles.realify_by_kron, its one-point form."""
     for energy, momentum, mass, _ in points:
         _require_plane_wave(energy, momentum, mass)
     import numpy as np
@@ -442,14 +462,11 @@ def _operator_stack(points) -> np.ndarray:
         c = np.array(cs, dtype=complex)[:, None, None]
         return c.real * eye4 + c.imag * r_i
 
-    def kron(a, b):
-        return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, 16, 16)
-
     with np.errstate(over="ignore"):
-        op = kron(eye4, right_mult([-1j * e for e in energies]))
-        op += kron(mats.alpha[2].real, right_mult([1j * q for q in momenta]))
-        op += kron(mats.beta.real, np.array(masses, dtype=float)[:, None, None] * l_i)
-        op += kron(eye4, v1 * l_i + w0.imag * l_j + w0.real * l_k)
+        op = np.kron(eye4, right_mult([-1j * e for e in energies]))
+        op += np.kron(mats.alpha[2].real, right_mult([1j * q for q in momenta]))
+        op += np.kron(mats.beta.real, np.array(masses, dtype=float)[:, None, None] * l_i)
+        op += np.kron(eye4, v1 * l_i + w0.imag * l_j + w0.real * l_k)
     if not np.isfinite(op).all():
         raise InputError("the realified operator overflows float64")
     return op

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import combinations
 
 from . import _kernels
 from .bag import (
@@ -129,32 +130,18 @@ def _section_matrix_algebra():
     import numpy as np
 
     mats = build_matrices()
-    eye = np.eye(4, dtype=complex)
-    zero = np.zeros((4, 4), dtype=complex)
-    checks = {}
-    checks["beta_squared_is_identity"] = bool(
-        np.array_equal(mats.beta @ mats.beta, eye)
-    )
-    for i in range(3):
-        a = mats.alpha[i]
-        checks["alpha%d_squared_is_identity" % (i + 1)] = bool(
-            np.array_equal(a @ a, eye)
-        )
-        checks["alpha%d_hermitian" % (i + 1)] = bool(
-            np.array_equal(a, a.conj().T)
-        )
-        checks["beta_anticommutes_alpha%d" % (i + 1)] = bool(
-            np.array_equal(mats.beta @ a + a @ mats.beta, zero)
-        )
-    for i in range(3):
-        for j in range(i + 1, 3):
-            checks["alpha%d_anticommutes_alpha%d" % (i + 1, j + 1)] = bool(
-                np.array_equal(
-                    mats.alpha[i] @ mats.alpha[j] + mats.alpha[j] @ mats.alpha[i],
-                    zero,
-                )
-            )
-    checks["beta_hermitian"] = bool(np.array_equal(mats.beta, mats.beta.conj().T))
+    beta, alphas = mats.beta, list(enumerate(mats.alpha, start=1))
+    eye, zero = np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)
+    checks = {"beta_squared_is_identity": bool(np.array_equal(beta @ beta, eye))}
+    for i, a in alphas:
+        checks["alpha%d_squared_is_identity" % i] = bool(np.array_equal(a @ a, eye))
+        checks["alpha%d_hermitian" % i] = bool(np.array_equal(a, a.conj().T))
+        checks["beta_anticommutes_alpha%d" % i] = bool(
+            np.array_equal(beta @ a + a @ beta, zero))
+    for (i, a), (j, b) in combinations(alphas, 2):
+        checks["alpha%d_anticommutes_alpha%d" % (i, j)] = bool(
+            np.array_equal(a @ b + b @ a, zero))
+    checks["beta_hermitian"] = bool(np.array_equal(beta, beta.conj().T))
     return {"kind": "assert", "passed": all(checks.values()), "checks": checks}
 
 

@@ -22,10 +22,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from types import SimpleNamespace
 
-from .dirac import (InputError, PlaneWaveState, _block_spinor, _record, _require_finite,
-                    _require_magnitude, _require_mass, _require_spin)
+from .dirac import (InputError, PlaneWaveState, SingularCoefficientsError, _block_spinor,
+                    _record, _require_finite, _require_magnitude, _require_mass,
+                    _require_spin)
 from .quaternion import Quaternion
 
 __all__ = [
@@ -67,11 +69,6 @@ def as_branch(value) -> Branch:
         raise InputError("branch must be 'minus' or 'plus', got %r" % (value,)) from None
 
 
-class SingularCoefficientsError(ValueError):
-    """The mode coefficients divide by zero at this energy: on the mass shell,
-    or where a denominator of mode_coefficients vanishes exactly."""
-
-
 @_record
 class PotentialStep:
     """Constant quaternionic vector potential: strength v0 plus a pure part.
@@ -86,7 +83,11 @@ class PotentialStep:
     w_phase: float = 0.0
 
     def __post_init__(self):
-        _require_finite(v0=self.v0, w_abs=self.w_abs, w_phase=self.w_phase)
+        values = {"v0": self.v0, "w_abs": self.w_abs, "w_phase": self.w_phase}
+        for name, value in values.items():
+            if not isinstance(value, numbers.Real):
+                raise InputError("%s must be a real number, got %r" % (name, value))
+        _require_finite(**values)
         _require_magnitude(self.w_abs)
 
     @property

@@ -2,7 +2,12 @@
 and every error the library raises for a bad argument is typed."""
 
 import ast
+import builtins
+from functools import partial
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import qdirac
 from qdirac import bag, dirac, nonrel, quaternion, report, step
@@ -71,6 +76,63 @@ def test_bad_arguments_raise_input_error_not_a_bare_value_error():
                 found.append(source)
     assert len(found) == len(INTERNAL_FAULTS), found
     assert issubclass(qdirac.InputError, ValueError)
+
+
+def _is_exception(base):
+    """Whether a class base, a name or a dotted attribute, names an exception
+    class of the package or of builtins."""
+    name = getattr(base, "id", getattr(base, "attr", ""))
+    obj = getattr(qdirac, name, None) or getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+def test_every_error_type_is_defined_in_dirac():
+    """The error types live beside InputError, so cli takes every one it maps
+    to an exit code from dirac; bag and step re-export theirs."""
+    found = []
+    for path in sorted(Path(qdirac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_exception, node.bases)):
+                found.append((path.name, node.lineno, node.name))
+    assert {name for _, _, name in found} == {
+        "InputError", "NoSolutionError", "SingularCoefficientsError"}
+    assert [site for site in found if site[0] != "dirac.py"] == []
+    assert qdirac.NoSolutionError is bag.NoSolutionError is dirac.NoSolutionError
+    assert (qdirac.SingularCoefficientsError is step.SingularCoefficientsError
+            is dirac.SingularCoefficientsError)
+
+
+def _grid(grid_points):
+    """The z grid of a density_profile of grid_points points."""
+    pot = qdirac.PotentialStep(v0=0.3, w_abs=0.5)
+    level = qdirac.solve_spectrum(1.0, pot, 1.0, 2, "minus")[-1]
+    psi = qdirac.stationary_wavefunction(level, 1.0, pot, "up")
+    return qdirac.density_profile(psi, grid_points)[0]
+
+
+COUNTS = {
+    "n_max": (partial(qdirac.quantized_momenta, 1.0),
+              lambda n: qdirac.solve_spectrum(1.0, qdirac.PotentialStep(v0=0.3, w_abs=0.5),
+                                              1.0, n, "minus"),
+              lambda n: qdirac.nr_quantize(1.0, n, 1.0, 0.5)),
+    "grid_points": (_grid,),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_a_count_that_is_no_int_or_too_large_is_an_input_error(name):
+    # 3.0 once raised TypeError from range, 10**400 OverflowError from
+    # n_max * pi or numpy's bare ValueError, 2**63 numpy's IndexError; 2**63
+    # is no n_max here, since without the bound the ladder starts that long a list
+    bad = [(3.0, "^%s must be an int, got 3.0$"), ("3", "^%s must be an int, got '3'$"),
+           (10**400, "^%s must be at most sys.maxsize$")]
+    if name == "grid_points":
+        bad.append((2**63, "^%s must be at most sys.maxsize$"))
+    for call in COUNTS[name]:
+        for value, message in bad:
+            with pytest.raises(qdirac.InputError, match=message % name):
+                call(value)
+        assert len(call(np.int64(3))) == 3
 
 
 def test_each_raise_message_is_written_once():

@@ -2,7 +2,8 @@
 one of the library's typed errors.
 
 Floats are drawn from an ordinary range, from the edges of float64 (NaN,
-+-inf, +-0, +-1e308, 5e-324) and from all floats; counts are bounded ints.
++-inf, +-0, +-1e308, 5e-324) and from all floats; counts are bounded ints,
+with 3.0, 10**400 and (as a grid size only) 2**63 as examples.
 The draws are derandomized and their number is fixed. A call may raise
 InputError, NoSolutionError or SingularCoefficientsError; any other
 exception, or a return value outside its promise, fails the test.
@@ -118,6 +119,8 @@ def levels_are_sound(levels, n_max, mass, length):
 
 @FUZZ
 @given(MASS, SIGNED, POSITIVE, POSITIVE, COUNT, BRANCH)
+@example(1.0, 0.3, 0.5, 1.0, 3.0, "minus")  # once TypeError from range
+@example(1.0, 0.3, 0.5, 1.0, 10**400, "minus")  # once OverflowError from n_max * pi
 def test_solve_spectrum(mass, v0, w_abs, length, n_max, branch):
     pot = call(PotentialStep, v0, w_abs)
     levels = pot and call(solve_spectrum, mass, pot, length, n_max, branch)
@@ -128,6 +131,9 @@ def test_solve_spectrum(mass, v0, w_abs, length, n_max, branch):
 @FUZZ
 @given(MASS, SIGNED, POSITIVE, SIGNED, POSITIVE, st.integers(1, 4), BRANCH, SPIN,
        st.integers(-2, 64))
+@example(1.0, 0.3, 0.5, 0.0, 1.0, 2, "minus", "up", 3.0)  # once TypeError
+@example(1.0, 0.3, 0.5, 0.0, 1.0, 2, "minus", "up", 10**400)  # once a bare ValueError
+@example(1.0, 0.3, 0.5, 0.0, 1.0, 2, "minus", "up", 2**63)  # once IndexError
 def test_stationary_wavefunction_and_density_profile(mass, v0, w_abs, w_phase, length,
                                                      n_max, branch, spin, grid_points):
     pot = call(PotentialStep, v0, w_abs, w_phase)
@@ -162,6 +168,8 @@ def test_nr_parameters(energy, mass, w_abs, w_phase):
 
 @FUZZ
 @given(POSITIVE, COUNT, MASS, SIGNED)
+@example(1.0, 3.0, 1.0, 0.5)  # once TypeError from range
+@example(1.0, 10**400, 1.0, 0.5)  # once OverflowError from n_max * pi
 def test_nr_quantize(length, n_max, mass, w_abs):
     levels = call(nr_quantize, length, n_max, mass, w_abs)
     if levels is not None:

@@ -9,8 +9,11 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdirac
@@ -126,6 +129,25 @@ def test_replace_reruns_the_potential_checks():
     with pytest.raises(InputError, match="^w_phase must be finite, got inf$"):
         PotentialStep(0.3, 0.5, math.inf)
     assert pot == PotentialStep(v0=0.3, w_abs=0.5)
+
+
+@pytest.mark.parametrize("field,value", [
+    # 1j in v0 or w_phase once built a potential that solve_spectrum then
+    # met with a TypeError; 1j in w_abs and "1" in v0 raised TypeError at once
+    ("v0", 1j), ("w_phase", 1j), ("w_abs", 1j), ("v0", "1"), ("w_abs", complex(0.5)),
+])
+def test_a_potential_field_that_is_not_real_is_an_input_error(field, value):
+    message = "^%s must be a real number, got %s$" % (field, re.escape(repr(value)))
+    with pytest.raises(InputError, match=message):
+        PotentialStep(**{field: value})
+    with pytest.raises(InputError, match=message):
+        dataclasses.replace(PotentialStep(v0=0.3, w_abs=0.5), **{field: value})
+
+
+def test_a_potential_takes_any_real_number():
+    for value in (1, True, np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+        pot = PotentialStep(v0=value, w_abs=value, w_phase=value)
+        assert (pot.v0, pot.w_abs, pot.w_phase) == (value,) * 3
 
 
 @ALL
