@@ -48,7 +48,8 @@ from functools import cache
 from .dirac import (InputError, NoSolutionError, QSpinor, SingularCoefficientsError,
                     _block_spinor, _matrix_rows, _momentum_ladder, _norm, _pairs,
                     _record, _require_count, _require_finite, _require_length,
-                    _require_mass, _require_spin, _row_sums, build_matrices)
+                    _require_mass, _require_real, _require_spin, _row_sums,
+                    build_matrices)
 from .quaternion import ZERO, Quaternion
 from .step import (_MATH, Branch, PotentialStep, _branch_denominators, as_branch,
                    mode_coefficients)
@@ -229,6 +230,7 @@ def boundary_phase(amp_ratio: float, branch) -> BoundaryPhase:
     tan is finite.
     """
     br = as_branch(branch)
+    _require_real(amp_ratio=amp_ratio)
     _require_finite(amp_ratio=amp_ratio)
     return BoundaryPhase(branch=br, phase=_phase(amp_ratio, br is Branch.PLUS, _MATH))
 
@@ -334,10 +336,15 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     So does a momentum whose energy or mode coefficients overflow float64,
     or whose phase 2*momentum*length does.
     """
-    if not (0.0 <= mass < math.inf and 0.0 < length < math.inf
-            and 0.0 < momentum < math.inf and 2.0 * (momentum * length) < math.inf):
+    try:
+        valid = (0.0 <= mass < math.inf and 0.0 < length < math.inf
+                 and 0.0 < momentum < math.inf and 2.0 * (momentum * length) < math.inf)
+    except TypeError:
+        valid = False
+    if not valid:
         _require_mass(mass)
         _require_length(length)
+        _require_real(momentum=momentum)
         if not 0.0 < momentum < math.inf:
             raise InputError("momentum must be finite and > 0, got %r" % (momentum,))
         raise InputError("momentum %r, length %r: the phase 2*momentum*length "

@@ -27,9 +27,12 @@ blocks already written. Repeated runs with identical flags produce
 byte-identical output; nothing here reads the clock, the locale, or the
 environment.
 
-numpy is imported by the array commands (zones, density, verify) when they
-run, not with this module, so --version, bag-spectrum, nr-spectrum and the
-usage errors never load it.
+Each command imports only the modules it runs. This module imports bag,
+dirac and step; the handler that needs one of the rest imports it when it
+runs: numpy in the array commands (zones, density, verify), _kernels in
+zones, nonrel in nr-spectrum and report in verify. So --version,
+bag-spectrum and the usage errors load none of numpy, _kernels, nonrel or
+report.
 
 Exit codes, by the exception behind each: 0 success, 1 verification
 failure, 2 an InputError (an invalid argument, or a value derived from the
@@ -51,12 +54,10 @@ import os
 import re
 import sys
 
-from . import __version__, _kernels
+from . import __version__
 from .bag import solve_spectrum, stationary_wavefunction
 from .dirac import (InputError, NoSolutionError, SingularCoefficientsError,
                     _require_finite, _require_mass)
-from .nonrel import nr_quantize
-from .report import build_report, report_passed
 from .step import PotentialStep, Zone, _branch_mom2_in_range, _zone_minus, evanescent_width
 
 __all__ = ["main", "build_parser"]
@@ -221,6 +222,8 @@ def _cmd_zones(args):
         _branch_mom2_in_range(e, args.mass, pot)
     import numpy as np
 
+    from . import _kernels
+
     energies = e_min + np.arange(n + 1) * args.e_step
     grid = _kernels.branch_mom2_grid(energies, args.mass, pot.v0, pot.w_abs)
     codes = _zone_minus(energies, args.mass, pot.v0, pot.w_abs, grid[-1], np)
@@ -272,6 +275,8 @@ def _cmd_density(args):
 def _cmd_nr_spectrum(args):
     if args.w0_abs <= 0:
         raise InputError("nr-spectrum needs w0-abs > 0 (the limit divides by it)")
+    from .nonrel import nr_quantize
+
     levels = nr_quantize(args.length, args.levels, args.mass, args.w0_abs)
     names = ("index", "momentum", "eff_plus", "eff_minus", "energy_plus",
              "energy_minus", "regime_flag")
@@ -280,9 +285,10 @@ def _cmd_nr_spectrum(args):
 
 
 def _cmd_verify(args):
+    from .report import build_report, report_passed
+
     report = build_report()
-    text = json.dumps(report, indent=2) + "\n"
-    return [text], (0 if report_passed(report) else 1)
+    return [json.dumps(report, indent=2) + "\n"], (0 if report_passed(report) else 1)
 
 
 # each subcommand: its help, its handler and its flags, in the order that

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -84,12 +85,23 @@ def _require_finite(**values):
             raise InputError("%s must be finite, got %r" % (name, value))
 
 
+def _require_real(**values):
+    """InputError naming the first value that is not a real number, which a
+    comparison would refuse with a TypeError (a complex, a str) or abs()
+    would let pass (a complex). A float skips the slower ABC check."""
+    for name, value in values.items():
+        if type(value) is not float and not isinstance(value, numbers.Real):
+            raise InputError("%s must be a real number, got %r" % (name, value))
+
+
 def _require_mass(mass):
+    _require_real(mass=mass)
     if not 0.0 <= mass < math.inf:
         raise InputError("mass must be finite and >= 0, got %r" % (mass,))
 
 
 def _require_magnitude(w_abs):
+    _require_real(w_abs=w_abs)
     if w_abs < 0:
         raise InputError("w_abs is a magnitude and must be >= 0")
 
@@ -100,15 +112,21 @@ def _require_spin(spin):
 
 
 def _require_plane_wave(energy, momentum, mass):
-    """Finite energy and momentum (real or complex), finite mass >= 0: one
-    comparison chain, with the message built only on failure."""
-    if not (abs(energy) < math.inf and abs(momentum.real) < math.inf
-            and abs(momentum.imag) < math.inf and 0.0 <= mass < math.inf):
+    """Finite energy and momentum (real or complex), finite real mass >= 0:
+    one comparison chain, with the message built only on failure (a mass the
+    chain cannot compare fails it too)."""
+    try:
+        valid = (abs(energy) < math.inf and abs(momentum.real) < math.inf
+                 and abs(momentum.imag) < math.inf and 0.0 <= mass < math.inf)
+    except TypeError:
+        valid = False
+    if not valid:
         _require_finite(energy=energy, mass=mass, momentum=momentum)
         _require_mass(mass)
 
 
 def _require_length(length):
+    _require_real(length=length)
     if not 0.0 < length < math.inf:
         raise InputError("length must be finite and > 0, got %r" % (length,))
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import numbers
 from types import SimpleNamespace
 
 from .dirac import (InputError, PlaneWaveState, SingularCoefficientsError, _block_spinor,
                     _record, _require_finite, _require_magnitude, _require_mass,
-                    _require_spin)
+                    _require_real, _require_spin)
 from .quaternion import Quaternion
 
 __all__ = [
@@ -84,9 +83,7 @@ class PotentialStep:
 
     def __post_init__(self):
         values = {"v0": self.v0, "w_abs": self.w_abs, "w_phase": self.w_phase}
-        for name, value in values.items():
-            if not isinstance(value, numbers.Real):
-                raise InputError("%s must be a real number, got %r" % (name, value))
+        _require_real(**values)
         _require_finite(**values)
         _require_magnitude(self.w_abs)
 
@@ -167,9 +164,15 @@ def branch_mom2(e, mass, v0, w_abs, xp):
 
 
 def _require_on_shell(energy, mass):
-    """Finite energy >= mass >= 0: one comparison chain on the per-level
-    path, with the message built only on failure."""
-    if not 0.0 <= mass <= energy < math.inf:
+    """Finite real energy >= mass >= 0: one comparison chain on the
+    per-level path, with the message built only on failure (values the chain
+    cannot compare fail it too)."""
+    try:
+        on_shell = 0.0 <= mass <= energy < math.inf
+    except TypeError:
+        on_shell = False
+    if not on_shell:
+        _require_real(energy=energy, mass=mass)
         _require_finite(energy=energy, mass=mass)
         _require_mass(mass)
         raise InputError("energy %r below mass %r: sub-mass-shell kinematics "
@@ -212,6 +215,7 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
     range raises InputError.
     """
     _require_mass(mass)
+    _require_real(v0=v0, w_abs=w_abs)
     a = abs(v0)
     e_up = math.hypot(w_abs, mass + a)
     # e_up bounds the other two, and hypot is inf or nan where an argument is

@@ -3,6 +3,9 @@ and every error the library raises for a bad argument is typed."""
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -46,6 +49,52 @@ def test_package_all_is_the_module_lists_joined():
     joined = [name for mod in MODULES for name in mod.__all__] + ["__version__"]
     assert qdirac.__all__ == joined
     assert len(set(qdirac.__all__)) == len(qdirac.__all__)
+
+
+# the module names qbench/tracer.py reads off the package with getattr
+TRACER_MODULES = ("quaternion", "dirac", "step", "bag", "nonrel", "report", "cli",
+                  "_kernels")
+
+
+def fresh(script):
+    """Run script in a fresh interpreter with this checkout's src on the path;
+    its assertions fail the run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qdirac.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "import sys\nimport qdirac\n" + script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_module_and_a_name_loads_up_to_its_own():
+    fresh("assert [m for m in sys.modules if m.startswith('qdirac')] == ['qdirac']\n"
+          "assert 'solve_spectrum' not in vars(qdirac)\n"
+          "f = qdirac.solve_spectrum\n"
+          "assert f is sys.modules['qdirac.bag'].solve_spectrum\n"
+          # kept in the package globals: the next access is a dict hit
+          "assert vars(qdirac)['solve_spectrum'] is f\n"
+          "assert 'qdirac.nonrel' not in sys.modules\n"
+          "assert 'qdirac.report' not in sys.modules\n")
+
+
+def test_star_import_binds_exactly_all_and_dir_lists_it():
+    fresh("ns = {}\n"
+          "exec('from qdirac import *', ns)\n"
+          "del ns['__builtins__']\n"
+          "assert sorted(ns) == sorted(qdirac.__all__), sorted(ns)\n"
+          "assert all(ns[n] is getattr(qdirac, n) for n in ns)\n"
+          "assert set(qdirac.__all__) <= set(dir(qdirac))\n")
+    fresh("assert set(qdirac.__all__) <= set(dir(qdirac))\n")
+
+
+def test_each_tracer_module_name_is_its_submodule():
+    fresh("for m in %r:\n"
+          "    assert getattr(qdirac, m) is sys.modules['qdirac.' + m], m\n"
+          % (TRACER_MODULES,))
+
+
+def test_an_unknown_name_is_no_attribute():
+    fresh("for name in ('no_such_name', '__wrapped__', '', 'bag.solve_spectrum'):\n"
+          "    assert not hasattr(qdirac, name), name\n")
 
 
 def test_no_earlier_export_is_lost():
@@ -133,6 +182,44 @@ def test_a_count_that_is_no_int_or_too_large_is_an_input_error(name):
             with pytest.raises(qdirac.InputError, match=message % name):
                 call(value)
         assert len(call(np.int64(3))) == 3
+
+
+POT = qdirac.PotentialStep(v0=0.3, w_abs=0.5)
+WAVE = qdirac.nr_wavefunction("minus", "up", qdirac.nr_parameters(2.0, 1.0, 0.5))
+
+# (the argument named, a call that passes a complex or a str for it)
+NOT_REAL = {
+    "evanescent_width-v0": ("v0", lambda: qdirac.evanescent_width(1.0, 1j, 0.5)),
+    "evanescent_width-w_abs": ("w_abs", lambda: qdirac.evanescent_width(1.0, 0.3, 1j)),
+    "evanescent_width-mass": ("mass", lambda: qdirac.evanescent_width("1", 0.3, 0.5)),
+    "kinematics-energy": ("energy", lambda: qdirac.kinematics(1j, 1.0, POT)),
+    "kinematics-mass": ("mass", lambda: qdirac.kinematics(2.0, 1j, POT)),
+    "mode_coefficients-energy": (
+        "energy", lambda: qdirac.mode_coefficients(1j, 1.0, POT, "minus")),
+    "solve_spectrum-mass": (
+        "mass", lambda: qdirac.solve_spectrum(1j, POT, 1.0, 2, "minus")),
+    "solve_spectrum-length": (
+        "length", lambda: qdirac.solve_spectrum(1.0, POT, length=1j, n_max=2,
+                                                branch="minus")),
+    "quantized_momenta-length": ("length", lambda: qdirac.quantized_momenta(1j, 3)),
+    "nr_parameters-w_abs": ("w_abs", lambda: qdirac.nr_parameters(2.0, 1.0, 1j)),
+    "nr_parameters-energy": ("energy", lambda: qdirac.nr_parameters(1j, 1.0, 0.5)),
+    "nr_quantize-mass": ("mass", lambda: qdirac.nr_quantize(1.0, 2, 1j, 0.5)),
+    "nr_quantize-w_abs": ("w_abs", lambda: qdirac.nr_quantize(1.0, 2, 1.0, 1j)),
+    "quantization_residual-momentum": (
+        "momentum", lambda: qdirac.quantization_residual(1j, 1.0, POT, 1.0, "minus")),
+    "boundary_phase-amp_ratio": ("amp_ratio", lambda: qdirac.boundary_phase(1j, "minus")),
+    "dirac_residual-mass": ("mass", lambda: qdirac.dirac_residual(WAVE, POT, 1j)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL)
+def test_a_scalar_that_is_not_real_is_an_input_error_naming_it(case):
+    # each once raised TypeError from a comparison, or (a complex v0 of
+    # evanescent_width, through abs) returned a window
+    name, call = NOT_REAL[case]
+    with pytest.raises(qdirac.InputError, match="^%s must be a real number, got " % name):
+        call()
 
 
 def test_each_raise_message_is_written_once():

@@ -28,7 +28,7 @@ from qdirac import (
     nr_quantize,
     solve_spectrum,
 )
-from qdirac import cli
+from qdirac import cli, nonrel
 from qdirac.cli import main
 
 ZONES_ARGS = [
@@ -259,7 +259,7 @@ class TestExitCodes:
         monkeypatch.setattr(np, "arange", no_grid)
         monkeypatch.setattr(np, "linspace", no_grid)
         monkeypatch.setattr(cli, "solve_spectrum", no_grid)
-        monkeypatch.setattr(cli, "nr_quantize", no_grid)
+        monkeypatch.setattr(nonrel, "nr_quantize", no_grid)
         over = str(cli.MAX_ROWS + 1)
         for argv, flag in (
             (["zones", "--e-step", "5e-324"], "--e-step"),
@@ -468,7 +468,7 @@ class TestExitCodes:
             raise exc
 
         monkeypatch.setattr(cli, "solve_spectrum", fail)
-        monkeypatch.setattr(cli, "nr_quantize", fail)
+        monkeypatch.setattr(nonrel, "nr_quantize", fail)
         for command in ("bag-spectrum", "nr-spectrum"):
             got = run_cli([command, "--w0-abs", "0.5"], capsys)
             assert got == (code, "", line), command
@@ -639,6 +639,40 @@ class TestRuntimeDependencies:
         codes = {name: code for name, (code, _) in blocked.items()}
         assert codes == {name: code for name, code, _ in NO_NUMPY_CASES}
         assert all(out for name, (code, out) in blocked.items() if code == 0)
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["--version"], {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "numpy"}),
+        (["bag-spectrum", "--w0-abs", "0.5"],
+         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "numpy"}),
+        (["density", "--w0-abs", "0.5"],
+         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels"}),
+        (["zones"], {"qdirac.report", "qdirac.nonrel"}),
+        (["nr-spectrum", "--w0-abs", "0.5"], {"qdirac.report"}),
+        (["verify"], set()),
+    ], ids=["version", "bag-spectrum", "density", "zones", "nr-spectrum", "verify"])
+    def test_each_command_imports_only_the_modules_it_runs(self, argv, absent):
+        # one fresh interpreter per command: the qdirac modules and numpy it
+        # left in sys.modules, after a successful run
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from qdirac.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        code = main(%r)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                             if m == 'numpy' or m.startswith('qdirac.'))]))\n"
+            % (argv,))
+        code, loaded = json.loads(subprocess.run(
+            [sys.executable, "-c", script], env=src_env(), capture_output=True,
+            text=True, check=True).stdout)
+        assert code == 0
+        assert {"qdirac.cli", "qdirac.dirac", "qdirac.step"} <= set(loaded)
+        assert absent.isdisjoint(loaded), sorted(absent.intersection(loaded))
+        if argv == ["verify"]:
+            assert {"qdirac.report", "qdirac.nonrel", "qdirac._kernels",
+                    "numpy"} <= set(loaded)
 
 
 # (name, expected exit code, argv); "api" runs the spectrum API instead

@@ -100,6 +100,7 @@ for case in cases:
         got[2] = hashlib.sha256(got[2].encode()).hexdigest()
     assert got == case["want"], (case["argv"], got[:2], case["want"][:2])
 assert 'numpy' not in sys.modules, 'numpy was imported'
+assert 'qdirac.report' not in sys.modules, 'qdirac.report was imported'
 print(len(cases))
 """
 
