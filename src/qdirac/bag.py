@@ -138,6 +138,7 @@ class StationaryWavefunction:
     amplitude: float = 1.0
 
     def evaluate(self, z: float) -> QSpinor:
+        _require_real(z=z)
         if z < 0.0 or z > self.length:
             return QSpinor([ZERO] * 4)
         a = self.momentum * z - 0.5 * self.phase
@@ -230,7 +231,6 @@ def boundary_phase(amp_ratio: float, branch) -> BoundaryPhase:
     tan is finite.
     """
     br = as_branch(branch)
-    _require_real(amp_ratio=amp_ratio)
     _require_finite(amp_ratio=amp_ratio)
     return BoundaryPhase(branch=br, phase=_phase(amp_ratio, br is Branch.PLUS, _MATH))
 
@@ -331,24 +331,23 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     where the two cotangent conditions collide. nan where no energy above
     the mass carries the momentum, at every v0 (see _energy_root).
     A negative or non-finite mass, and a momentum or length that is not
-    finite and > 0, raise InputError: one comparison chain, with the
-    message built only on failure (verify calls this in its bisections).
+    finite and > 0, raise InputError. Floats pass on one comparison chain
+    (verify calls this in its bisections); any other argument goes through
+    the named checks, which decide on their own.
     So does a momentum whose energy or mode coefficients overflow float64,
     or whose phase 2*momentum*length does.
     """
-    try:
-        valid = (0.0 <= mass < math.inf and 0.0 < length < math.inf
-                 and 0.0 < momentum < math.inf and 2.0 * (momentum * length) < math.inf)
-    except TypeError:
-        valid = False
-    if not valid:
+    if not (type(momentum) is float and type(mass) is float and type(length) is float
+            and 0.0 <= mass < math.inf and 0.0 < length < math.inf
+            and 0.0 < momentum < math.inf and 2.0 * (momentum * length) < math.inf):
         _require_mass(mass)
         _require_length(length)
         _require_real(momentum=momentum)
         if not 0.0 < momentum < math.inf:
             raise InputError("momentum must be finite and > 0, got %r" % (momentum,))
-        raise InputError("momentum %r, length %r: the phase 2*momentum*length "
-                         "overflows float64" % (momentum, length))
+        if not 2.0 * (momentum * length) < math.inf:
+            raise InputError("momentum %r, length %r: the phase 2*momentum*length "
+                             "overflows float64" % (momentum, length))
     br = as_branch(branch)
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy:
@@ -368,11 +367,11 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
     """quantization_residual at every momentum of a float64 array, in one pass.
 
     The same _energy_root and _residual_chain on numpy, with masks where the
-    scalar form tests: every point where it returns nan or raises is nan
-    here, a momentum that is nan or <= 0 included; a length that is not
-    finite and > 0 raises InputError, as there. np.hypot and np.arctan2 may
-    differ from math's in the last bit, so these values choose root
-    brackets; refine a root with the scalar form.
+    scalar form tests a momentum: every point where it returns nan or raises
+    is nan here, a momentum that is nan or <= 0 included. A mass or length
+    that the scalar form refuses raises the same InputError. np.hypot and
+    np.arctan2 may differ from math's in the last bit, so these values
+    choose root brackets; refine a root with the scalar form.
     """
     return _residual_grid(momenta, mass, pot, length, branch)[0]
 
@@ -382,6 +381,7 @@ def _residual_grid(momenta, mass, pot, length, branch):
     quantization_residual_grid and for report._scan_roots."""
     import numpy as np
 
+    _require_mass(mass)
     _require_length(length)
     br = as_branch(branch)
     q = np.asarray(momenta, dtype=np.float64)
@@ -389,8 +389,7 @@ def _residual_grid(momenta, mass, pot, length, branch):
     # and inf - inf; the masks turn those lanes into nan
     with np.errstate(over="ignore", invalid="ignore"):
         energy = _energy_root(q, mass, pot, br, np)[0]
-        energy = np.where((mass < energy) & (energy < np.inf) & (mass >= 0.0)
-                          & (q > 0.0), energy, np.nan)
+        energy = np.where((mass < energy) & (energy < np.inf) & (q > 0.0), energy, np.nan)
         g, _, _, num = _residual_chain(q, energy, mass, pot, length, br, np)
     return g, num
 

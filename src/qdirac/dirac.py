@@ -22,10 +22,12 @@ dirac_residual forms the i*m*beta term from beta's diagonal inline. So every
 bit of each norm equals the object form, which the tests keep as the oracle.
 
 InputError, NoSolutionError and SingularCoefficientsError (bag and step
-re-export the last two) and the argument checks that step, bag, nonrel and
-cli share live here, in the lowest module that checks an argument, each
-written once. So does _record, which declares the frozen records of all
-four modules.
+re-export the last two), _record, which declares the frozen records of all
+four modules, and the argument checks that step, bag, nonrel and cli share
+live here, in the lowest module that checks an argument, each written
+once. The per-level guards pass floats on one type test and comparison
+chain and send any other argument through those checks; none catches a
+TypeError.
 
 numpy is imported where an array is made, not with the module: the matrices
 and the realified operator's 4x4 blocks are built on first use, so the
@@ -78,13 +80,6 @@ class SingularCoefficientsError(ValueError):
     or where a denominator of mode_coefficients vanishes exactly."""
 
 
-def _require_finite(**values):
-    """InputError naming the first value, real or complex, that is not finite."""
-    for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise InputError("%s must be finite, got %r" % (name, value))
-
-
 def _require_real(**values):
     """InputError naming the first value that is not a real number, which a
     comparison would refuse with a TypeError (a complex, a str) or abs()
@@ -94,6 +89,15 @@ def _require_real(**values):
             raise InputError("%s must be a real number, got %r" % (name, value))
 
 
+def _require_finite(**values):
+    """InputError naming the first value that is not a real number, else the
+    first that is not finite: the one check for finite real values."""
+    _require_real(**values)
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InputError("%s must be finite, got %r" % (name, value))
+
+
 def _require_mass(mass):
     _require_real(mass=mass)
     if not 0.0 <= mass < math.inf:
@@ -101,7 +105,7 @@ def _require_mass(mass):
 
 
 def _require_magnitude(w_abs):
-    _require_real(w_abs=w_abs)
+    """w_abs >= 0, for a w_abs that _require_finite has passed."""
     if w_abs < 0:
         raise InputError("w_abs is a magnitude and must be >= 0")
 
@@ -112,16 +116,18 @@ def _require_spin(spin):
 
 
 def _require_plane_wave(energy, momentum, mass):
-    """Finite energy and momentum (real or complex), finite real mass >= 0:
-    one comparison chain, with the message built only on failure (a mass the
-    chain cannot compare fails it too)."""
-    try:
-        valid = (abs(energy) < math.inf and abs(momentum.real) < math.inf
-                 and abs(momentum.imag) < math.inf and 0.0 <= mass < math.inf)
-    except TypeError:
-        valid = False
-    if not valid:
-        _require_finite(energy=energy, mass=mass, momentum=momentum)
+    """Finite real energy, finite momentum (real or complex), finite real
+    mass >= 0. Float energy and mass with a float or complex momentum pass
+    on one comparison chain; any other argument goes through the named
+    checks, which decide on their own."""
+    if not (type(energy) is float and type(mass) is float
+            and type(momentum) in (float, complex) and abs(energy) < math.inf
+            and 0.0 <= mass < math.inf and cmath.isfinite(momentum)):
+        _require_finite(energy=energy, mass=mass)
+        if not isinstance(momentum, numbers.Number):
+            raise InputError("momentum must be a number, got %r" % (momentum,))
+        if not cmath.isfinite(momentum):
+            raise InputError("momentum must be finite, got %r" % (momentum,))
         _require_mass(mass)
 
 
@@ -404,6 +410,7 @@ class PlaneWaveState:
     energy_sign: int = -1
 
     def evaluate(self, z: float, t: float = 0.0) -> QSpinor:
+        _require_real(z=z, t=t)
         phase = cmath.exp(
             1j * (self.direction * self.momentum * z + self.energy_sign * self.energy * t)
         )

@@ -24,7 +24,7 @@ import math
 
 from .dirac import (InputError, PlaneWaveState, _block_spinor, _momentum_ladder,
                     _record, _require_finite, _require_magnitude, _require_mass,
-                    _require_real, _require_spin)
+                    _require_spin)
 from .quaternion import Quaternion
 from .step import Branch, as_branch
 
@@ -89,7 +89,6 @@ def nr_parameters(energy: float, mass: float, w_abs: float,
     Every field is finite: where E^2 or 1/w_abs leaves float64 range,
     InputError.
     """
-    _require_real(energy=energy, mass=mass, w_abs=w_abs, w_phase=w_phase)
     _require_finite(energy=energy, mass=mass, w_abs=w_abs, w_phase=w_phase)
     _require_mass(mass)
     if w_abs <= 0:

@@ -57,6 +57,8 @@ from .step import (
 )
 
 SEED = 20240915
+# grid points of each root scan's brackets (_scan_roots)
+_N_GRID = 4096
 
 __all__ = ["build_report", "report_passed"]
 
@@ -87,7 +89,7 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(f, f_grid, q_max, n_grid=4096):
+def _scan_roots(f, f_grid, q_max):
     """Bisection roots of f on (0, q_max], skipping poles and gaps.
 
     f_grid gives (f, num) on the whole grid in one call, num being the
@@ -106,7 +108,7 @@ def _scan_roots(f, f_grid, q_max, n_grid=4096):
     """
     import numpy as np
 
-    grid = np.linspace(q_max / n_grid, q_max, n_grid)
+    grid = np.linspace(q_max / _N_GRID, q_max, _N_GRID)
     vals, num = f_grid(grid)
     a, b = vals[:-1], vals[1:]
     pole = ((np.sign(num[:-1]) == np.sign(num[1:]))

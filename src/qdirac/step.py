@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 from .dirac import (InputError, PlaneWaveState, SingularCoefficientsError, _block_spinor,
                     _record, _require_finite, _require_magnitude, _require_mass,
-                    _require_real, _require_spin)
+                    _require_spin)
 from .quaternion import Quaternion
 
 __all__ = [
@@ -82,9 +82,7 @@ class PotentialStep:
     w_phase: float = 0.0
 
     def __post_init__(self):
-        values = {"v0": self.v0, "w_abs": self.w_abs, "w_phase": self.w_phase}
-        _require_real(**values)
-        _require_finite(**values)
+        _require_finite(v0=self.v0, w_abs=self.w_abs, w_phase=self.w_phase)
         _require_magnitude(self.w_abs)
 
     @property
@@ -164,19 +162,16 @@ def branch_mom2(e, mass, v0, w_abs, xp):
 
 
 def _require_on_shell(energy, mass):
-    """Finite real energy >= mass >= 0: one comparison chain on the
-    per-level path, with the message built only on failure (values the chain
-    cannot compare fail it too)."""
-    try:
-        on_shell = 0.0 <= mass <= energy < math.inf
-    except TypeError:
-        on_shell = False
-    if not on_shell:
-        _require_real(energy=energy, mass=mass)
+    """Finite real energy >= mass >= 0. Floats pass on one comparison chain
+    on the per-level path; any other argument goes through the named checks,
+    which decide on their own."""
+    if not (type(energy) is float and type(mass) is float
+            and 0.0 <= mass <= energy < math.inf):
         _require_finite(energy=energy, mass=mass)
         _require_mass(mass)
-        raise InputError("energy %r below mass %r: sub-mass-shell kinematics "
-                         "unsupported" % (energy, mass))
+        if not mass <= energy:
+            raise InputError("energy %r below mass %r: sub-mass-shell kinematics "
+                             "unsupported" % (energy, mass))
 
 
 def _branch_mom2_in_range(energy, mass, pot):
@@ -211,16 +206,15 @@ def evanescent_width(mass: float, v0: float, w_abs: float):
     mass - |v0|)); the squared branch momenta are even in v0, so only |v0|
     matters. The width is zero when v0 = 0 (no window for a purely
     quaternionic step) and also collapses with the mass. A v0 or w_abs
-    that is not finite, a negative w_abs, or an edge that leaves float64
-    range raises InputError.
+    that is not a finite real number, a negative w_abs, or an edge that
+    leaves float64 range raises InputError.
     """
     _require_mass(mass)
-    _require_real(v0=v0, w_abs=w_abs)
+    _require_finite(v0=v0, w_abs=w_abs)
     a = abs(v0)
     e_up = math.hypot(w_abs, mass + a)
-    # e_up bounds the other two, and hypot is inf or nan where an argument is
+    # e_up bounds the other two edges
     if not e_up < math.inf:
-        _require_finite(v0=v0, w_abs=w_abs)
         raise InputError("the evanescent window edge hypot(w_abs, mass + |v0|) "
                          "overflows float64 at mass %r, v0 %r, w_abs %r"
                          % (mass, v0, w_abs))

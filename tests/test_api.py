@@ -6,6 +6,8 @@ import builtins
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -186,6 +188,8 @@ def test_a_count_that_is_no_int_or_too_large_is_an_input_error(name):
 
 POT = qdirac.PotentialStep(v0=0.3, w_abs=0.5)
 WAVE = qdirac.nr_wavefunction("minus", "up", qdirac.nr_parameters(2.0, 1.0, 0.5))
+STANDING = qdirac.stationary_wavefunction(
+    qdirac.solve_spectrum(1.0, POT, 1.0, 1, "minus")[0], 1.0, POT)
 
 # (the argument named, a call that passes a complex or a str for it)
 NOT_REAL = {
@@ -210,6 +214,18 @@ NOT_REAL = {
         "momentum", lambda: qdirac.quantization_residual(1j, 1.0, POT, 1.0, "minus")),
     "boundary_phase-amp_ratio": ("amp_ratio", lambda: qdirac.boundary_phase(1j, "minus")),
     "dirac_residual-mass": ("mass", lambda: qdirac.dirac_residual(WAVE, POT, 1j)),
+    "nr_quantize-length-str": ("length", lambda: qdirac.nr_quantize("1", 2, 1.0, 0.5)),
+    "nr_quantize-mass-str": ("mass", lambda: qdirac.nr_quantize(1.0, 2, "1", 0.5)),
+    "dirac_residual-mass-str": ("mass", lambda: qdirac.dirac_residual(WAVE, POT, "1")),
+    "stationary_residual-energy-str": (
+        "energy", lambda: qdirac.stationary_residual(WAVE.spinor, "2", 1.0, 1.0, POT)),
+    "stationary_residual-energy": (
+        "energy", lambda: qdirac.stationary_residual(WAVE.spinor, 2j, 1.0, 1.0, POT)),
+    "realify_stationary_operator-energy": (
+        "energy", lambda: qdirac.realify_stationary_operator(2j, 1.0, 1.0, POT)),
+    "PlaneWaveState.evaluate-z": ("z", lambda: WAVE.evaluate("0.5")),
+    "PlaneWaveState.evaluate-t": ("t", lambda: WAVE.evaluate(0.5, 1j)),
+    "StationaryWavefunction.evaluate-z": ("z", lambda: STANDING.evaluate("0.5")),
 }
 
 
@@ -220,6 +236,70 @@ def test_a_scalar_that_is_not_real_is_an_input_error_naming_it(case):
     name, call = NOT_REAL[case]
     with pytest.raises(qdirac.InputError, match="^%s must be a real number, got " % name):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qdirac.nullspace_oracle(2.0, "1", 1.0, POT),
+    lambda: qdirac.stationary_residual(WAVE.spinor, 2.0, "1", 1.0, POT),
+], ids=["nullspace_oracle", "stationary_residual"])
+def test_a_momentum_that_is_not_a_number_is_an_input_error_naming_it(call):
+    # a momentum may be complex; "1" once raised AttributeError from .real
+    with pytest.raises(qdirac.InputError, match="^momentum must be a number, got '1'$"):
+        call()
+
+
+def _bits(result):
+    """Every real number of a result as float.hex, through records and
+    complex numbers; an array as its dtype and bytes."""
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.tobytes()
+    if is_dataclass(result):
+        return [_bits(getattr(result, f.name)) for f in fields(result)]
+    if isinstance(result, complex):
+        return float(result.real).hex(), float(result.imag).hex()
+    if isinstance(result, (int, float, Fraction)):
+        return float(result).hex()
+    return result
+
+
+# (a call, its float arguments, and for the index of each argument that is
+# a real number a value it refuses, or None where no integer is refused;
+# every value an integer, so that int holds it exactly)
+FLOAT_TWINS = {
+    "kinematics": (qdirac.kinematics, (3.0, 1.0, POT), {0: -2.0, 1: -2.0}),
+    "mode_coefficients": (qdirac.mode_coefficients, (3.0, 1.0, POT, "minus"),
+                          {0: -2.0, 1: -2.0}),
+    "quantization_residual": (qdirac.quantization_residual, (2.0, 1.0, POT, 1.0, "minus"),
+                              {0: -2.0, 1: -2.0, 3: -2.0}),
+    "stationary_residual": (partial(qdirac.stationary_residual, WAVE.spinor),
+                            (3.0, 2.0, 1.0, POT), {0: None, 1: None, 2: -2.0}),
+    "realify_stationary_operator": (qdirac.realify_stationary_operator,
+                                    (3.0, 2.0, 1.0, POT), {0: None, 1: None, 2: -2.0}),
+}
+
+
+@pytest.mark.parametrize("kind", [int, np.float64, Fraction])
+@pytest.mark.parametrize("case", FLOAT_TWINS)
+def test_a_real_that_is_no_float_gives_its_float_twins_result(case, kind):
+    """The per-level guards pass a float on one comparison chain and send
+    any other real through the named checks: both decide alike."""
+    call, args, refused = FLOAT_TWINS[case]
+    want = _bits(call(*args))
+    for i, bad in refused.items():
+        typed = list(args)
+        typed[i] = kind(args[i])
+        assert _bits(call(*typed)) == want, i
+        if bad is None:
+            continue
+        with pytest.raises(qdirac.InputError) as float_error:
+            call(*args[:i], bad, *args[i + 1:])
+        typed[i] = kind(bad)
+        with pytest.raises(qdirac.InputError) as typed_error:
+            call(*typed)
+        assert str(typed_error.value) == str(float_error.value).replace(
+            repr(bad), repr(typed[i]))
+    all_typed = [kind(a) if i in refused else a for i, a in enumerate(args)]
+    assert _bits(call(*all_typed)) == want
 
 
 def test_each_raise_message_is_written_once():
@@ -241,14 +321,24 @@ def test_each_raise_message_is_written_once():
     assert {m: s for m, s in sites.items() if len(s) > 1} == {}
 
 
+def _by_function(tree):
+    """(name of the innermost function that holds it, node) for every node
+    of tree; None outside any function."""
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        yield func, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    return visit(tree, None)
+
+
 def _v0_zero_comparisons(tree):
     """(function, line) of each comparison of a `v0` name or attribute with
     the number 0, by the innermost function that holds it."""
     found = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    for func, node in _by_function(tree):
         if isinstance(node, ast.Compare):
             sides = [node.left, *node.comparators]
             v0 = any(getattr(s, "id", getattr(s, "attr", None)) == "v0" for s in sides)
@@ -256,10 +346,6 @@ def _v0_zero_comparisons(tree):
                        and s.value == 0 for s in sides)
             if v0 and zero:
                 found.append((func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
     return found
 
 
@@ -272,3 +358,27 @@ def test_only_energy_root_decides_v0_zero():
         tree = ast.parse(path.read_text(), str(path))
         found += [(path.name, func, line) for func, line in _v0_zero_comparisons(tree)]
     assert [site[:2] for site in found] == [("bag.py", "_energy_root")], found
+
+
+def _catches_type_error(handler):
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(getattr(n, "id", None) == "TypeError" for n in names)
+
+
+def test_every_check_has_one_shape():
+    """_require_finite is the one check for finite real values, so no
+    function pairs it with _require_real; and a guard decides by its named
+    checks, not by catching the TypeError of a comparison. Only
+    _require_count catches one, which operator.index raises for a non-int."""
+    handlers, calls = [], {}
+    for path in sorted(Path(qdirac.__file__).parent.glob("*.py")):
+        for func, node in _by_function(ast.parse(path.read_text(), str(path))):
+            site = (path.name, func)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if _catches_type_error(node):
+                    handlers.append(site)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(site, set()).add(node.func.id)
+    assert handlers == [("dirac.py", "_require_count")]
+    assert [site for site, names in calls.items()
+            if {"_require_real", "_require_finite"} <= names] == []

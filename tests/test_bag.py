@@ -466,6 +466,20 @@ class TestResidualGrid:
                                            1.0, "minus")
         assert math.isnan(g[0])
 
+    @pytest.mark.parametrize("mass, message", [
+        (-1.0, "mass must be finite and >= 0, got -1.0"),
+        (math.nan, "mass must be finite and >= 0, got nan"),
+        ("1", "mass must be a real number, got '1'"),
+    ])
+    def test_a_bad_mass_raises_as_in_the_scalar_form(self, mass, message):
+        # the grid once gave array([nan]) for -1.0 and nan, and numpy's
+        # TypeError for "1"
+        pot = PotentialStep(v0=0.3, w_abs=0.5)
+        for residual in (partial(quantization_residual, 1.0),
+                         partial(quantization_residual_grid, np.array([1.0]))):
+            with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+                residual(mass, pot, 1.0, "minus")
+
     def test_scan_roots_equal_a_scalar_scan(self, monkeypatch):
         # verify's own three configurations, through its section
         scans = []
@@ -591,7 +605,8 @@ class TestPoleRule:
             num[0] = -5e-4
             return np.array([f(q) for q in qs.tolist()]), num
 
-        roots = report._scan_roots(f, f_grid, 8.0, n_grid=8)
+        monkeypatch.setattr(report, "_N_GRID", 8)
+        roots = report._scan_roots(f, f_grid, 8.0)
         assert cells == [(1.0, 2.0), (3.0, 4.0)]
         assert len(roots) == 1 and abs(roots[0] - 3.3) < 1e-12
         want = oracles.scan_roots_bisecting_every_bracket(
@@ -614,7 +629,8 @@ class TestExactZeros:
             vals = np.array([f(q) for q in qs.tolist()])
             return vals, vals
 
-        roots = report._scan_roots(f, f_grid, 8.0, n_grid=8)
+        monkeypatch.setattr(report, "_N_GRID", 8)
+        roots = report._scan_roots(f, f_grid, 8.0)
         assert cells == [(5.0, 6.0)]
         assert [r.hex() for r in roots] == [q.hex() for q in (3.0, 5.5, 8.0)]
 
