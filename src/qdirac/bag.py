@@ -43,13 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cache
 
 from .dirac import (InputError, NoSolutionError, QSpinor, SingularCoefficientsError,
-                    _block_spinor, _matrix_rows, _momentum_ladder, _norm, _pairs,
-                    _record, _require_count, _require_finite, _require_length,
-                    _require_mass, _require_real, _require_spin, _row_sums,
-                    build_matrices)
+                    _block_spinor, _built, _momentum_ladder, _norm, _pairs, _record,
+                    _require_count, _require_finite, _require_length, _require_mass,
+                    _require_real, _require_spin, _row_sums)
 from .quaternion import ZERO, Quaternion
 from .step import (_MATH, Branch, PotentialStep, _branch_denominators, as_branch,
                    mode_coefficients)
@@ -176,22 +174,12 @@ class StationaryWavefunction:
         return np.where(outside, 0.0, rho_c)[()], np.where(outside, 0.0, rho_q)[()]
 
 
-_ENDS = ("left", "right")
-
-
-@cache
-def _wall_tables() -> dict:
-    """{end: _matrix_rows table of that wall's signed beta*alpha3}, made once."""
-    mats = build_matrices()
-    ba = mats.beta @ mats.alpha[2]
-    return {end: _matrix_rows((sign * ba).tolist())
-            for end, sign in zip(_ENDS, (1.0, -1.0))}
-
-
 def _wall_rows(end):
-    if end not in _ENDS:
+    """dirac._built's row table of the wall at end; the tuple test first, so
+    that an unhashable end is an InputError too."""
+    if end not in ("left", "right"):
         raise InputError("end must be 'left' or 'right'")
-    return _wall_tables()[end]
+    return _built().walls[end]
 
 
 def boundary_operator(end: str):

@@ -266,7 +266,8 @@ def spectrum_by_composition(bag, step, mass, pot, length, n_max, branch):
 
 def realify_by_kron(dirac, energy, momentum, mass, pot):
     """dirac.realify_stationary_operator with every block product by np.kron."""
-    mats, l_i, l_j, l_k, r_i = dirac._built()
+    t = dirac._built()
+    mats, l_i, l_j, l_k, r_i = t.mats, t.l_i, t.l_j, t.l_k, t.r_i
     eye4 = np.eye(4)
 
     def right_mult(c):

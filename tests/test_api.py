@@ -248,6 +248,47 @@ def test_a_momentum_that_is_not_a_number_is_an_input_error_naming_it(call):
         call()
 
 
+# (the argument named, a call that passes an int beyond float64 range for it)
+BEYOND_FLOAT64 = {
+    "PotentialStep-v0": ("v0", lambda big: qdirac.PotentialStep(v0=big)),
+    "kinematics-energy": ("energy", lambda big: qdirac.kinematics(big, 1.0, POT)),
+    "kinematics-mass": ("mass", lambda big: qdirac.kinematics(2.0, big, POT)),
+    "mode_coefficients-energy": (
+        "energy", lambda big: qdirac.mode_coefficients(big, 1.0, POT, "minus")),
+    "quantization_residual-momentum": (
+        "momentum", lambda big: qdirac.quantization_residual(big, 1.0, POT, 1.0, "minus")),
+    "quantization_residual-length": (
+        "length", lambda big: qdirac.quantization_residual(1.0, 1.0, POT, big, "minus")),
+    "quantization_residual_grid-mass": (
+        "mass", lambda big: qdirac.quantization_residual_grid([1.0], big, POT, 1.0,
+                                                               "minus")),
+    "solve_spectrum-mass": (
+        "mass", lambda big: qdirac.solve_spectrum(big, POT, 1.0, 2, "minus")),
+    "evanescent_width-v0": ("v0", lambda big: qdirac.evanescent_width(1.0, big, 0.5)),
+    "nr_parameters-w_abs": ("w_abs", lambda big: qdirac.nr_parameters(2.0, 1.0, big)),
+    "nr_quantize-length": ("length", lambda big: qdirac.nr_quantize(big, 2, 1.0, 0.5)),
+    "boundary_phase-amp_ratio": (
+        "amp_ratio", lambda big: qdirac.boundary_phase(big, "minus")),
+    "stationary_residual-momentum": (
+        "momentum", lambda big: qdirac.stationary_residual(WAVE.spinor, 2.0, big, 1.0,
+                                                           POT)),
+    "nullspace_oracle-momentum": (
+        "momentum", lambda big: qdirac.nullspace_oracle(2.0, big, 1.0, POT)),
+}
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400, 10**5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+@pytest.mark.parametrize("case", BEYOND_FLOAT64)
+def test_a_real_beyond_float64_range_is_an_input_error_naming_it(case, big):
+    # each once raised a bare OverflowError where a check or the arithmetic
+    # made a float of it; the message does not format the int, which str()
+    # refuses beyond 4300 digits
+    name, call = BEYOND_FLOAT64[case]
+    with pytest.raises(qdirac.InputError, match="^%s lies beyond float64 range$" % name):
+        call(big)
+
+
 def _bits(result):
     """Every real number of a result as float.hex, through records and
     complex numbers; an array as its dtype and bytes."""
@@ -382,3 +423,23 @@ def test_every_check_has_one_shape():
     assert handlers == [("dirac.py", "_require_count")]
     assert [site for site, names in calls.items()
             if {"_require_real", "_require_finite"} <= names] == []
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_dirac_built_is_the_one_cached_function():
+    """dirac._built makes every constant table of the Dirac layer once, so
+    no other function is a cache (functools.cache or lru_cache): a second
+    one would be a second home for a table, as dirac._residual_tables and
+    bag._wall_tables once were."""
+    cached = []
+    for path in sorted(Path(qdirac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _decorator_name(d) in ("cache", "lru_cache")
+                    for d in node.decorator_list):
+                cached.append((path.name, node.name))
+    assert cached == [("dirac.py", "_built")]

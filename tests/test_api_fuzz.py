@@ -2,8 +2,9 @@
 one of the library's typed errors.
 
 Floats are drawn from an ordinary range, from the edges of float64 (NaN,
-+-inf, +-0, +-1e308, 5e-324) and from all floats; counts are bounded ints,
-with 3.0, 10**400 and (as a grid size only) 2**63 as examples.
++-inf, +-0, +-1e308, 5e-324, and the ints +-10**400 beyond its range, which
+float() refuses) and from all floats; counts are bounded ints, with 3.0,
+10**400 and (as a grid size only) 2**63 as examples.
 The draws are derandomized and their number is fixed. A call may raise
 InputError, NoSolutionError or SingularCoefficientsError; any other
 exception, or a return value outside its promise, fails the test.
@@ -39,7 +40,8 @@ from qdirac import (
 )
 
 TYPED = (InputError, NoSolutionError, SingularCoefficientsError)
-EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324)
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324,
+         10**400, -10**400)
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
 
@@ -71,6 +73,7 @@ def call(fn, *args):
 
 @FUZZ
 @given(ENERGY, MASS, SIGNED, POSITIVE)
+@example(10**400, 1.0, 0.3, 0.5)  # once OverflowError from float(energy)
 def test_kinematics(energy, mass, v0, w_abs):
     pot = call(PotentialStep, v0, w_abs)
     kin = pot and call(kinematics, energy, mass, pot)
@@ -121,6 +124,7 @@ def levels_are_sound(levels, n_max, mass, length):
 @given(MASS, SIGNED, POSITIVE, POSITIVE, COUNT, BRANCH)
 @example(1.0, 0.3, 0.5, 1.0, 3.0, "minus")  # once TypeError from range
 @example(1.0, 0.3, 0.5, 1.0, 10**400, "minus")  # once OverflowError from n_max * pi
+@example(10**400, 0.3, 0.5, 1.0, 2, "minus")  # once OverflowError from float(mass)
 def test_solve_spectrum(mass, v0, w_abs, length, n_max, branch):
     pot = call(PotentialStep, v0, w_abs)
     levels = pot and call(solve_spectrum, mass, pot, length, n_max, branch)
