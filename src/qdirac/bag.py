@@ -149,12 +149,18 @@ class StationaryWavefunction:
         else:
             sigma_block = i_amp * Quaternion(math.sin(a), -wm * math.sin(b))
         return _block_spinor(self.branch is Branch.MINUS, self.spin,
-                             self.amplitude * chi_block, sigma_block, self.amplitude)
+                             self.amplitude * chi_block, self.amplitude * sigma_block)
 
     def _weights(self):
-        """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density."""
-        return (self.amplitude * self.amplitude, self.amp_ratio * self.amp_ratio,
-                abs(self.w_factor * self.j_chi) ** 2)
+        """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density.
+        InputError where |wm| passes about 1.34e154: a float's ** 2 raises
+        OverflowError there (x * x would round differently; see dirac._norm)."""
+        try:
+            wm2 = abs(self.w_factor * self.j_chi) ** 2
+        except OverflowError:
+            raise InputError("w_factor %r, j_chi %r: the density weight |w_factor*j_chi|^2 "
+                             "overflows float64" % (self.w_factor, self.j_chi)) from None
+        return self.amplitude * self.amplitude, self.amp_ratio * self.amp_ratio, wm2
 
     def density(self, z):
         rho_c, rho_q = self.density_split(z)
@@ -391,7 +397,9 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     eff_momentum = Q_n + w_abs (minus) or Q_n - w_abs (plus) is the shifted
     wavenumber reported at every v0 and checked by verify as a diagnostic.
     A level that no energy carries raises NoSolutionError, and an InputError
-    from a level's energy or coefficients gets the prefix "level N at ".
+    from a level's energy or coefficients gets the prefix "level N at ", as
+    does the one where its density weight |w_factor*j_chi|^2 overflows
+    float64 (past about 1.34e154, where a float's ** 2 raises OverflowError).
     Each level's one mode_coefficients call gives the amp_ratio and j_chi it
     carries, its phase and, with its w_factor, its norm_const.
     Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
@@ -415,8 +423,12 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
             raise InputError("level %d at %s" % (n, exc)) from None
         amp, j_chi = mc.amp_ratio.real, mc.j_chi.real
         ph = _phase(amp, br is Branch.PLUS, _MATH)
-        total = _density_integral(q_n, length, ph, 1.0, amp * amp,
-                                  abs(w_factor * j_chi) ** 2)
+        try:
+            wm2 = abs(w_factor * j_chi) ** 2
+        except OverflowError:
+            raise InputError("level %d at momentum %r: j_chi %r makes the density weight "
+                             "|w0*j_chi|^2 overflow float64" % (n, q_n, j_chi)) from None
+        total = _density_integral(q_n, length, ph, 1.0, amp * amp, wm2)
         levels.append(BagLevel(br, n, q_n, q_n + shift, energy, ph,
                                1.0 / math.sqrt(total), length, amp, j_chi, w_factor,
                                br is Branch.PLUS and q_n < pot.w_abs))

@@ -21,7 +21,10 @@ dirac_residual and bag's wall maps; dirac_residual forms the i*m*beta term
 from beta's diagonal inline. So every bit of each norm equals the object
 form, which the tests keep as the oracle. Each constant table, the row tables
 of alpha3 and of the two walls and beta's diagonal among them, is made once
-by _built, the one cached function of the package, and read by name.
+by _built, the one cached function of the package, and read by name. So are
+the operator's four realified blocks, left multiplication by i, j and k and
+right multiplication by i: one expression makes them from the quaternion
+product, which keeps quaternion itself free of numpy.
 
 InputError, NoSolutionError and SingularCoefficientsError (bag and step
 re-export the last two), _record, which declares the frozen records of all
@@ -50,7 +53,7 @@ from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .quaternion import I, J, K, ONE, ZERO, Quaternion, _quat_mul, left_matrix
+from .quaternion import I, J, K, ONE, ZERO, Quaternion, _quat_mul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -230,12 +233,14 @@ def _built():
 
     mats is the DiracMatrices. l_i, l_j and l_k, the realified operator's
     blocks, are the real 4x4 matrices of left multiplication by i, j and k,
-    r_i that of right multiplication by i; they are generated from the
-    quaternion product itself, so there is a single source of truth for the
-    sign conventions of the realified operator. alpha3 is alpha3's
-    _matrix_rows table and beta_diag beta's diagonal, for dirac_residual.
-    walls maps 'left' to the _matrix_rows table of 1.0 * beta*alpha3 and
-    'right' to that of -1.0 * beta*alpha3, for bag's wall maps.
+    r_i that of right multiplication by i; mult makes all four from the
+    quaternion product itself, column n the coefficients of the product
+    with the n-th basis element of (ONE, I, J, K), so there is a single
+    source of truth for the sign conventions of the realified operator.
+    alpha3 is alpha3's _matrix_rows table and beta_diag beta's diagonal,
+    for dirac_residual. walls maps 'left' to the _matrix_rows table of
+    1.0 * beta*alpha3 and 'right' to that of -1.0 * beta*alpha3, for bag's
+    wall maps.
     """
     import numpy as np
 
@@ -249,10 +254,14 @@ def _built():
     identity = np.eye(4, dtype=complex)
     for arr in (*alpha, beta, identity, s1, s2, s3):
         arr.flags.writeable = False
+
+    def mult(product):
+        return np.array([product(b).coeffs() for b in (ONE, I, J, K)], dtype=float).T
+
     return SimpleNamespace(
         mats=DiracMatrices(alpha=alpha, beta=beta, identity=identity, pauli=(s1, s2, s3)),
-        l_i=left_matrix(I), l_j=left_matrix(J), l_k=left_matrix(K),
-        r_i=np.array([(b * I).coeffs() for b in (ONE, I, J, K)], dtype=float).T,
+        l_i=mult(lambda b: I * b), l_j=mult(lambda b: J * b),
+        l_k=mult(lambda b: K * b), r_i=mult(lambda b: b * I),
         alpha3=_matrix_rows(alpha[2].tolist()), beta_diag=beta.diagonal().tolist(),
         walls={end: _matrix_rows((sign * (beta @ alpha[2])).tolist())
                for end, sign in (("left", 1.0), ("right", -1.0))})
@@ -334,16 +343,17 @@ class QSpinor:
         return "QSpinor(%s)" % (", ".join(repr(q) for q in self.comp),)
 
 
-def _block_spinor(minus: bool, spin: str, chi, sigma, scale: float = 1.0) -> QSpinor:
+def _block_spinor(minus: bool, spin: str, chi, sigma) -> QSpinor:
     """The spinor of one branch and spin from its chi and sigma3*chi blocks.
 
     The chi block goes on top (components 0, 1) on the minus branch and below
     on the plus branch. Spin up takes each half's first component, spin down
-    the second, where sigma3 puts -1 on the sigma block: that sign times
-    scale multiplies it from the left. chi is placed as given.
+    the second, where sigma3 puts -1 on the sigma block: that sign multiplies
+    it from the left. chi is placed as given; a caller that scales the spinor
+    scales both blocks before the call.
     """
     idx = 0 if spin == "up" else 1
-    sigma = ((1.0 if idx == 0 else -1.0) * scale) * sigma
+    sigma = (1.0 if idx == 0 else -1.0) * sigma
     comp = [ZERO] * 4
     comp[idx], comp[2 + idx] = (chi, sigma) if minus else (sigma, chi)
     return QSpinor(comp)

@@ -157,18 +157,3 @@ I = Quaternion.from_coeffs(0, 1, 0, 0)
 J = Quaternion.from_coeffs(0, 0, 1, 0)
 K = Quaternion.from_coeffs(0, 0, 0, 1)
 ZERO = Quaternion()
-
-
-def left_matrix(q: Quaternion):
-    """4x4 real matrix of left multiplication by q on coefficient 4-vectors.
-
-    Satisfies coeffs(q * x) == left_matrix(q) @ coeffs(x) for every x, which is
-    the statement that the coefficient map intertwines quaternion products with
-    the matrix representation.
-    """
-    import numpy as np
-
-    cols = []
-    for basis in (ONE, I, J, K):
-        cols.append((q * basis).coeffs())
-    return np.array(cols, dtype=float).T

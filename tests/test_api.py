@@ -443,3 +443,17 @@ def test_dirac_built_is_the_one_cached_function():
                     for d in node.decorator_list):
                 cached.append((path.name, node.name))
     assert cached == [("dirac.py", "_built")]
+
+
+def test_quaternion_imports_only_math():
+    """quaternion is scalar algebra: the realified blocks of its products
+    are made in dirac._built, so no import other than math (and
+    __future__) belongs in the module, inside a function or at its top."""
+    path = Path(qdirac.__file__).parent / "quaternion.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"math", "__future__"}, imported

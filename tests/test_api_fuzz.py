@@ -5,6 +5,9 @@ Floats are drawn from an ordinary range, from the edges of float64 (NaN,
 +-inf, +-0, +-1e308, 5e-324, and the ints +-10**400 beyond its range, which
 float() refuses) and from all floats; counts are bounded ints, with 3.0,
 10**400 and (as a grid size only) 2**63 as examples.
+test_solve_spectrum also draws a well (mass 1e-200, v0 = pi, w_abs 1e-8,
+length 1e12) whose level 1 has |w0*j_chi| beyond 1e154, so its density
+weight overflows float64.
 The draws are derandomized and their number is fixed. A call may raise
 InputError, NoSolutionError or SingularCoefficientsError; any other
 exception, or a return value outside its promise, fails the test.
@@ -125,6 +128,7 @@ def levels_are_sound(levels, n_max, mass, length):
 @example(1.0, 0.3, 0.5, 1.0, 3.0, "minus")  # once TypeError from range
 @example(1.0, 0.3, 0.5, 1.0, 10**400, "minus")  # once OverflowError from n_max * pi
 @example(10**400, 0.3, 0.5, 1.0, 2, "minus")  # once OverflowError from float(mass)
+@example(1e-200, 3.141592653589793, 1e-8, 1e12, 1, "minus")  # once OverflowError: |w0 j_chi|^2
 def test_solve_spectrum(mass, v0, w_abs, length, n_max, branch):
     pot = call(PotentialStep, v0, w_abs)
     levels = pot and call(solve_spectrum, mass, pot, length, n_max, branch)

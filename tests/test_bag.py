@@ -1,5 +1,7 @@
 """Hard-wall well: boundary maps, quantization, spectrum, normalization."""
 
+import contextlib
+import io
 import math
 import re
 import warnings
@@ -12,7 +14,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 import oracles
-from qdirac import bag, dirac, report, step
+from qdirac import bag, cli, dirac, report, step
 from qdirac import (
     Branch,
     InputError,
@@ -21,6 +23,7 @@ from qdirac import (
     QSpinor,
     Quaternion,
     SingularCoefficientsError,
+    StationaryWavefunction,
     boundary_operator,
     boundary_phase,
     boundary_residual,
@@ -1200,3 +1203,39 @@ class TestDensity:
                 assert isinstance(c, float) and isinstance(wf.density(zz), float)
                 got = np.array([c, q, wf.density(zz)])
                 assert got.tobytes() == np.array([rho_c[k], rho_q[k], rho[k]]).tobytes()
+
+
+# a well whose level 1 has |w0*j_chi| near 2.5e174, and a wave with j_chi
+# 1e300: past about 1.34e154 a float's ** 2 raises OverflowError, which
+# once left solve_spectrum and the density weights bare (the CLI's exit 4)
+HEAVY_WELL = ["--mass", "1e-200", "--v0", "3.141592653589793", "--w0-abs", "1e-8",
+              "--length", "1e12"]
+HEAVY_WAVE = StationaryWavefunction(Branch.MINUS, "up", 1.0, 1.0, 0.5, 1e300, 1 + 0j, 1.0)
+LEVEL_WEIGHT = (r"level 1 at momentum 1\.5707963267948965e-12: j_chi [-+.e0-9]+ makes "
+                r"the density weight \|w0\*j_chi\|\^2 overflow float64")
+WAVE_WEIGHT = (r"w_factor \(1\+0j\), j_chi 1e\+300: the density weight "
+               r"\|w_factor\*j_chi\|\^2 overflows float64")
+HEAVY_WEIGHT = {
+    "solve_spectrum": (lambda: solve_spectrum(1e-200, PotentialStep(v0=math.pi, w_abs=1e-8),
+                                              1e12, 1, "minus"), LEVEL_WEIGHT),
+    "normalize": (lambda: normalize(HEAVY_WAVE), WAVE_WEIGHT),
+    "density_split": (lambda: HEAVY_WAVE.density_split(0.5), WAVE_WEIGHT),
+    "density": (lambda: HEAVY_WAVE.density(0.5), WAVE_WEIGHT),
+    "density_profile": (lambda: density_profile(HEAVY_WAVE, 5), WAVE_WEIGHT),
+    "cli-bag-spectrum": (["bag-spectrum", *HEAVY_WELL, "--levels", "1"], LEVEL_WEIGHT),
+    "cli-density": (["density", *HEAVY_WELL, "--level", "1"], LEVEL_WEIGHT),
+}
+
+
+@pytest.mark.parametrize("case", HEAVY_WEIGHT)
+def test_an_overflowing_density_weight_is_an_input_error(case):
+    call, message = HEAVY_WEIGHT[case]
+    if callable(call):
+        with pytest.raises(InputError, match="^%s$" % message):
+            call()
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(call)
+    assert (code, out.getvalue()) == (2, "")
+    assert re.fullmatch("error: %s\n" % message, err.getvalue()), err.getvalue()

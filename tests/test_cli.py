@@ -556,6 +556,8 @@ class TestContractFuzz:
     @example(["bag-spectrum", "--length", "1e308", "--v0", "1e20", "--w0-abs", "1",
               "--levels", "5"])
     @example(["bag-spectrum", "--w0-abs", "0.5", "--length", "1e308", "--levels", "1"])
+    @example(["density", "--mass", "1e-200", "--v0", "3.141592653589793", "--w0-abs", "1e-8",
+              "--length", "1e12", "--level", "1"])
     def test_every_accepted_argv_keeps_the_contract(self, argv):
         """Exit 0, 2 or 3 and never the internal-error code; a failure is one
         error line and no table; a rerun prints the same bytes; JSON output

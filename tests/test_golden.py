@@ -124,8 +124,8 @@ def test_numpy_free_commands_match_golden_on_every_python(python):
             out = (GOLDEN / (case["name"] + ".out")).read_bytes().decode()
             cases.append({"argv": case["argv"],
                           "want": [case["exit_code"], case["stderr"], out]})
-    assert len(cases) == 18
+    assert len(cases) == 19
     proc = subprocess.run([str(python), "-c", NUMPY_FREE_CHILD],
                           input=json.dumps(cases), capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert proc.returncode == 0 and proc.stdout == "18\n", proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "19\n", proc.stderr

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import qdirac.quaternion
-from qdirac import I, J, K, ONE, ZERO, Quaternion
-from qdirac.quaternion import left_matrix
+from qdirac import I, J, K, ONE, ZERO, Quaternion, dirac
 
 BASIS = (ONE, I, J, K)
 BASIS_COEFFS = (
@@ -116,14 +115,29 @@ def test_is_close():
     assert not q.is_close(I)
 
 
-def test_left_matrix_intertwines_products():
+def test_left_blocks_intertwine_products():
+    """dirac._built's l_i, l_j and l_k give left multiplication by
+    q = a + bi + cj + dk as a*I4 + b*l_i + c*l_j + d*l_k on coefficients."""
+    tables = dirac._built()
     rng = np.random.default_rng(3)
     for _ in range(20):
-        q = Quaternion.from_coeffs(*rng.standard_normal(4))
+        a, b, c, d = rng.standard_normal(4)
+        q = Quaternion.from_coeffs(a, b, c, d)
         x = Quaternion.from_coeffs(*rng.standard_normal(4))
-        got = left_matrix(q) @ np.array(x.coeffs())
+        left = a * np.eye(4) + b * tables.l_i + c * tables.l_j + d * tables.l_k
+        got = left @ np.array(x.coeffs())
         want = np.array((q * x).coeffs())
         assert np.allclose(got, want, atol=1e-13)
+
+
+def test_right_block_is_right_multiplication_by_i():
+    """dirac._built's r_i maps coeffs(x) to coeffs(x * i); its entries are
+    0 and +-1, so the match is exact."""
+    r_i = dirac._built().r_i
+    rng = np.random.default_rng(4)
+    for x in (*BASIS, *(Quaternion.from_coeffs(*rng.standard_normal(4))
+                        for _ in range(20))):
+        assert np.array_equal(r_i @ np.array(x.coeffs()), np.array((x * I).coeffs()))
 
 
 @settings(max_examples=300, deadline=None)
