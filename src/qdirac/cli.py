@@ -21,11 +21,19 @@ a list by one scan of its types), and _blocks builds the row template, the
 CSV header or JSON head, the separator and the tail. It alone cuts the
 table into blocks of BLOCK (4096) rows: a block only slices, maps and zips
 the columns that are not shared into its printed rows, and _render joins
-them into text, so memory does not grow with the row count. Every check runs
-before the first block is written; a write error mid-table leaves the
-blocks already written. Repeated runs with identical flags produce
-byte-identical output; nothing here reads the clock, the locale, or the
-environment.
+them into text, so memory does not grow with the row count. Where os.fork
+exists, the process may run on more than one CPU and the table spans more
+than one block, the table renders on two processes: once the layout is
+fixed, _halves forks one child, which renders the second half of every
+block while this process renders the first, and sends each half back on a
+pipe. This process writes each block as its half followed by the child's,
+so the bytes are those of the serial loop and memory still holds one block
+at a time. The child writes no output: a half that does not arrive is
+rendered here, so every error and exit code comes from this process, and
+the child is waited for on every path. Every check runs before the first
+block is written; a write error mid-table leaves the blocks already
+written. Repeated runs with identical flags produce byte-identical output;
+nothing here reads the clock, the locale, or the environment.
 
 Each command imports only the modules it runs. This module imports bag,
 dirac and step; the handler that needs one of the rest imports it when it
@@ -53,6 +61,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from . import __version__
 from .bag import solve_spectrum, stationary_wavefunction
@@ -135,7 +144,8 @@ def _blocks(command: str, params: dict, table, fmt: str):
     template, the CSV header or JSON head, the separator and the tail are
     built here. A block only slices, maps and zips the columns that are not
     shared into its rows; the first block carries the head, the later ones
-    the separator, and the last one the tail.
+    the separator, and the last one the tail. A table of more than one
+    block goes through _halves where a second CPU can run its child.
     """
     as_json = fmt == "json"
     names = [name for name, _ in table]
@@ -152,14 +162,99 @@ def _blocks(command: str, params: dict, table, fmt: str):
     else:
         head, template = ",".join(names) + "\n", ",".join(pieces) + "\n"
         sep = tail = ""
-    for a in range(0, max(n, 1), BLOCK):
-        b = min(a + BLOCK, n)
+
+    def text(lead, a, b):
+        # rows a..b of the table, after lead; the table's tail if they end it
         values = []
         for cells, cast in columns:
             part = cells[a:b] if isinstance(cells, list) else cells[a:b].tolist()
             values.append(part if cast is None else map(cast, part))
-        yield _render(head if a == 0 else sep, template, sep, list(zip(*values)),
-                      tail if b == n else "")
+        return _render(lead, template, sep, list(zip(*values)), tail if b == n else "")
+
+    cuts = [(a, min(a + BLOCK, n)) for a in range(0, max(n, 1), BLOCK)]
+    if (len(cuts) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        yield from _halves(text, head, sep, cuts)
+    else:
+        for a, b in cuts:
+            yield text(head if a == 0 else sep, a, b)
+
+
+def _halves(text, head, sep, cuts):
+    """The blocks of cuts in two halves each: this process renders the first
+    ceil(rows / 2) rows of a block while a forked child renders the rest.
+
+    This process yields each block as its half followed by the child's, so
+    the bytes and their order are those of the serial loop, and at most one
+    block is in flight. A second half that does not arrive whole (the child
+    failed, died, or could not be forked) is rendered here, so every error
+    is raised here. The pipe is closed and the child waited for on every way
+    out.
+    """
+    halves = [(a, a + (b - a + 1) // 2, b) for a, b in cuts]
+    src, pid = _fork_second_halves(text, sep, halves)
+    try:
+        for a, m, b in halves:
+            first = text(head if a == 0 else sep, a, m)
+            # one new string per block, as the serial loop yields: with the
+            # halves yielded apart, or joined by +=, a reader that keeps
+            # every block (qbench's StringIO) grew its heap, and the peak RSS
+            # of qbench's tables runs rose by about 6 MB in half of them
+            yield first + ((src and _receive(src)) or text(sep, m, b)) if m < b else first
+            del first
+    finally:
+        if src:
+            src.close()
+            os.waitpid(pid, 0)
+
+
+def _fork_second_halves(text, sep, halves):
+    """The read end of a pipe and the pid of a forked child that sends the
+    text of each second half that is not empty as one length-prefixed
+    write; (None, None) where no child can be had. The child touches no
+    output and ends by os._exit whatever happens."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at a fork in a process with other threads,
+            # such as numpy's BLAS pool. The child runs no BLAS, and the
+            # warning made an error (-W error) would leave it never waited.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                for _, m, b in halves:
+                    if m < b:
+                        data = text(sep, m, b).encode()
+                        out.write(len(data).to_bytes(8, "little"))
+                        out.write(data)
+                        out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return open(r, "rb"), pid
+
+
+def _receive(src):
+    """The next length-prefixed half from the child, or None where it does
+    not arrive whole."""
+    size = src.read(8)
+    if len(size) < 8:
+        return None
+    size = int.from_bytes(size, "little")
+    data = src.read(size)
+    return data.decode() if len(data) == size else None
 
 
 # every flag, declared once: its add_argument keywords
@@ -332,9 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of main, built on its first call rather than at import
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         # flags that several subcommands share are checked once, here
         _require_finite(**{"--" + name.replace("_", "-"): getattr(args, name)
@@ -364,6 +465,11 @@ def main(argv=None) -> int:
             print("error: cannot write %s: %s" % (target, exc.strerror),
                   file=sys.stderr)
             return 2
+        finally:
+            # a table's generator may hold a forked child: close it here on
+            # every path, so the child is waited for before main returns
+            if hasattr(blocks, "close"):
+                blocks.close()
         return code
     except (NoSolutionError, SingularCoefficientsError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -310,7 +310,11 @@ class QSpinor:
         return sum(a.norm_sq() for a in self.comp)
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        try:
+            return math.sqrt(self.norm_sq())
+        except OverflowError:
+            # a square leaves float64 although the norm may not; hypot scales
+            return math.hypot(*(x for q in self.comp for x in q.coeffs()))
 
     def to_real_vector(self) -> np.ndarray:
         """The 16 real coordinates, component-major."""

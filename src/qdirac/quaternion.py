@@ -138,7 +138,11 @@ class Quaternion:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        try:
+            return math.sqrt(self.norm_sq())
+        except OverflowError:
+            # a square leaves float64 although the norm may not; hypot scales
+            return math.hypot(*self.coeffs())
 
     def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol

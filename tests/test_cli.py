@@ -55,6 +55,13 @@ def src_env():
     return env
 
 
+def set_cpus(monkeypatch, count):
+    """Make _blocks see count CPUs: one takes the serial loop, two fork a
+    child that renders the second half of every block."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 class TestZones:
     def test_header_shape_and_cells(self, capsys):
         code, out, err = run_cli(ZONES_ARGS, capsys)
@@ -438,6 +445,7 @@ class TestExitCodes:
     def test_internal_error_exits_four_after_the_written_blocks(self, capsys,
                                                                 monkeypatch):
         monkeypatch.setattr(cli, "BLOCK", 3)  # ZONES_ARGS has 5 rows: two blocks
+        serial = run_cli(ZONES_ARGS, capsys)[1].splitlines(keepends=True)
         render, texts = cli._render, []
 
         def fail_second(*args):
@@ -448,8 +456,16 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "_render", fail_second)
         code, out, err = run_cli(ZONES_ARGS, capsys)
+        # the first block whole: on two CPUs its second row range comes from
+        # the child, whose copy of fail_second passes its own first call
         assert code == 4
-        assert out == texts[0] and out.count("\n") == 4
+        assert out == "".join(serial[:4])
+        assert err == "error: internal: RuntimeError: render failed\n"
+        set_cpus(monkeypatch, 1)
+        texts.clear()
+        code, out, err = run_cli(ZONES_ARGS, capsys)
+        assert code == 4
+        assert out == texts[0] == "".join(serial[:4])
         assert err == "error: internal: RuntimeError: render failed\n"
 
     @pytest.mark.parametrize("exc,code,line", [
@@ -493,6 +509,20 @@ class TestExitCodes:
             code = proc.wait(timeout=120)
         assert header.decode() == ZONES_HEADER + "\n"
         assert (code, err) == (0, b"")
+
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        build, built = cli.build_parser, []
+
+        def counting_build():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert run_cli(ZONES_ARGS, capsys)[0] == 0
+        assert run_cli(["nr-spectrum", "--w0-abs", "0.5"], capsys)[0] == 0
+        assert run_cli(["zones", "--e-step", "0"], capsys)[0] == 2
+        assert len(built) == 1 and cli._parser is built[0]
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -830,9 +860,11 @@ CELLS = {
 }
 
 
-def random_table(rng):
-    """Columns of one kind each; a third of them hold a single value."""
-    n_rows = rng.choice((0, 1, 2, 3, rng.randint(4, 60)))
+def random_table(rng, n_rows=None):
+    """Columns of one kind each; a third of them hold a single value. The
+    row count is drawn unless given."""
+    if n_rows is None:
+        n_rows = rng.choice((0, 1, 2, 3, rng.randint(4, 60)))
     kinds = [rng.choice(sorted(CELLS)) for _ in range(rng.randint(1, 7))]
     cols = []
     for kind in kinds:
@@ -943,19 +975,30 @@ class TestRenderContract:
     @pytest.mark.parametrize("case", GOLDEN_TABLES, ids=lambda c: c["name"])
     def test_each_block_hands_one_row_per_printed_row(self, capsys, monkeypatch,
                                                       case):
+        """On one CPU each block is one call. On two, a table of more than
+        one block hands this process the first ceil(rows / 2) rows of each
+        block, and a forked child, whose calls are not recorded here, the
+        rest."""
         calls = recorded_renders(monkeypatch)
-        code, out, _ = run_cli(case["argv"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / (case["name"] + ".out")).read_text()
-        assert "".join(text for _, text in calls) == out
+        golden = (GOLDEN / (case["name"] + ".out")).read_text()
         if "json" in case["argv"]:
-            n_rows = len(json.loads(out)["rows"])
+            n_rows = len(json.loads(golden)["rows"])
         else:
-            n_rows = out.count("\n") - 1
-        assert [len(rows) for rows, _ in calls] == [
-            min(3, n_rows - a) for a in range(0, n_rows, 3)]
-        for rows, _ in calls:
-            assert type(rows) is list and all(type(r) is tuple for r in rows)
+            n_rows = golden.count("\n") - 1
+        blocks = [min(3, n_rows - a) for a in range(0, n_rows, 3)]
+        for cpus, parts in ((1, blocks),
+                            (2, blocks if len(blocks) < 2 else
+                             [(rows + 1) // 2 for rows in blocks])):
+            set_cpus(monkeypatch, cpus)
+            calls.clear()
+            code, out, _ = run_cli(case["argv"], capsys)
+            assert code == 0
+            assert out == golden
+            if cpus == 1:
+                assert "".join(text for _, text in calls) == out
+            assert [len(rows) for rows, _ in calls] == parts
+            for rows, _ in calls:
+                assert type(rows) is list and all(type(r) is tuple for r in rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", GOLDEN_TABLES, ids=lambda c: c["name"])
@@ -980,6 +1023,192 @@ class TestRenderContract:
         (table,) = tables
         assert len(seen) == len(table)
         assert all(got is cells for got, (_, cells) in zip(seen, table))
+
+
+def count_forks(monkeypatch):
+    """The os.fork calls made from here on, one entry each."""
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+# zones tables in a fresh interpreter that sees two CPUs, one for each case
+# named on the command line: "closed" to stdout, "full" to /dev/full, and
+# "normal" and "raise" to a file of that name. After each, one stderr line
+# gives the case, the exit code, the number of forks and whether a child is
+# left unwaited; "raise" fails this process's second _render call.
+NO_CHILD_LEFT_SCRIPT = r"""
+import os, sys
+from qdirac import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+def counting_fork():
+    forks.append(os.getpid())
+    return fork()
+os.fork = counting_fork
+render, parent, calls = cli._render, os.getpid(), []
+def fail_second(*args):
+    if os.getpid() == parent:
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError('render failed')
+    return render(*args)
+for case in sys.argv[1:]:
+    argv = ['zones', '--e-step', '0.0005']  # 10,001 rows: three blocks
+    if case != 'closed':
+        argv += ['--output', '/dev/full' if case == 'full' else case]
+    cli._render = fail_second if case == 'raise' else render
+    forks.clear()
+    code = cli.main(argv)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = 'a child is left'
+    except ChildProcessError:
+        left = 'no child left'
+    print(case, code, len(forks), left, file=sys.stderr)
+"""
+
+
+class TestForkedHalves:
+    """On more than one CPU, a table of more than one block forks one child
+    that renders the second half of every block; the bytes are the serial
+    loop's, and no child outlives the table."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_forked_halves_equal_the_serial_loop(self, monkeypatch, fmt):
+        # BLOCK + 1, 2*BLOCK, 2*BLOCK + 1 and 3*BLOCK + 1 rows: every odd
+        # count ends in a block of one row, whose second half is empty
+        monkeypatch.setattr(cli, "BLOCK", 4)
+        forks = count_forks(monkeypatch)
+        rng = random.Random(20261020)
+        for n_rows in (5, 8, 9, 13):
+            for i in range(3):
+                columns, params, rows = random_table(rng, n_rows)
+                table = [(name, [row[j] for row in rows])
+                         for j, name in enumerate(columns)]
+                table = [(name, np.array(cells, dtype=np.float64)
+                          if all(type(c) is float for c in cells) else cells)
+                         for name, cells in table]
+                texts = []
+                for cpus in (1, 2):
+                    set_cpus(monkeypatch, cpus)
+                    texts.append("".join(cli._blocks("t", params, table, fmt)))
+                assert texts[0] == texts[1], (n_rows, i, rows)
+                assert texts[0] == oracles.render_reference("t", params, columns,
+                                                            rows, fmt)
+        assert len(forks) == 4 * 3
+
+    @pytest.mark.parametrize("argv", [
+        # BLOCK + 1 and 2*BLOCK + 1 rows: the last block is one row
+        ["density", "--v0", "0.7", "--w0-abs", "0.5", "--grid", "4097",
+         "--format", "json"],
+        ["zones", "--v0", "-0.3", "--w0-abs", "0.2", "--e-min", "1",
+         "--e-max", "3", "--e-step", "0.000244140625"],
+    ])
+    def test_commands_print_the_serial_bytes(self, capsys, monkeypatch, argv):
+        forks = count_forks(monkeypatch)
+        outs = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            outs.append(run_cli(argv, capsys))
+        assert outs[0] == outs[1]
+        code, out, _ = outs[0]
+        assert code == 0 and out.count("\n") > cli.BLOCK
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_a_failing_child_leaves_the_bytes_unchanged(self, capsys, monkeypatch,
+                                                        fail_at):
+        """The child's render raises at its first or second half: the halves
+        it did not send are rendered by this process, with no error."""
+        monkeypatch.setattr(cli, "BLOCK", 3)
+        argv = ZONES_ARGS[:-1] + ["0.25"]  # 9 rows: three blocks
+        set_cpus(monkeypatch, 1)
+        serial = run_cli(argv, capsys)
+        render, parent, calls = cli._render, os.getpid(), []
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                calls.append(args)
+                if len(calls) == fail_at:
+                    raise RuntimeError("child render failed")
+            return render(*args)
+
+        monkeypatch.setattr(cli, "_render", fail_in_child)
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        assert run_cli(argv, capsys) == serial
+        assert serial[0] == 0 and serial[1].count("\n") == 10
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_no_child_to_be_had_renders_every_half_here(self, capsys, monkeypatch,
+                                                        call):
+        monkeypatch.setattr(cli, "BLOCK", 3)
+        set_cpus(monkeypatch, 1)
+        serial = run_cli(ZONES_ARGS, capsys)
+        set_cpus(monkeypatch, 2)
+
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, call, refuse)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert run_cli(ZONES_ARGS, capsys) == serial
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_half_that_does_not_arrive_whole_is_none(self):
+        half = "1,2\n" * 3
+        data = half.encode()
+        sent = len(data).to_bytes(8, "little") + data
+        assert cli._receive(io.BytesIO(sent)) == half
+        for cut in (0, 5, 8, len(sent) - 1):
+            assert cli._receive(io.BytesIO(sent[:cut])) is None, cut
+
+    def test_no_child_outlives_a_table(self, capsys, monkeypatch, tmp_path):
+        """A whole table, a reader that closes stdout mid-table, --output
+        /dev/full and a _render that raises here mid-table each fork one
+        child and leave none behind."""
+        full = os.path.exists("/dev/full")
+        expected = {
+            "normal": "normal 0 1 no child left\n",
+            "full": "error: cannot write --output /dev/full: No space left on "
+                    "device\nfull 2 1 no child left\n",
+            "raise": "error: internal: RuntimeError: render failed\n"
+                     "raise 4 1 no child left\n",
+            "closed": "closed 0 1 no child left\n",
+        }
+        for cases in (["normal", "full", "raise"] if full else ["normal", "raise"],
+                      ["closed"]):
+            argv = [sys.executable, "-c", NO_CHILD_LEFT_SCRIPT, *cases]
+            with subprocess.Popen(argv, env=src_env(), cwd=tmp_path,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE) as proc:
+                try:
+                    if cases == ["closed"]:
+                        # each half block is far more than a pipe buffer: the
+                        # writer is still mid-table when the reader goes away
+                        closed = proc.stdout.readline()
+                        proc.stdout.close()
+                    err = proc.communicate(timeout=120)[1].decode()
+                finally:
+                    proc.kill()  # a run that hangs fails the test, not the suite
+            assert proc.returncode == 0
+            assert err == "".join(expected[case] for case in cases)
+        set_cpus(monkeypatch, 1)
+        serial = run_cli(["zones", "--e-step", "0.0005"], capsys)[1].encode()
+        assert (tmp_path / "normal").read_bytes() == serial
+        assert closed == serial[:len(closed)] and closed.endswith(b"\n")
+        # the first block whole: this process's second call, the first half
+        # of the second block, raised while the child was sending more than
+        # a pipe buffer of its second half
+        assert (tmp_path / "raise").read_bytes() == b"".join(
+            serial.splitlines(keepends=True)[:cli.BLOCK + 1])
 
 
 def write_blocks(params, columns, rows, fmt):

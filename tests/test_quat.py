@@ -47,6 +47,22 @@ def test_conjugate_and_norm_match_oracle():
     assert abs(q) == q.norm()
 
 
+@pytest.mark.parametrize("coeffs,norm", [
+    ((1e200, 0.0, 0.0, 0.0), 1e200),
+    ((0.0, 0.0, 0.0, -1e200), 1e200),
+    ((1e308, 1e308, 1e308, 1e308), math.inf),  # the norm itself overflows
+    ((1e300, 1e300, 1e300, 1e300), 2e300),
+])
+def test_norm_is_returned_where_only_its_squares_overflow(coeffs, norm):
+    q = Quaternion.from_coeffs(*coeffs)
+    assert q.norm() == norm and abs(q) == norm
+    spinor = dirac.QSpinor([q, Quaternion(), Quaternion(), Quaternion()])
+    assert spinor.norm() == norm
+    # four equal components double it, as long as the double is finite
+    four = dirac.QSpinor([q] * 4).norm()
+    assert four == (2 * norm if norm < 1e308 else math.inf)
+
+
 def test_j_anticommutes_complex_scalars():
     z = 2.0 + 3.0j
     assert J * Quaternion.from_complex(z) == Quaternion.from_complex(z.conjugate()) * J
