@@ -21,16 +21,17 @@ a list by one scan of its types), and _blocks builds the row template, the
 CSV header or JSON head, the separator and the tail. It alone cuts the
 table into blocks of BLOCK (4096) rows: a block only slices, maps and zips
 the columns that are not shared into its printed rows, and _render joins
-them into text, so memory does not grow with the row count. Where os.fork
-exists, the process may run on more than one CPU and the table spans more
-than one block, the table renders on two processes: once the layout is
-fixed, _halves forks one child, which renders the second half of every
-block while this process renders the first, and sends each half back on a
-pipe. This process writes each block as its half followed by the child's,
-so the bytes are those of the serial loop and memory still holds one block
-at a time. The child writes no output: a half that does not arrive is
-rendered here, so every error and exit code comes from this process, and
-the child is waited for on every path. Every check runs before the first
+them into text, so memory does not grow with the row count. One loop
+writes the blocks. Where os.fork exists, the process may run on more than
+one CPU and the table spans more than one block, each block splits at its
+midpoint: once the layout is fixed, one forked child renders the second
+half of every block while this process renders the first, and sends each
+half back on a pipe, and this process writes each block as its half
+followed by the child's. Otherwise no block splits and this process
+renders each whole. Either way the bytes are the same and memory holds one
+block at a time. The child writes no output: a half that does not arrive
+is rendered here, so every error and exit code comes from this process,
+and the child is waited for on every path. Every check runs before the first
 block is written; a write error mid-table leaves the blocks already
 written. Repeated runs with identical flags produce byte-identical output;
 nothing here reads the clock, the locale, or the environment.
@@ -144,8 +145,17 @@ def _blocks(command: str, params: dict, table, fmt: str):
     template, the CSV header or JSON head, the separator and the tail are
     built here. A block only slices, maps and zips the columns that are not
     shared into its rows; the first block carries the head, the later ones
-    the separator, and the last one the tail. A table of more than one
-    block goes through _halves where a second CPU can run its child.
+    the separator, and the last one the tail.
+
+    One loop yields the blocks. A table of more than one block, where
+    os.fork exists and a second CPU can run a child, splits each block at
+    its midpoint: this process renders the first ceil(rows / 2) rows while
+    a child forked once renders the rest, and each block is yielded as its
+    half followed by the child's. Otherwise the midpoint is the block's end
+    and no child is forked. A second half that does not arrive whole (the
+    child failed, died, or could not be forked) is rendered here, so every
+    error is raised here. The pipe is closed and the child waited for on
+    every way out.
     """
     as_json = fmt == "json"
     names = [name for name, _ in table]
@@ -172,34 +182,19 @@ def _blocks(command: str, params: dict, table, fmt: str):
         return _render(lead, template, sep, list(zip(*values)), tail if b == n else "")
 
     cuts = [(a, min(a + BLOCK, n)) for a in range(0, max(n, 1), BLOCK)]
-    if (len(cuts) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        yield from _halves(text, head, sep, cuts)
-    else:
-        for a, b in cuts:
-            yield text(head if a == 0 else sep, a, b)
-
-
-def _halves(text, head, sep, cuts):
-    """The blocks of cuts in two halves each: this process renders the first
-    ceil(rows / 2) rows of a block while a forked child renders the rest.
-
-    This process yields each block as its half followed by the child's, so
-    the bytes and their order are those of the serial loop, and at most one
-    block is in flight. A second half that does not arrive whole (the child
-    failed, died, or could not be forked) is rendered here, so every error
-    is raised here. The pipe is closed and the child waited for on every way
-    out.
-    """
-    halves = [(a, a + (b - a + 1) // 2, b) for a, b in cuts]
-    src, pid = _fork_second_halves(text, sep, halves)
+    split = (len(cuts) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) > 1)
+    # rows a..m of each block render here and m..b in the child; m == b
+    # where the table does not split, and the block renders here whole
+    halves = [(a, (a + b + 1) // 2 if split else b, b) for a, b in cuts]
+    src, pid = _fork_second_halves(text, sep, halves) if split else (None, None)
     try:
         for a, m, b in halves:
             first = text(head if a == 0 else sep, a, m)
-            # one new string per block, as the serial loop yields: with the
-            # halves yielded apart, or joined by +=, a reader that keeps
-            # every block (qbench's StringIO) grew its heap, and the peak RSS
-            # of qbench's tables runs rose by about 6 MB in half of them
+            # one new string per block, as a whole block is: with the halves
+            # yielded apart, or joined by +=, a reader that keeps every block
+            # (qbench's StringIO) grew its heap, and the peak RSS of qbench's
+            # tables runs rose by about 6 MB in half of them
             yield first + ((src and _receive(src)) or text(sep, m, b)) if m < b else first
             del first
     finally:

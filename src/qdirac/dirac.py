@@ -186,7 +186,9 @@ def _record(cls):
     The __init__ is one generated def, as dataclasses makes its own, with the
     same parameters, defaults and annotations; it ends in __post_init__ where
     the class defines one, so replace re-runs the validation. eq, hash, repr,
-    FrozenInstanceError, fields and replace stay the dataclass's.
+    FrozenInstanceError, fields and replace stay the dataclass's; an eq and
+    hash the class body defines (DiracMatrices) are kept, as dataclass keeps
+    them.
     """
     cls = dataclass(frozen=True, init=False)(cls)
     flds = fields(cls)
@@ -224,6 +226,26 @@ class DiracMatrices:
     beta: np.ndarray
     identity: np.ndarray
     pauli: tuple
+
+    def _content(self):
+        """The fields, each array as its shape and its cells: the cells
+        compare and hash as numbers, so 0.0 == -0.0 and both hash alike."""
+        def cells(value):
+            if isinstance(value, tuple):
+                return tuple(map(cells, value))
+            return ((value.shape, tuple(value.ravel().tolist()))
+                    if hasattr(value, "ravel") else value)
+        return tuple(cells(getattr(self, f.name)) for f in fields(self))
+
+    # by content: the dataclass's == compares field tuples, which asks an
+    # array for its truth, and its hash hashes the arrays
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
 
 
 @cache
@@ -289,9 +311,6 @@ class QSpinor:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the refused __setattr__
         return type(self), (self.comp,)
-
-    def __getitem__(self, idx):
-        return self.comp[idx]
 
     def __add__(self, other):
         return QSpinor([a + b for a, b in zip(self.comp, other.comp)])

@@ -252,8 +252,6 @@ def _spin_up_nullvector(basis):
     _, _, vt = np.linalg.svd(down)
     psi = QSpinor.from_real_vector(vt[-1] @ rows)
     scale = psi.comp[2].u
-    if abs(scale) < 1e-10:
-        return None
     return QSpinor([Quaternion(q.u / scale, q.w / scale) for q in psi.comp])
 
 
@@ -277,8 +275,6 @@ def _section_plus_branch(points):
         proj2 = sum(float(np.dot(v, b.to_real_vector())) ** 2 for b in basis)
         deficits.append(1.0 - proj2)
         psi = _spin_up_nullvector(basis)
-        if psi is None:
-            continue
         mc = mode_coefficients(energy, mass, pot, Branch.PLUS)
         eiph = complex(math.cos(pot.w_phase), math.sin(pot.w_phase))
         d = psi.comp[2].w
@@ -509,14 +505,10 @@ def _section_window():
         e = np.arange(mass, e_up + 1.0, e_step)
         mom2_minus = _kernels.branch_mom2_grid(e, mass, v0, w_abs)[5]
         neg = np.nonzero(mom2_minus < 0)[0]
-        if len(neg) == 0:
-            ok = width <= 2 * e_step
-            edge_err = 0.0
-        else:
-            lo_err = abs(float(e[neg[0]]) - e_low)
-            up_err = abs(float(e[neg[-1]]) - e_up)
-            edge_err = max(lo_err, up_err)
-            ok = edge_err <= 2 * e_step
+        lo_err = abs(float(e[neg[0]]) - e_low)
+        up_err = abs(float(e[neg[-1]]) - e_up)
+        edge_err = max(lo_err, up_err)
+        ok = edge_err <= 2 * e_step
         all_ok = all_ok and ok
         samples.append(
             {

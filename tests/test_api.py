@@ -59,9 +59,10 @@ TRACER_MODULES = ("quaternion", "dirac", "step", "bag", "nonrel", "report", "cli
 
 
 def fresh(script):
-    """Run script in a fresh interpreter with this checkout's src on the path;
-    its assertions fail the run."""
-    env = dict(os.environ, PYTHONPATH=str(Path(qdirac.__file__).parents[1]))
+    """Run script in a fresh interpreter with this checkout's src first on the
+    path, ahead of the inherited PYTHONPATH; its assertions fail the run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(qdirac.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", "import sys\nimport qdirac\n" + script],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

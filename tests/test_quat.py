@@ -107,6 +107,21 @@ def test_arithmetic_with_plain_scalars():
     assert ZERO == 0 and ONE == 1
 
 
+@pytest.mark.parametrize("op,refused", [
+    (lambda q: q * "x", True), (lambda q: "x" * q, True), (lambda q: q + "x", True),
+    (lambda q: q - "x", True), (lambda q: q == "x", False),
+], ids=["mul", "rmul", "add", "sub", "eq"])
+def test_an_operand_that_is_no_number_is_not_implemented(op, refused):
+    # each operator returns NotImplemented: Python then refuses the sum,
+    # difference and products, and == falls back to identity
+    q = Quaternion(1.0, 2j)
+    if refused:
+        with pytest.raises(TypeError):
+            op(q)
+    else:
+        assert op(q) is False
+
+
 def test_immutability_and_hash():
     q = Quaternion(1.0, 2.0)
     with pytest.raises(AttributeError):

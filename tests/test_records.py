@@ -207,6 +207,23 @@ def test_library_records_round_trip():
     assert repr(copy.copy(mats)) == repr(mats)
 
 
+def test_dirac_matrices_compare_and_hash_by_content():
+    # the dataclass's == asked an array for its truth (ValueError) and its
+    # hash hashed the arrays (TypeError)
+    mats = qdirac.build_matrices()
+    for clone in (copy.copy(mats), copy.deepcopy(mats), pickle.loads(pickle.dumps(mats))):
+        assert clone == mats and hash(clone) == hash(mats)
+    assert {mats: 1}[copy.deepcopy(mats)] == 1
+    zero, minus_zero = (dataclasses.replace(mats, beta=sign * 0.0 * mats.beta)
+                        for sign in (1.0, -1.0))
+    assert np.signbit(minus_zero.beta.real).any()
+    assert zero == minus_zero and hash(zero) == hash(minus_zero)
+    assert zero != mats and mats != dataclasses.replace(mats, pauli=mats.pauli[::-1])
+    # the same cells in another shape are other content
+    assert mats != dataclasses.replace(mats, beta=mats.beta.reshape(2, 8))
+    assert (mats == "matrices") is False
+
+
 def coefficient_bits(value):
     quaternions = value.comp if isinstance(value, QSpinor) else (value,)
     return [x.hex() for q in quaternions for x in q.coeffs()]

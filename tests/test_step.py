@@ -1,5 +1,6 @@
 """Step-potential kinematics, zones, coefficients, and travelling spinors."""
 
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qdirac import step
 from qdirac import (
     Branch,
     InputError,
@@ -387,6 +389,21 @@ class TestConsistencyRelation:
         a = mc.amp_ratio.real
         r_minus, _ = consistency_residual(2.0, 1.0, PotentialStep(w_abs=0.5))
         assert r_minus == pytest.approx((1.0 + a * a) / a, rel=1e-13)
+
+    def test_a_vanishing_j_chi_is_inf(self, monkeypatch):
+        # no known input makes j_chi round to exactly 0, so the minus-branch
+        # coefficients are patched to carry one
+        pot = PotentialStep(w_abs=0.5)
+        real = mode_coefficients
+
+        def zero_minus_j_chi(energy, mass, pot, branch):
+            mc = real(energy, mass, pot, branch)
+            return dataclasses.replace(mc, j_chi=0j) if branch is Branch.MINUS else mc
+
+        monkeypatch.setattr(step, "mode_coefficients", zero_minus_j_chi)
+        r_minus, r_plus = consistency_residual(2.0, 1.0, pot)
+        assert r_minus == math.inf
+        assert r_plus == pytest.approx(2.309401076758503, abs=1e-14)
 
 
 finite_mass = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
