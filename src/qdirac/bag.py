@@ -20,9 +20,9 @@ physical energy chain, whose coefficient denominators are mode_coefficients'
 own (step._branch_denominators); quantization_residual_grid is the same chain
 over a whole array of momenta, with numpy's functions and masks in place of
 the scalar guards. Verify scans g with the array form, which only brackets the
-roots, and with g's numerator from the same pass, which rules out the brackets
-that hold a pole (report._scan_roots); every root it prints is the scalar
-quantization_residual bisected.
+roots; report._scan_roots rules out the brackets that hold a pole by g's
+numerator sin(2QL), which it computes itself, and every root it prints is the
+scalar quantization_residual bisected.
 The full spinor mismatch at z = L (boundary_residual) is reported by the
 verify command rather than asserted.
 
@@ -136,11 +136,18 @@ class StationaryWavefunction:
     amplitude: float = 1.0
 
     def evaluate(self, z: float) -> QSpinor:
+        """The spinor at z. InputError where z or a real field is no real
+        number in float64 range, or where an infinite momentum or phase
+        makes the angles of the wave infinite."""
         _require_real(z=z)
+        self._require_fields()
         if z < 0.0 or z > self.length:
             return QSpinor([ZERO] * 4)
         a = self.momentum * z - 0.5 * self.phase
         b = self.momentum * z + 0.5 * self.phase
+        if math.isinf(a) or math.isinf(b):
+            raise InputError("momentum %r, phase %r: the wave's angles at z = %r are "
+                             "infinite" % (self.momentum, self.phase, z))
         wm = self.w_factor * self.j_chi
         chi_block = Quaternion(math.cos(a), -wm * math.cos(b))
         i_amp = 1j * self.amp_ratio
@@ -151,10 +158,18 @@ class StationaryWavefunction:
         return _block_spinor(self.branch is Branch.MINUS, self.spin,
                              self.amplitude * chi_block, self.amplitude * sigma_block)
 
+    def _require_fields(self):
+        """InputError naming the first real field that is no real number in
+        float64 range, which the arithmetic would refuse bare."""
+        _require_real(momentum=self.momentum, phase=self.phase, amp_ratio=self.amp_ratio,
+                      j_chi=self.j_chi, amplitude=self.amplitude)
+
     def _weights(self):
-        """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density.
-        InputError where |wm| passes about 1.34e154: a float's ** 2 raises
-        OverflowError there (x * x would round differently; see dirac._norm)."""
+        """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density,
+        after _require_fields. InputError where |wm| passes about 1.34e154:
+        a float's ** 2 raises OverflowError there (x * x would round
+        differently; see dirac._norm)."""
+        self._require_fields()
         try:
             wm2 = abs(self.w_factor * self.j_chi) ** 2
         except OverflowError:
@@ -287,8 +302,8 @@ def _energy_for_momentum(momentum: float, mass: float, pot: PotentialStep,
 
 
 def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
-    """(g, regular, amp, num): g(Q) from a level's energy, through amp_ratio
-    and the boundary phase.
+    """(g, regular, amp): g(Q) from a level's energy, through amp_ratio and
+    the boundary phase.
 
     The one written form: quantization_residual passes floats and
     step._MATH as xp, quantization_residual_grid float64 arrays and numpy.
@@ -296,9 +311,7 @@ def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     same xp). Above the mass shell, regular is false exactly where
     mode_coefficients raises; E = m divides by zero and the callers skip it.
     amp is amp_ratio.real, nan where it is not finite. g = cot a + cot b =
-    num/den is +-inf at a pole, nan where num and den are both 0. num =
-    sin(a + b), which is sin(2QL) up to rounding, is returned for the pole
-    rule of report._scan_roots.
+    num/den is +-inf at a pole, nan where num and den are both 0.
     """
     plus = branch is Branch.PLUS
     mom2, denom_a, denom_mn = _branch_denominators(
@@ -314,7 +327,7 @@ def _residual_chain(momentum, energy, mass, pot, length, branch, xp):
     num, den = xp.sin(a + b), xp.sin(a) * xp.sin(b)
     pole = xp.where(num != 0.0, xp.copysign(math.inf, num), math.nan)
     g = xp.where(den == 0.0, pole, num / xp.where(den == 0.0, math.nan, den))
-    return g, regular, amp, num
+    return g, regular, amp
 
 
 def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
@@ -346,7 +359,7 @@ def quantization_residual(momentum: float, mass: float, pot: PotentialStep,
     energy = _energy_for_momentum(momentum, mass, pot, br)
     if not mass < energy:
         return math.nan
-    g, regular, amp, _ = _residual_chain(momentum, energy, mass, pot, length, br, _MATH)
+    g, regular, amp = _residual_chain(momentum, energy, mass, pot, length, br, _MATH)
     if not regular:
         raise SingularCoefficientsError("coefficients singular at E = %r" % energy)
     if math.isnan(amp):
@@ -367,12 +380,6 @@ def quantization_residual_grid(momenta, mass: float, pot: PotentialStep,
     np.arctan2 may differ from math's in the last bit, so these values
     choose root brackets; refine a root with the scalar form.
     """
-    return _residual_grid(momenta, mass, pot, length, branch)[0]
-
-
-def _residual_grid(momenta, mass, pot, length, branch):
-    """(g, num) of _residual_chain over a float64 array, for
-    quantization_residual_grid and for report._scan_roots."""
     import numpy as np
 
     _require_mass(mass)
@@ -384,8 +391,7 @@ def _residual_grid(momenta, mass, pot, length, branch):
     with np.errstate(over="ignore", invalid="ignore"):
         energy = _energy_root(q, mass, pot, br, np)[0]
         energy = np.where((mass < energy) & (energy < np.inf) & (q > 0.0), energy, np.nan)
-        g, _, _, num = _residual_chain(q, energy, mass, pot, length, br, np)
-    return g, num
+        return _residual_chain(q, energy, mass, pot, length, br, np)[0]
 
 
 def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
@@ -470,7 +476,12 @@ def _density_integral(q, length, phase, amp2, r2, wm2):
 def normalize(psi: StationaryWavefunction):
     """Rescale so the density integrates to 1 over the well. Returns
     (norm_const, normalized wavefunction); norm_const is the total amplitude
-    of the normalized state."""
+    of the normalized state. InputError where the momentum is 0 or either
+    it or the phase is not finite: the closed form divides by the momentum
+    and takes sines of both."""
+    if not (0.0 < abs(psi.momentum) < math.inf and abs(psi.phase) < math.inf):
+        raise InputError("cannot normalize at momentum %r, phase %r: both must be "
+                         "finite and the momentum nonzero" % (psi.momentum, psi.phase))
     total = _density_integral(psi.momentum, psi.length, psi.phase, *psi._weights())
     norm_const = psi.amplitude / math.sqrt(total)
     return norm_const, replace(psi, amplitude=norm_const)

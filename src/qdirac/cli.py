@@ -11,30 +11,30 @@ key order of a JSON table's params.
 Output goes to stdout or --output as CSV (header line first, comma
 separator, floats by %.17g) or as a single JSON object with stable key order
 (floats by repr; non-finite floats are NaN/Infinity, as json writes them).
-Each table command states its table once, as ordered (name, cells) pairs:
-numpy arrays for zones and density, lists read off the level objects for
-the spectra, and a str or float for a value every row shares (zones'
-zone_plus and width columns, bag-spectrum's branch). _blocks lays a table
-out once: _column reads each whole column once for its piece of one
-%-template and the per-cell map its cells need (a float array by its dtype,
-a list by one scan of its types), and _blocks builds the row template, the
-CSV header or JSON head, the separator and the tail. It alone cuts the
-table into blocks of BLOCK (4096) rows: a block only slices, maps and zips
-the columns that are not shared into its printed rows, and _render joins
-them into text, so memory does not grow with the row count. One loop
-writes the blocks. Where os.fork exists, the process may run on more than
-one CPU and the table spans more than one block, each block splits at its
-midpoint: once the layout is fixed, one forked child renders the second
-half of every block while this process renders the first, and sends each
-half back on a pipe, and this process writes each block as its half
-followed by the child's. Otherwise no block splits and this process
+Each table command states its table once, as ordered (name, cells) pairs in
+three forms: float64 arrays for zones and density, lists of one cell type
+(float, int, bool or str) for the spectra and zones' zone_minus labels, and
+a str or float for a value every row shares (zones' zone_plus and width
+columns, bag-spectrum's branch); any other column raises, an internal error.
+_blocks lays a table out once: _column reads each whole column once for its
+piece of one %-template and the per-cell map its cells need, and _blocks
+builds the row template, the CSV header or JSON head, the separator and the
+tail. It alone cuts the table into blocks of BLOCK (4096) rows: a block only
+slices, maps and zips the columns that are not shared into its printed rows,
+and _render joins them into text, so memory does not grow with the row
+count. One loop writes the blocks. Where os.fork exists, the process may run
+on more than one CPU and the table spans more than one block, each block
+splits at its midpoint: once the layout is fixed, one forked child renders
+the second half of every block while this process renders the first, and
+sends each half back on a pipe, and this process writes each block as its
+half followed by the child's. Otherwise no block splits and this process
 renders each whole. Either way the bytes are the same and memory holds one
-block at a time. The child writes no output: a half that does not arrive
-is rendered here, so every error and exit code comes from this process,
-and the child is waited for on every path. Every check runs before the first
-block is written; a write error mid-table leaves the blocks already
-written. Repeated runs with identical flags produce byte-identical output;
-nothing here reads the clock, the locale, or the environment.
+block at a time. The child writes no output: a half that does not arrive is
+rendered here, so every error and exit code comes from this process, and the
+child is waited for on every path. Every check runs before the first block
+is written; a write error mid-table leaves the blocks already written.
+Repeated runs with identical flags produce byte-identical output; nothing
+here reads the clock, the locale, or the environment.
 
 Each command imports only the modules it runs. This module imports bag,
 dirac and step; the handler that needs one of the rest imports it when it
@@ -79,54 +79,42 @@ MAX_ROWS = 10**6
 BLOCK = 4096
 
 
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return _BOOL_TEXT[value]
-    if isinstance(value, int):
-        return "%d" % value
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
 def _column(cells, as_json: bool):
     """One column's piece of the row template and the per-cell map, None
     where the cells are the values as they are.
 
-    cells is the whole column: a numpy array, a list, or the str or float
-    that every row shares, whose piece is literal text. A float array takes
-    its kind from its dtype; a list or any other array is scanned for the
-    types of its cells once. A column of any other type, or of mixed types,
-    goes through the per-cell encoder (json.dumps or _csv_cell) and takes
-    "%s".
+    cells is the whole column in one of three forms: a float64 array, whose
+    kind is its dtype; a list whose cells all have one type (float, int,
+    bool or str), found by one scan; or the str or float that every row
+    shares, whose piece is literal text. Any other column, a list of mixed
+    types or of numpy scalars included, raises TypeError.
     """
-    encode = json.dumps if as_json else _csv_cell
     if isinstance(cells, (str, float)):
-        return encode(cells).replace("%", "%%"), None
-    if isinstance(cells, list) or cells.dtype.kind != "f":
-        kinds = set(map(type, cells))
-        kind = kinds.pop() if len(kinds) == 1 else None
+        text = (json.dumps(cells) if as_json
+                else "%.17g" % cells if isinstance(cells, float) else cells)
+        return text.replace("%", "%%"), None
+    if isinstance(cells, list):
+        kinds = set(map(type, cells)) or {str}  # zero rows: any piece serves
         # json spells nan and inf its own way; any of them makes the sum
         # non-finite
-        finite = kind is float and as_json and math.isfinite(sum(cells))
+        finite = kinds == {float} and as_json and math.isfinite(sum(cells))
     else:
-        import numpy as np
-
-        kind, finite = float, as_json and np.isfinite(cells).all()
-    if kind is float and not as_json:
-        return "%.17g", None
+        # an array of any other dtype has no kind, and raises below
+        kinds = {float} if cells.dtype == "float64" else set()
+        finite = kinds == {float} and as_json and (abs(cells) < math.inf).all()
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and as_json:
+        return ("%r", None) if finite else ("%s", json.dumps)
     if kind is float:
-        return ("%r", None) if finite else ("%s", encode)
-    if kind is int:
-        return "%d", None
+        return "%.17g", None
     if kind is bool:
-        return "%s", _BOOL_TEXT.__getitem__
+        return "%s", {True: "true", False: "false"}.__getitem__
     if kind is str and as_json:
         return "%s", {s: json.dumps(s) for s in set(cells)}.__getitem__
-    return "%s", None if kind is str else encode
+    # an int or a str prints as it is
+    if kind in (int, str):
+        return "%s", None
+    raise TypeError("a table column needs cells of one type: float, int, bool or str")
 
 
 def _render(head: str, template: str, sep: str, rows: list, tail: str) -> str:
@@ -138,14 +126,15 @@ def _render(head: str, template: str, sep: str, rows: list, tail: str) -> str:
 def _blocks(command: str, params: dict, table, fmt: str):
     """The table's text, one block of BLOCK rows at a time.
 
-    table is an ordered sequence of (name, cells) pairs. cells is a numpy
-    array, a list, or a str or float that every row shares; the first
-    column that is not shared gives the row count. The layout is decided
-    once per table: _column gives each column's piece and map, and the row
-    template, the CSV header or JSON head, the separator and the tail are
-    built here. A block only slices, maps and zips the columns that are not
-    shared into its rows; the first block carries the head, the later ones
-    the separator, and the last one the tail.
+    table is an ordered sequence of (name, cells) pairs. cells is a float64
+    array, a list of one cell type, or a str or float that every row shares
+    (see _column); the first column that is not shared gives the row count.
+    The layout is decided once per table: _column gives each column's piece
+    and map, and the row template, the CSV header or JSON head, the
+    separator and the tail are built here. A block only slices, maps and
+    zips the columns that are not shared into its rows; the first block
+    carries the head, the later ones the separator, and the last one the
+    tail.
 
     One loop yields the blocks. A table of more than one block, where
     os.fork exists and a second CPU can run a child, splits each block at
@@ -320,7 +309,7 @@ def _cmd_zones(args):
     table = [
         ("energy", energies),
         *zip(("p2", "q2_plus", "q2_minus", "delta", "mom2_plus", "mom2_minus"), grid),
-        ("zone_minus", np.array([zone.value for zone in Zone], dtype=object)[codes]),
+        ("zone_minus", np.array([z.value for z in Zone], dtype=object)[codes].tolist()),
         ("zone_plus", Zone.DIFFUSION.value),
         *zip(("e_low", "e_up", "delta_e"),
              evanescent_width(args.mass, pot.v0, pot.w_abs)),

@@ -8,12 +8,12 @@ plus-branch travelling spinor, the coefficient consistency relation, the full
 spinor mismatch at the far wall) and never fail the run.
 
 The quantization section scans g(Q) on each 4096-point grid in one call to
-its array form (bag._residual_grid, which also gives g's numerator). Those
-values only bracket the roots; every root in the report is the scalar
-quantization_residual bisected, so the array form's last-bit differences
-from math never reach the output. A bracket where the numerator keeps one
-sign well away from 0 holds a pole and no root, and is not bisected
-(_scan_roots says why the roots stay the same). The quaternion section
+its array form (bag.quantization_residual_grid). Those values only bracket
+the roots; every root in the report is the scalar quantization_residual
+bisected, so the array form's last-bit differences from math never reach the
+output. A bracket where g's numerator sin(2QL) keeps one sign well away from
+0 holds a pole and no root, and is not bisected (_scan_roots computes that
+numerator and says why the roots stay the same). The quaternion section
 multiplies whole arrays with quaternion._quat_mul, the product Quaternion
 itself uses. The oracle section stacks its 100 operators, on and off the
 branches, and decomposes them in one SVD call (dirac._nullspace_stack); the
@@ -28,10 +28,10 @@ from itertools import combinations
 
 from . import _kernels
 from .bag import (
-    _residual_grid,
     boundary_residual,
     normalize,
     quantization_residual,
+    quantization_residual_grid,
     quantized_momenta,
     solve_spectrum,
     stationary_wavefunction,
@@ -89,27 +89,27 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(f, f_grid, q_max):
+def _scan_roots(f, f_grid, q_max, length):
     """Bisection roots of f on (0, q_max], skipping poles and gaps.
 
-    f_grid gives (f, num) on the whole grid in one call, num being the
-    numerator sin(a + b) of f = num/den. Its values only choose the
-    brackets: a grid point where f is exactly 0, or a sign change between
-    two finite neighbours that the pole rule keeps. Every other root is the
-    scalar f bisected.
+    f is g(Q) = num/den of a well of this length, with num = sin(2QL) and
+    den = sin a sin b (bag._residual_chain); f_grid gives f on the whole
+    grid in one call. Its values only choose the brackets: a grid point
+    where f is exactly 0, or a sign change between two finite neighbours
+    that the pole rule keeps. Every other root is the scalar f bisected.
 
     The pole rule skips a cell where num keeps one sign with |num| > 1e-3 at
     both ends: f changes sign there at a pole, and the filter after the
-    bisection would drop what it returns. num is sin(2QL) up to rounding,
-    whose zeros lie pi/(2L) apart, wider than a cell on verify's grids, so
-    such a cell holds no zero of num; |sin| is concave between its zeros, so
-    |num| stays above its smaller end value inside; and |den| =
-    |sin a sin b| <= 1, so |f| > 1e-6 throughout the cell.
+    bisection would drop what it returns. The zeros of num lie pi/(2L)
+    apart, wider than a cell on verify's grids, so such a cell holds no zero
+    of num; |sin| is concave between its zeros, so |num| stays above its
+    smaller end value inside; and |den| <= 1, so |f| > 1e-6 throughout the
+    cell. A nan length makes num nan, and the rule skips no cell.
     """
     import numpy as np
 
     grid = np.linspace(q_max / _N_GRID, q_max, _N_GRID)
-    vals, num = f_grid(grid)
+    vals, num = f_grid(grid), np.sin(2.0 * length * grid)
     a, b = vals[:-1], vals[1:]
     pole = ((np.sign(num[:-1]) == np.sign(num[1:]))
             & (np.minimum(abs(num[:-1]), abs(num[1:])) > 1e-3))
@@ -348,7 +348,7 @@ def _section_quantization():
         for branch in (Branch.MINUS, Branch.PLUS):
             args = dict(mass=mass, pot=pot, length=length, branch=branch)
             roots = _scan_roots(partial(quantization_residual, **args),
-                                partial(_residual_grid, **args), q_max)
+                                partial(quantization_residual_grid, **args), q_max, length)
             matched = []
             for q_n in expected:
                 best = min(roots, key=lambda r: abs(r - q_n)) if roots else math.inf

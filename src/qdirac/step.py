@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 from .dirac import (InputError, PlaneWaveState, SingularCoefficientsError, _block_spinor,
                     _record, _require_finite, _require_magnitude, _require_mass,
-                    _require_spin)
+                    _require_real, _require_spin)
 from .quaternion import Quaternion
 
 __all__ = [
@@ -253,7 +253,11 @@ def classify_zone(energy: float, mass: float, pot: PotentialStep):
 
 def principal_momentum(mom2: float) -> complex:
     """Principal square root: positive real, or positive imaginary when the
-    squared momentum is negative (decaying evanescent convention)."""
+    squared momentum is negative (decaying evanescent convention). A mom2
+    that is no real number, or beyond float64 range, raises InputError; a
+    float, as mode_coefficients passes at every level, skips that check."""
+    if type(mom2) is not float:
+        _require_real(mom2=mom2)
     if mom2 >= 0:
         return complex(math.sqrt(mom2), 0.0)
     return complex(0.0, math.sqrt(-mom2))

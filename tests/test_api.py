@@ -6,7 +6,7 @@ import builtins
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -227,6 +227,8 @@ NOT_REAL = {
     "PlaneWaveState.evaluate-z": ("z", lambda: WAVE.evaluate("0.5")),
     "PlaneWaveState.evaluate-t": ("t", lambda: WAVE.evaluate(0.5, 1j)),
     "StationaryWavefunction.evaluate-z": ("z", lambda: STANDING.evaluate("0.5")),
+    "principal_momentum-mom2": ("mom2", lambda: qdirac.principal_momentum(1j)),
+    "principal_momentum-mom2-str": ("mom2", lambda: qdirac.principal_momentum("4")),
 }
 
 
@@ -275,6 +277,18 @@ BEYOND_FLOAT64 = {
                                                            POT)),
     "nullspace_oracle-momentum": (
         "momentum", lambda big: qdirac.nullspace_oracle(2.0, big, 1.0, POT)),
+    "principal_momentum-mom2": ("mom2", lambda big: qdirac.principal_momentum(big)),
+    "StationaryWavefunction.evaluate-j_chi": (
+        "j_chi", lambda big: replace(STANDING, j_chi=big).evaluate(0.5)),
+    "StationaryWavefunction.evaluate-momentum": (
+        "momentum", lambda big: replace(STANDING, momentum=big).evaluate(0.5)),
+    "StationaryWavefunction.evaluate-amplitude": (
+        "amplitude", lambda big: replace(STANDING, amplitude=big).evaluate(0.5)),
+    "normalize-j_chi": ("j_chi", lambda big: qdirac.normalize(replace(STANDING, j_chi=big))),
+    "normalize-momentum": (
+        "momentum", lambda big: qdirac.normalize(replace(STANDING, momentum=big))),
+    "StationaryWavefunction.density-phase": (
+        "phase", lambda big: replace(STANDING, phase=big).density(0.5)),
 }
 
 
@@ -317,6 +331,7 @@ FLOAT_TWINS = {
                             (3.0, 2.0, 1.0, POT), {0: None, 1: None, 2: -2.0}),
     "realify_stationary_operator": (qdirac.realify_stationary_operator,
                                     (3.0, 2.0, 1.0, POT), {0: None, 1: None, 2: -2.0}),
+    "principal_momentum": (qdirac.principal_momentum, (4.0,), {0: None}),
 }
 
 

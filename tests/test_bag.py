@@ -361,10 +361,10 @@ def nan_where_raises(g):
 
 
 def scalar_grid(g):
-    """The scan's grid values from one scalar call per point, with a nan
-    numerator everywhere, so the pole rule skips no bracket."""
+    """The scan's grid values from one scalar call per point; scanned with a
+    nan length, the pole rule skips no bracket."""
     safe = nan_where_raises(g)
-    return lambda qs: (np.array([safe(q) for q in qs.tolist()]), np.full(len(qs), np.nan))
+    return lambda qs: np.array([safe(q) for q in qs.tolist()])
 
 
 def denominator_draws(seed, n_wells=36, n_energies=8):
@@ -411,7 +411,7 @@ class TestResidualGrid:
             got = [bag._residual_chain(1.0, e, mass, pot, 1.0, branch, step._MATH)[1:3]
                    for e in energies]
             assert repr(got) == repr(want), (mass, pot, branch)
-            _, regular, amp, _ = bag._residual_chain(
+            _, regular, amp = bag._residual_chain(
                 np.ones(len(energies)), np.array(energies), mass, pot, 1.0, branch, np)
             assert repr(list(zip(regular.tolist(), amp.tolist()))) == repr(got)
         for sign in (-1, 0, 1):
@@ -488,9 +488,9 @@ class TestResidualGrid:
         scans = []
         scan = report._scan_roots
 
-        def both_scans(f, f_grid, q_max):
-            roots = scan(f, f_grid, q_max)
-            scans.append((roots, scan(f, scalar_grid(f), q_max)))
+        def both_scans(f, f_grid, q_max, length):
+            roots = scan(f, f_grid, q_max, length)
+            scans.append((roots, scan(f, scalar_grid(f), q_max, math.nan)))
             return roots
 
         monkeypatch.setattr(report, "_scan_roots", both_scans)
@@ -505,8 +505,9 @@ class TestResidualGrid:
             q_max = 10.5 * math.pi / (2.0 * length)
             for branch in (Branch.MINUS, Branch.PLUS):
                 g = nan_where_raises(partial(quantization_residual, branch=branch, **args))
-                grid = partial(bag._residual_grid, branch=branch, **args)
-                scans.append((scan(g, grid, q_max), scan(g, scalar_grid(g), q_max)))
+                grid = partial(quantization_residual_grid, branch=branch, **args)
+                scans.append((scan(g, grid, q_max, length),
+                              scan(g, scalar_grid(g), q_max, math.nan)))
         for roots, want in scans:
             assert roots and [r.hex() for r in roots] == [r.hex() for r in want]
 
@@ -546,12 +547,11 @@ class TestPoleRule:
         scan = report._scan_roots
         scans = []
 
-        def both_scans(f, f_grid, q_max):
+        def both_scans(f, f_grid, q_max, length):
             n = len(cells)
-            roots = scan(f, f_grid, q_max)
+            roots = scan(f, f_grid, q_max, length)
             n_rule = len(cells) - n
-            want = oracles.scan_roots_bisecting_every_bracket(
-                report, f, partial(quantization_residual_grid, **f_grid.keywords), q_max)
+            want = oracles.scan_roots_bisecting_every_bracket(report, f, f_grid, q_max)
             scans.append((roots, want, n_rule, len(cells) - n - n_rule))
             return roots
 
@@ -583,7 +583,8 @@ class TestPoleRule:
                 args = dict(mass=mass, pot=pot, length=length, branch=branch)
                 g = nan_where_raises(partial(quantization_residual, **args))
                 n = len(cells)
-                roots = report._scan_roots(g, partial(bag._residual_grid, **args), q_max)
+                roots = report._scan_roots(g, partial(quantization_residual_grid, **args),
+                                           q_max, length)
                 n_rule += len(cells) - n
                 n = len(cells)
                 want = oracles.scan_roots_bisecting_every_bracket(
@@ -595,26 +596,24 @@ class TestPoleRule:
         assert n_rule < n_every
 
     def test_a_cell_with_a_root_and_a_pole_is_still_bisected(self, monkeypatch):
-        # on the grid 1, 2, ..., 8: a pole at 1.45 where |num| < 1e-3 at
-        # q = 1, a root at 3.3 beside a double pole at 3.6, and a pole at 6.45
-        # where num keeps one sign well away from 0
+        # on the grid 1, 2, ..., 8, num = sin(2QL) has its zeros at
+        # multiples of 2.9999: a root at 2.3 beside a double pole at 2.6
+        # where num changes sign, a pole at 3.45 where |num| < 1e-3 at q = 3,
+        # and a pole at 4.45 where num keeps one sign well away from 0
         cells = self.counting_bisect(monkeypatch)
 
         def f(q):
-            return (q - 3.3) / ((q - 3.6) ** 2 * (q - 1.45) * (q - 6.45))
+            return (q - 2.3) / ((q - 2.6) ** 2 * (q - 3.45) * (q - 4.45))
 
         def f_grid(qs):
-            num = qs - 3.3
-            num[0] = -5e-4
-            return np.array([f(q) for q in qs.tolist()]), num
+            return np.array([f(q) for q in qs.tolist()])
 
         monkeypatch.setattr(report, "_N_GRID", 8)
-        roots = report._scan_roots(f, f_grid, 8.0)
-        assert cells == [(1.0, 2.0), (3.0, 4.0)]
-        assert len(roots) == 1 and abs(roots[0] - 3.3) < 1e-12
-        want = oracles.scan_roots_bisecting_every_bracket(
-            report, f, lambda qs: f_grid(qs)[0], 8.0, n_grid=8)
-        assert cells[2:] == [(1.0, 2.0), (3.0, 4.0), (6.0, 7.0)]
+        roots = report._scan_roots(f, f_grid, 8.0, math.pi / (2.0 * 2.9999))
+        assert cells == [(2.0, 3.0), (3.0, 4.0)]
+        assert len(roots) == 1 and abs(roots[0] - 2.3) < 1e-12
+        want = oracles.scan_roots_bisecting_every_bracket(report, f, f_grid, 8.0, n_grid=8)
+        assert cells[2:] == [(2.0, 3.0), (3.0, 4.0), (4.0, 5.0)]
         assert [r.hex() for r in roots] == [r.hex() for r in want]
 
 
@@ -629,11 +628,10 @@ class TestExactZeros:
             return (q - 3.0) * (q - 5.5) * (q - 8.0)
 
         def f_grid(qs):
-            vals = np.array([f(q) for q in qs.tolist()])
-            return vals, vals
+            return np.array([f(q) for q in qs.tolist()])
 
         monkeypatch.setattr(report, "_N_GRID", 8)
-        roots = report._scan_roots(f, f_grid, 8.0)
+        roots = report._scan_roots(f, f_grid, 8.0, math.nan)
         assert cells == [(5.0, 6.0)]
         assert [r.hex() for r in roots] == [q.hex() for q in (3.0, 5.5, 8.0)]
 
@@ -1239,3 +1237,30 @@ def test_an_overflowing_density_weight_is_an_input_error(case):
         code = cli.main(call)
     assert (code, out.getvalue()) == (2, "")
     assert re.fullmatch("error: %s\n" % message, err.getvalue()), err.getvalue()
+
+
+WAVE = stationary_wavefunction(solve_spectrum(1.0, POT, 1.0, 1, Branch.MINUS)[0], 1.0, POT)
+# (a call on WAVE with one field replaced, and the whole message it raises)
+BAD_WAVE = {
+    # each once raised a bare error: ZeroDivisionError, then math's
+    # ValueError("math domain error") from sin(inf) or cos(inf)
+    "normalize-momentum-0": (lambda: normalize(replace(WAVE, momentum=0.0)),
+                             "cannot normalize at momentum 0.0, phase %r: both must be "
+                             "finite and the momentum nonzero" % WAVE.phase),
+    "normalize-phase-inf": (lambda: normalize(replace(WAVE, phase=math.inf)),
+                            "cannot normalize at momentum %r, phase inf: both must be "
+                            "finite and the momentum nonzero" % WAVE.momentum),
+    "evaluate-momentum-inf": (lambda: replace(WAVE, momentum=math.inf).evaluate(0.5),
+                              "momentum inf, phase %r: the wave's angles at z = 0.5 are "
+                              "infinite" % WAVE.phase),
+    "evaluate-phase-inf": (lambda: replace(WAVE, phase=-math.inf).evaluate(0.0),
+                           "momentum %r, phase -inf: the wave's angles at z = 0.0 are "
+                           "infinite" % WAVE.momentum),
+}
+
+
+@pytest.mark.parametrize("case", BAD_WAVE)
+def test_a_wave_the_closed_form_cannot_take_is_an_input_error(case):
+    call, message = BAD_WAVE[case]
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        call()
