@@ -136,9 +136,9 @@ class StationaryWavefunction:
     amplitude: float = 1.0
 
     def evaluate(self, z: float) -> QSpinor:
-        """The spinor at z. InputError where z or a real field is no real
-        number in float64 range, or where an infinite momentum or phase
-        makes the angles of the wave infinite."""
+        """The spinor at z. InputError where z is no real number in float64
+        range, where a real field is not finite, or where the angles of the
+        wave at z overflow."""
         _require_real(z=z)
         self._require_fields()
         if z < 0.0 or z > self.length:
@@ -160,9 +160,10 @@ class StationaryWavefunction:
 
     def _require_fields(self):
         """InputError naming the first real field that is no real number in
-        float64 range, which the arithmetic would refuse bare."""
-        _require_real(momentum=self.momentum, phase=self.phase, amp_ratio=self.amp_ratio,
-                      j_chi=self.j_chi, amplitude=self.amplitude)
+        float64 range, which the arithmetic would refuse bare, or that is not
+        finite, which would make the spinor or the density nan."""
+        _require_finite(momentum=self.momentum, phase=self.phase, amp_ratio=self.amp_ratio,
+                        j_chi=self.j_chi, amplitude=self.amplitude)
 
     def _weights(self):
         """(amplitude^2, amp_ratio^2, |wm|^2) of the closed-form density,

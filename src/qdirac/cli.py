@@ -36,12 +36,14 @@ is written; a write error mid-table leaves the blocks already written.
 Repeated runs with identical flags produce byte-identical output; nothing
 here reads the clock, the locale, or the environment.
 
-Each command imports only the modules it runs. This module imports bag,
-dirac and step; the handler that needs one of the rest imports it when it
-runs: numpy in the array commands (zones, density, verify), _kernels in
-zones, nonrel in nr-spectrum and report in verify. So --version,
-bag-spectrum and the usage errors load none of numpy, _kernels, nonrel or
-report.
+Each command imports only the modules it runs. This module imports dirac
+and step, which every table needs; the handler that needs one of the rest
+imports it when it runs: bag in bag-spectrum and density, numpy in the
+array commands (zones, density, verify), _kernels in zones, nonrel in
+nr-spectrum and report in verify, and json in verify and in the JSON
+branch of _blocks. So --version, zones and nr-spectrum load no bag, no CSV
+table loads json, and --version, bag-spectrum and the usage errors load
+none of numpy, _kernels, nonrel or report.
 
 Exit codes, by the exception behind each: 0 success, 1 verification
 failure, 2 an InputError (an invalid argument, or a value derived from the
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -65,7 +66,6 @@ import sys
 import warnings
 
 from . import __version__
-from .bag import solve_spectrum, stationary_wavefunction
 from .dirac import (InputError, NoSolutionError, SingularCoefficientsError,
                     _require_finite, _require_mass)
 from .step import PotentialStep, Zone, _branch_mom2_in_range, _zone_minus, evanescent_width
@@ -79,7 +79,7 @@ MAX_ROWS = 10**6
 BLOCK = 4096
 
 
-def _column(cells, as_json: bool):
+def _column(cells, dumps):
     """One column's piece of the row template and the per-cell map, None
     where the cells are the values as they are.
 
@@ -87,10 +87,12 @@ def _column(cells, as_json: bool):
     kind is its dtype; a list whose cells all have one type (float, int,
     bool or str), found by one scan; or the str or float that every row
     shares, whose piece is literal text. Any other column, a list of mixed
-    types or of numpy scalars included, raises TypeError.
+    types or of numpy scalars included, raises TypeError. dumps is
+    json.dumps for a JSON table, None for CSV.
     """
+    as_json = dumps is not None
     if isinstance(cells, (str, float)):
-        text = (json.dumps(cells) if as_json
+        text = (dumps(cells) if as_json
                 else "%.17g" % cells if isinstance(cells, float) else cells)
         return text.replace("%", "%%"), None
     if isinstance(cells, list):
@@ -104,13 +106,13 @@ def _column(cells, as_json: bool):
         finite = kinds == {float} and as_json and (abs(cells) < math.inf).all()
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float and as_json:
-        return ("%r", None) if finite else ("%s", json.dumps)
+        return ("%r", None) if finite else ("%s", dumps)
     if kind is float:
         return "%.17g", None
     if kind is bool:
         return "%s", {True: "true", False: "false"}.__getitem__
     if kind is str and as_json:
-        return "%s", {s: json.dumps(s) for s in set(cells)}.__getitem__
+        return "%s", {s: dumps(s) for s in set(cells)}.__getitem__
     # an int or a str prints as it is
     if kind in (int, str):
         return "%s", None
@@ -146,16 +148,20 @@ def _blocks(command: str, params: dict, table, fmt: str):
     error is raised here. The pipe is closed and the child waited for on
     every way out.
     """
-    as_json = fmt == "json"
+    dumps = None
+    if fmt == "json":
+        import json
+
+        dumps = json.dumps
     names = [name for name, _ in table]
-    pieces, casts = zip(*(_column(cells, as_json) for _, cells in table))
+    pieces, casts = zip(*(_column(cells, dumps) for _, cells in table))
     columns = [(cells, cast) for (_, cells), cast in zip(table, casts)
                if not isinstance(cells, (str, float))]
     n = len(columns[0][0])
-    if as_json:
+    if dumps:
         # rows is the last key: the head ends in the "[" of its empty list
-        head = json.dumps({"command": command, "params": params, "columns": names,
-                           "rows": []}, indent=2)[:-3]
+        head = dumps({"command": command, "params": params, "columns": names,
+                      "rows": []}, indent=2)[:-3]
         template = "\n    [\n      " + ",\n      ".join(pieces) + "\n    ]"
         sep, tail = ",", "\n  ]\n}\n" if n else "]\n}\n"
     else:
@@ -321,6 +327,8 @@ def _cmd_zones(args):
 
 def _cmd_bag_spectrum(args):
     pot = _pot_from_args(args)
+    from .bag import solve_spectrum
+
     levels = solve_spectrum(args.mass, pot, args.length, args.levels, args.branch)
     names = ("index", "momentum", "eff_momentum", "energy", "phase", "norm_const",
              "regime_flag")
@@ -340,6 +348,8 @@ def _cmd_density(args):
     if args.grid > MAX_ROWS:
         raise InputError("--grid %d is over the %d-row limit" % (args.grid, MAX_ROWS))
     pot = _pot_from_args(args)
+    from .bag import solve_spectrum, stationary_wavefunction
+
     level = solve_spectrum(args.mass, pot, args.length, args.level, args.branch)[-1]
     wf = stationary_wavefunction(level, args.mass, pot, args.spin)
     import numpy as np
@@ -364,6 +374,8 @@ def _cmd_nr_spectrum(args):
 
 
 def _cmd_verify(args):
+    import json
+
     from .report import build_report, report_passed
 
     report = build_report()

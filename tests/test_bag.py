@@ -1124,8 +1124,7 @@ class TestNormalization:
     def test_non_finite_integral_raises(self):
         levels = solve_spectrum(1.0, POT, 1.0, 1, Branch.MINUS)
         wf = stationary_wavefunction(levels[0], 1.0, POT)
-        for bad in (replace(wf, phase=math.nan), replace(wf, amplitude=math.inf),
-                    replace(wf, amplitude=0.0)):
+        for bad in (replace(wf, phase=math.nan), replace(wf, amplitude=0.0)):
             with pytest.raises(ValueError, match="cannot normalize"):
                 normalize(bad)
 
@@ -1240,6 +1239,7 @@ def test_an_overflowing_density_weight_is_an_input_error(case):
 
 
 WAVE = stationary_wavefunction(solve_spectrum(1.0, POT, 1.0, 1, Branch.MINUS)[0], 1.0, POT)
+NOT_FINITE = "%s must be finite, got %r"
 # (a call on WAVE with one field replaced, and the whole message it raises)
 BAD_WAVE = {
     # each once raised a bare error: ZeroDivisionError, then math's
@@ -1250,12 +1250,50 @@ BAD_WAVE = {
     "normalize-phase-inf": (lambda: normalize(replace(WAVE, phase=math.inf)),
                             "cannot normalize at momentum %r, phase inf: both must be "
                             "finite and the momentum nonzero" % WAVE.momentum),
+    "normalize-amplitude-inf": (lambda: normalize(replace(WAVE, amplitude=math.inf)),
+                                NOT_FINITE % ("amplitude", math.inf)),
     "evaluate-momentum-inf": (lambda: replace(WAVE, momentum=math.inf).evaluate(0.5),
-                              "momentum inf, phase %r: the wave's angles at z = 0.5 are "
-                              "infinite" % WAVE.phase),
+                              NOT_FINITE % ("momentum", math.inf)),
     "evaluate-phase-inf": (lambda: replace(WAVE, phase=-math.inf).evaluate(0.0),
-                           "momentum %r, phase -inf: the wave's angles at z = 0.0 are "
-                           "infinite" % WAVE.momentum),
+                           NOT_FINITE % ("phase", -math.inf)),
+    # finite fields whose angle at z overflows
+    "evaluate-angle-overflow": (
+        lambda: replace(WAVE, momentum=1e308, length=10.0).evaluate(5.0),
+        "momentum 1e+308, phase %r: the wave's angles at z = 5.0 are infinite"
+        % WAVE.phase),
+    # each once gave nan without an error: inf * 0 at z = 0, a nan field, or
+    # an infinite weight times a zero sine or cosine
+    "evaluate-momentum-inf-at-0": (lambda: replace(WAVE, momentum=math.inf).evaluate(0.0),
+                                   NOT_FINITE % ("momentum", math.inf)),
+    "evaluate-momentum-nan": (lambda: replace(WAVE, momentum=math.nan).evaluate(0.5),
+                              NOT_FINITE % ("momentum", math.nan)),
+    "evaluate-phase-nan": (lambda: replace(WAVE, phase=math.nan).evaluate(0.5),
+                           NOT_FINITE % ("phase", math.nan)),
+    "evaluate-amp_ratio-inf": (lambda: replace(WAVE, amp_ratio=math.inf).evaluate(0.0),
+                               NOT_FINITE % ("amp_ratio", math.inf)),
+    "evaluate-j_chi-nan": (lambda: replace(WAVE, j_chi=math.nan).evaluate(0.5),
+                           NOT_FINITE % ("j_chi", math.nan)),
+    "evaluate-amplitude-nan": (lambda: replace(WAVE, amplitude=math.nan).evaluate(0.5),
+                               NOT_FINITE % ("amplitude", math.nan)),
+    "density-momentum-inf": (lambda: replace(WAVE, momentum=math.inf).density(0.5),
+                             NOT_FINITE % ("momentum", math.inf)),
+    "density-phase-nan": (lambda: replace(WAVE, phase=math.nan).density(0.5),
+                          NOT_FINITE % ("phase", math.nan)),
+    "density-amp_ratio-nan": (lambda: replace(WAVE, amp_ratio=math.nan).density(0.5),
+                              NOT_FINITE % ("amp_ratio", math.nan)),
+    "density-j_chi-inf": (lambda: replace(WAVE, j_chi=-math.inf).density(0.5),
+                          NOT_FINITE % ("j_chi", -math.inf)),
+    "density-amplitude-inf": (lambda: replace(WAVE, amplitude=math.inf).density(0.0),
+                              NOT_FINITE % ("amplitude", math.inf)),
+    "density_split-momentum-nan": (
+        lambda: replace(WAVE, momentum=math.nan).density_split(np.linspace(0.0, 1.0, 5)),
+        NOT_FINITE % ("momentum", math.nan)),
+    "density_split-phase-inf": (
+        lambda: replace(WAVE, phase=math.inf).density_split(0.0),
+        NOT_FINITE % ("phase", math.inf)),
+    "density_split-amp_ratio-inf": (
+        lambda: replace(WAVE, amp_ratio=math.inf).density_split(np.linspace(0.0, 1.0, 5)),
+        NOT_FINITE % ("amp_ratio", math.inf)),
 }
 
 

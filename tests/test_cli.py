@@ -28,7 +28,7 @@ from qdirac import (
     nr_quantize,
     solve_spectrum,
 )
-from qdirac import cli, nonrel
+from qdirac import bag, cli, nonrel
 from qdirac.cli import main
 
 ZONES_ARGS = [
@@ -265,7 +265,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(np, "arange", no_grid)
         monkeypatch.setattr(np, "linspace", no_grid)
-        monkeypatch.setattr(cli, "solve_spectrum", no_grid)
+        monkeypatch.setattr(bag, "solve_spectrum", no_grid)
         monkeypatch.setattr(nonrel, "nr_quantize", no_grid)
         over = str(cli.MAX_ROWS + 1)
         for argv, flag in (
@@ -483,7 +483,7 @@ class TestExitCodes:
         def fail(*args):
             raise exc
 
-        monkeypatch.setattr(cli, "solve_spectrum", fail)
+        monkeypatch.setattr(bag, "solve_spectrum", fail)
         monkeypatch.setattr(nonrel, "nr_quantize", fail)
         for command in ("bag-spectrum", "nr-spectrum"):
             got = run_cli([command, "--w0-abs", "0.5"], capsys)
@@ -672,39 +672,58 @@ class TestRuntimeDependencies:
         assert codes == {name: code for name, code, _ in NO_NUMPY_CASES}
         assert all(out for name, (code, out) in blocked.items() if code == 0)
 
-    @pytest.mark.parametrize("argv,absent", [
-        (["--version"], {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "numpy"}),
+    def test_importing_the_cli_loads_neither_bag_nor_json(self):
+        # bag-spectrum and density import bag when they run, and verify and
+        # the JSON tables import json
+        probe = ("import sys, qdirac.cli\n"
+                 "print(sorted({'qdirac.bag', 'json'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("argv,absent,present", [
+        (["--version"], {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "numpy",
+                         "qdirac.bag", "json"}, set()),
         (["bag-spectrum", "--w0-abs", "0.5"],
-         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "numpy"}),
+         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "numpy", "json"},
+         {"qdirac.bag"}),
         (["density", "--w0-abs", "0.5"],
-         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels"}),
-        (["zones"], {"qdirac.report", "qdirac.nonrel"}),
-        (["nr-spectrum", "--w0-abs", "0.5"], {"qdirac.report"}),
-        (["verify"], set()),
-    ], ids=["version", "bag-spectrum", "density", "zones", "nr-spectrum", "verify"])
-    def test_each_command_imports_only_the_modules_it_runs(self, argv, absent):
-        # one fresh interpreter per command: the qdirac modules and numpy it
-        # left in sys.modules, after a successful run
+         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "json"},
+         {"qdirac.bag", "numpy"}),
+        (["zones"], {"qdirac.report", "qdirac.nonrel", "qdirac.bag", "json"},
+         {"qdirac._kernels", "numpy"}),
+        (["zones", "--format", "json"], {"qdirac.report", "qdirac.nonrel", "qdirac.bag"},
+         {"qdirac._kernels", "numpy", "json"}),
+        (["nr-spectrum", "--w0-abs", "0.5"], {"qdirac.report", "qdirac.bag", "json"},
+         {"qdirac.nonrel"}),
+        (["verify"], set(),
+         {"qdirac.report", "qdirac.nonrel", "qdirac._kernels", "qdirac.bag", "numpy",
+          "json"}),
+    ], ids=["version", "bag-spectrum", "density", "zones", "zones-json", "nr-spectrum",
+            "verify"])
+    def test_each_command_imports_only_the_modules_it_runs(self, argv, absent, present):
+        # one fresh interpreter per command: the qdirac modules, numpy and
+        # json it left in sys.modules after a successful run, listed before
+        # the script imports json for its own output
         script = (
-            "import contextlib, io, json, sys\n"
+            "import contextlib, io, sys\n"
             "from qdirac.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
             "        code = main(%r)\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules\n"
-            "                             if m == 'numpy' or m.startswith('qdirac.'))]))\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m in ('numpy', 'json') or m.startswith('qdirac.'))\n"
+            "import json\n"
+            "print(json.dumps([code, loaded]))\n"
             % (argv,))
         code, loaded = json.loads(subprocess.run(
             [sys.executable, "-c", script], env=src_env(), capture_output=True,
             text=True, check=True).stdout)
         assert code == 0
-        assert {"qdirac.cli", "qdirac.dirac", "qdirac.step"} <= set(loaded)
+        assert {"qdirac.cli", "qdirac.dirac", "qdirac.step"} | present <= set(loaded)
         assert absent.isdisjoint(loaded), sorted(absent.intersection(loaded))
-        if argv == ["verify"]:
-            assert {"qdirac.report", "qdirac.nonrel", "qdirac._kernels",
-                    "numpy"} <= set(loaded)
 
 
 # (name, expected exit code, argv); "api" runs the spectrum API instead

@@ -46,7 +46,6 @@ def originals():
     return {
         "cli._render": cli._render,
         "cli.main": cli.main,
-        "cli.solve_spectrum": cli.solve_spectrum,
         "bag.solve_spectrum": bag.solve_spectrum,
         "_kernels.branch_mom2_grid": _kernels.branch_mom2_grid,
         "density_split": vars(wf)["density_split"],
