@@ -30,9 +30,11 @@ Energies, norms and densities are closed-form: the energy is a root of a
 quadratic in E^2 (a hypot at v0 = 0), _density_integral (the one written norm
 integral) integrates the cos^2/sin^2(Qz -+ phase/2) density exactly (Alberto,
 Fiolhais & Gil, Eur. J. Phys. 17 (1996) 19), and density_split evaluates that
-form on whole arrays. solve_spectrum solves each level's mode coefficients once
-and the BagLevel carries them with its w_factor, so stationary_wavefunction
-solves nothing and reads nothing of the well. _phase is the one phase formula.
+form on whole arrays. solve_spectrum solves each level's mode coefficients once,
+in real arithmetic through step._coefficients (mode_coefficients' checks and
+formulas on a float momentum), and the BagLevel carries them with its
+w_factor, so stationary_wavefunction solves nothing and reads nothing of the
+well. _phase is the one phase formula.
 The spinor (evaluate) serves the wall checks and is the tests' density oracle.
 
 solve_spectrum, stationary_wavefunction and normalize use math only;
@@ -49,8 +51,8 @@ from .dirac import (InputError, NoSolutionError, QSpinor, SingularCoefficientsEr
                     _require_count, _require_finite, _require_length, _require_mass,
                     _require_real, _require_spin, _row_sums)
 from .quaternion import ZERO, Quaternion
-from .step import (_MATH, Branch, PotentialStep, _branch_denominators, as_branch,
-                   mode_coefficients)
+from .step import (_MATH, Branch, PotentialStep, _branch_denominators, _coefficients,
+                   as_branch)
 
 __all__ = [
     "NoSolutionError",
@@ -407,16 +409,21 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
     from a level's energy or coefficients gets the prefix "level N at ", as
     does the one where its density weight |w_factor*j_chi|^2 overflows
     float64 (past about 1.34e154, where a float's ** 2 raises OverflowError).
-    Each level's one mode_coefficients call gives the amp_ratio and j_chi it
-    carries, its phase and, with its w_factor, its norm_const.
+    Each level's one step._coefficients call gives the amp_ratio and j_chi
+    it carries, its phase and, with its w_factor, its norm_const: on the
+    float momentum sqrt(mom2), which gives the real parts of
+    mode_coefficients' results bit for bit, or where mom2 rounds below 0 on
+    the complex principal_momentum, whose imaginary part the real parts read.
     Plus-branch levels with Q_n < w_abs carry regime_flag; Q_n = w_abs puts
     the level exactly on the mass shell where the coefficients are singular,
     which raises.
     """
     _require_mass(mass)
     br = as_branch(branch)
-    shift = pot.w_abs if br is Branch.MINUS else -pot.w_abs
-    w_factor = pot.w0 if br is Branch.MINUS else pot.w0.conjugate()
+    plus = br is Branch.PLUS
+    v0, w_abs = pot.v0, pot.w_abs
+    shift = -w_abs if plus else w_abs
+    w_factor = pot.w0.conjugate() if plus else pot.w0
     levels = []
     for n, q_n in enumerate(quantized_momenta(length, n_max), start=1):
         try:
@@ -425,11 +432,11 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
                 raise NoSolutionError(
                     "no energy above the mass %g carries momentum %g on the %s branch"
                     % (mass, q_n, br.value))
-            mc = mode_coefficients(energy, mass, pot, br)
+            _, amp, j_chi, _ = _coefficients(energy, mass, v0, w_abs, plus, True)
         except InputError as exc:
             raise InputError("level %d at %s" % (n, exc)) from None
-        amp, j_chi = mc.amp_ratio.real, mc.j_chi.real
-        ph = _phase(amp, br is Branch.PLUS, _MATH)
+        amp, j_chi = amp.real, j_chi.real
+        ph = _phase(amp, plus, _MATH)
         try:
             wm2 = abs(w_factor * j_chi) ** 2
         except OverflowError:
@@ -438,7 +445,7 @@ def solve_spectrum(mass: float, pot: PotentialStep, length: float, n_max: int,
         total = _density_integral(q_n, length, ph, 1.0, amp * amp, wm2)
         levels.append(BagLevel(br, n, q_n, q_n + shift, energy, ph,
                                1.0 / math.sqrt(total), length, amp, j_chi, w_factor,
-                               br is Branch.PLUS and q_n < pot.w_abs))
+                               plus and q_n < w_abs))
     return levels
 
 
@@ -465,8 +472,9 @@ def _density_integral(q, length, phase, amp2, r2, wm2):
     StationaryWavefunction._weights, for normalize and solve_spectrum:
     int_0^L cos^2(Qz + s) dz = L/2 + [sin(2QL + 2s) - sin(2s)]/(4Q), and
     sin^2 gives L/2 minus that. InputError unless it is finite and > 0."""
-    osc_a = (math.sin(2.0 * q * length - phase) + math.sin(phase)) / (4.0 * q)
-    osc_b = (math.sin(2.0 * q * length + phase) - math.sin(phase)) / (4.0 * q)
+    sin_phase, two_ql, four_q = math.sin(phase), 2.0 * q * length, 4.0 * q
+    osc_a = (math.sin(two_ql - phase) + sin_phase) / four_q
+    osc_b = (math.sin(two_ql + phase) - sin_phase) / four_q
     total = amp2 * (
         0.5 * length * (1.0 + r2) * (1.0 + wm2) + (1.0 - r2) * (osc_a + wm2 * osc_b))
     if not (math.isfinite(total) and total > 0.0):

@@ -5,9 +5,14 @@ step) and a pure-quaternionic part of magnitude w_abs and phase w_phase. Both
 dispersion branches of the plane-wave problem are covered: branch momenta,
 zone classification (diffusion / evanescent / Klein) with the closed-form
 window edges, the three spinor coefficients of each travelling mode, and the
-assembled plane-wave states. The consistency_residual diagnostic quantifies a
-relation between the coefficients that the closed forms do not actually
-satisfy; it is reported, never asserted.
+assembled plane-wave states. The coefficients, their checks and their
+messages are written once, in _coefficients: mode_coefficients runs it on a
+complex momentum, bag.solve_spectrum on a float one wherever the squared
+momentum is >= 0, which gives the real parts of the complex results bit for
+bit without making a complex number or a ModeCoefficients record. The
+consistency_residual diagnostic quantifies a relation between the
+coefficients that the closed forms do not actually satisfy; it is
+reported, never asserted.
 
 Both squared branch momenta collapse to the even-in-v0 form
 
@@ -255,7 +260,7 @@ def principal_momentum(mom2: float) -> complex:
     """Principal square root: positive real, or positive imaginary when the
     squared momentum is negative (decaying evanescent convention). A mom2
     that is no real number, or beyond float64 range, raises InputError; a
-    float, as mode_coefficients passes at every level, skips that check."""
+    float, as _coefficients passes at every energy, skips that check."""
     if type(mom2) is not float:
         _require_real(mom2=mom2)
     if mom2 >= 0:
@@ -267,7 +272,7 @@ def _branch_denominators(energy, mass, v0, w_abs, plus, xp):
     """(mom2, denom_a, denom_mn): a branch's squared momentum and the
     denominators of amp_ratio = momentum/denom_a and of j_chi and j_sigma.
 
-    The one written form: mode_coefficients passes floats and _MATH,
+    The one written form: _coefficients passes floats and _MATH,
     bag._residual_chain floats or float64 arrays with its own xp.
     """
     _, q2_plus, q2_minus, delta, mom2_plus, mom2_minus = branch_mom2(
@@ -276,6 +281,44 @@ def _branch_denominators(energy, mass, v0, w_abs, plus, xp):
     mom2, q2_other = (mom2_plus, q2_minus) if plus else (mom2_minus, q2_plus)
     denom_a = energy + sgn * v0 + mass + sgn * delta / (energy - mass)
     return mom2, denom_a, q2_other - mom2
+
+
+def _coefficients(energy, mass, v0, w_abs, plus, real):
+    """(momentum, amp_ratio, j_chi, j_sigma) of one branch at one energy,
+    with every check of mode_coefficients; the one written form.
+
+    real chooses the momentum's type: mode_coefficients passes False, and
+    the momentum is principal_momentum(mom2), complex. bag.solve_spectrum
+    passes True: where mom2 >= 0 the momentum is the float sqrt(mom2), and
+    the same expressions on floats give the real parts of the complex
+    results bit for bit; below 0 it is principal_momentum(mom2) again, as
+    the real parts there read its imaginary part.
+    """
+    if energy == mass:
+        raise SingularCoefficientsError(
+            "coefficients singular at E = m (delta/(E - m) pole)")
+    _require_on_shell(energy, mass)
+    mom2, denom_a, denom_mn = _branch_denominators(energy, mass, v0, w_abs, plus, _MATH)
+    momentum = math.sqrt(mom2) if real and mom2 >= 0.0 else principal_momentum(mom2)
+    if denom_a == 0:
+        raise SingularCoefficientsError(
+            "amp_ratio denominator vanishes at these parameters")
+    if denom_mn == 0:
+        raise SingularCoefficientsError(
+            "resonant denominator: branch momentum squared equals the "
+            "opposite complex-limit momentum squared"
+        )
+    sgn = 1.0 if plus else -1.0
+    amp_ratio = momentum / denom_a
+    j_chi = (energy - sgn * v0 - mass + momentum * amp_ratio) / denom_mn
+    j_sigma = (momentum + amp_ratio * (energy - sgn * v0 + mass)) / denom_mn
+    # an overflow in the momentum or a denominator makes one of these four
+    # inf or nan, and one in amp_ratio reaches j_chi and j_sigma
+    if not (abs(denom_a) < math.inf and abs(denom_mn) < math.inf
+            and cmath.isfinite(j_chi) and cmath.isfinite(j_sigma)):
+        raise InputError("energy %r: the mode coefficients overflow float64"
+                         % (energy,))
+    return momentum, amp_ratio, j_chi, j_sigma
 
 
 def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
@@ -287,35 +330,12 @@ def mode_coefficients(energy: float, mass: float, pot: PotentialStep,
     denominator (the resonant case where one branch momentum collides with
     the other complex-limit momentum) raise SingularCoefficientsError rather
     than divide. _branch_denominators, shared with bag, forms both. Where
-    the momentum or a coefficient leaves float64 range, InputError.
+    the momentum or a coefficient leaves float64 range, InputError. The
+    checks and the formulas are _coefficients', with a complex momentum.
     """
     br = as_branch(branch)
-    if energy == mass:
-        raise SingularCoefficientsError(
-            "coefficients singular at E = m (delta/(E - m) pole)")
-    _require_on_shell(energy, mass)
-    mom2, denom_a, denom_mn = _branch_denominators(
-        energy, mass, pot.v0, pot.w_abs, br is Branch.PLUS, _MATH)
-    momentum = principal_momentum(mom2)
-    if denom_a == 0:
-        raise SingularCoefficientsError(
-            "amp_ratio denominator vanishes at these parameters")
-    if denom_mn == 0:
-        raise SingularCoefficientsError(
-            "resonant denominator: branch momentum squared equals the "
-            "opposite complex-limit momentum squared"
-        )
-    sgn = 1.0 if br is Branch.PLUS else -1.0
-    amp_ratio = momentum / denom_a
-    j_chi = (energy - sgn * pot.v0 - mass + momentum * amp_ratio) / denom_mn
-    j_sigma = (momentum + amp_ratio * (energy - sgn * pot.v0 + mass)) / denom_mn
-    # an overflow in the momentum or a denominator makes one of these four
-    # inf or nan, and one in amp_ratio reaches j_chi and j_sigma
-    if not (abs(denom_a) < math.inf and abs(denom_mn) < math.inf
-            and cmath.isfinite(j_chi) and cmath.isfinite(j_sigma)):
-        raise InputError("energy %r: the mode coefficients overflow float64"
-                         % (energy,))
-    return ModeCoefficients(br, momentum, amp_ratio, j_chi, j_sigma)
+    return ModeCoefficients(br, *_coefficients(energy, mass, pot.v0, pot.w_abs,
+                                               br is Branch.PLUS, False))
 
 
 def step_spinor(energy: float, mass: float, pot: PotentialStep, branch,

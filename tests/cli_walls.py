@@ -7,8 +7,10 @@ Usage, from anywhere:
 A and B are checkouts (or their src directories). For each tree it times
 `import qdirac.cli`, then `qdirac --version`, default `zones`,
 `bag-spectrum` (CSV and JSON), `density` (CSV and JSON) and `nr-spectrum`,
-each with --w0-abs 0.5, and `verify`, each run as the `qdirac` script runs
-it: a fresh interpreter that imports qdirac.cli and calls main. Stdout is
+each with --w0-abs 0.5, `verify`, and `bag-spectrum --v0 0.7 --w0-abs 0.5
+--levels 100000` ("bag-spectrum 1e5"), whose wall is mostly the per-level
+loop of solve_spectrum. Each runs as the `qdirac` script runs it: a fresh
+interpreter that imports qdirac.cli and calls main. Stdout is
 discarded; a run that exits nonzero stops the script. One untimed run of
 every command and tree comes first. Then each of the N rounds (default 20)
 runs every command once in every tree, alternating which tree goes first,
@@ -40,6 +42,8 @@ COMMANDS = (
     ("density json", ["-c", RUN_MAIN, "density", *W0, "--format", "json"]),
     ("nr-spectrum", ["-c", RUN_MAIN, "nr-spectrum", *W0]),
     ("verify", ["-c", RUN_MAIN, "verify"]),
+    ("bag-spectrum 1e5", ["-c", RUN_MAIN, "bag-spectrum", "--v0", "0.7", *W0,
+                          "--levels", "100000"]),
 )
 
 

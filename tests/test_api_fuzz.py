@@ -134,6 +134,12 @@ def test_solve_spectrum(mass, v0, w_abs, length, n_max, branch):
     levels = pot and call(solve_spectrum, mass, pot, length, n_max, branch)
     if levels is not None:
         levels_are_sound(levels, n_max, mass, length)
+        # each level's real-arithmetic coefficients are the real parts of
+        # the complex ones at its energy, bit for bit
+        for lvl in levels:
+            mc = mode_coefficients(lvl.energy, mass, pot, branch)
+            assert [float.hex(lvl.amp_ratio), float.hex(lvl.j_chi)] == [
+                float.hex(mc.amp_ratio.real), float.hex(mc.j_chi.real)]
 
 
 @FUZZ

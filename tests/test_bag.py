@@ -991,13 +991,52 @@ class TestOneSolvePerLevel:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("mode_coefficients", "normalize", "stationary_wavefunction",
-                     "replace"):
+        # each level solves its coefficients once, through step's core in
+        # real arithmetic, and builds no ModeCoefficients record
+        for name in ("_coefficients", "normalize", "stationary_wavefunction", "replace"):
             counted(bag, name)
+        counted(step, "mode_coefficients")
         counted(step, "kinematics")
         levels = solve_spectrum(1.0, PotentialStep(v0=v0, w_abs=0.5), 1.0, n_max, branch)
         assert len(levels) == n_max
-        assert calls == Counter(mode_coefficients=n_max)
+        assert calls == Counter(_coefficients=n_max)
+
+    def test_real_and_complex_momenta_give_the_same_bits(self):
+        # the core on a float momentum gives the real parts of its results
+        # on the complex one, signed zeros included: energies above the
+        # shell, both branches, v0 zero and of either sign
+        rng = np.random.default_rng(79)
+        real = Counter()
+        for i in range(300):
+            mass = float(rng.uniform(0.0, 2.0))
+            v0 = (0.0, 1.0, -1.0)[i % 3] * float(rng.uniform(0.1, 2.0))
+            w_abs = float(rng.uniform(0.05, 1.5))
+            energy = mass + float(rng.uniform(1e-3, 4.0))
+            for plus in (False, True):
+                mom2 = step._branch_denominators(energy, mass, v0, w_abs, plus, step._MATH)[0]
+                got = step._coefficients(energy, mass, v0, w_abs, plus, True)
+                want = step._coefficients(energy, mass, v0, w_abs, plus, False)
+                assert type(got[0]) is (float if mom2 >= 0.0 else complex)
+                assert [float.hex(x.real) for x in got[1:]] == [
+                    float.hex(x.real) for x in want[1:]], (energy, mass, v0, w_abs, plus)
+                real[(v0 > 0) - (v0 < 0), plus] += mom2 >= 0.0
+        assert min(real.values()) > 50 and len(real) == 6
+
+    @pytest.mark.parametrize("mass, pot, length", [
+        (1.9173813062551959, PotentialStep(w_abs=0.5422324589249886), 609676835891.4634),
+        (1.9242414904132492, PotentialStep(v0=-0.6670310454174107, w_abs=0.20756362027516495),
+         9169450856.299553),
+    ])
+    def test_a_level_below_zero_mom2_keeps_the_complex_momentum(self, mass, pot, length):
+        # in these wide wells the squared momentum rounds below 0 at the
+        # level's energy; its real parts read the imaginary momentum, so
+        # neither sqrt(mom2) nor sqrt(max(mom2, 0)) gives the level
+        (level,) = solve_spectrum(mass, pot, length, 1, "minus")
+        mom2 = step._branch_denominators(level.energy, mass, pot.v0, pot.w_abs, False,
+                                         step._MATH)[0]
+        assert mom2 < 0.0
+        (want,) = oracles.spectrum_by_composition(bag, step, mass, pot, length, 1, "minus")
+        assert repr(level) == repr(want)
 
     def test_wavefunction_reads_nothing_of_the_well(self, monkeypatch):
         # a level carries its w_factor: with PotentialStep.w0 made to raise,
@@ -1038,7 +1077,7 @@ class TestOneSolvePerLevel:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((bag, "mode_coefficients"), (step, "mode_coefficients"),
+        for module, name in ((bag, "_coefficients"), (step, "mode_coefficients"),
                              (step, "kinematics")):
             counted(module, name)
         wfs = [stationary_wavefunction(level, 1.0, pot, spin)
